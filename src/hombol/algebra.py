@@ -5,6 +5,10 @@ An algebra is given over a labeled basis by exact structure constants:
 the e_l coordinate of {e_i, e_j, e_k}, and ``twist`` a square matrix whose
 column j is the image of e_j.  All entries are Scalars, so every evaluation
 is exact and symbolic parameters ride along for free.
+
+The public tensors stay dense; the kernels loop over a private index of their
+nonzero entries and build vectors through the trusted ``Vector._of``, which
+skips the coercion the public constructor does.
 """
 
 from __future__ import annotations
@@ -38,25 +42,48 @@ def _as_coords(seq, dim):
     return coords
 
 
+def _nonzero(coords):
+    """The (index, entry) pairs of the nonzero entries of a Scalar tuple."""
+    return [(k, c) for k, c in enumerate(coords) if not c.is_zero()]
+
+
+def _accumulate(out, k, term):
+    """out[k] += term, without the addition while out[k] is still zero."""
+    acc = out[k]
+    out[k] = term if acc.is_zero() else acc + term
+
+
 class Vector:
     """An element of the algebra, as exact coordinates over the basis."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_nz")
 
     def __init__(self, coords):
         self.coords = tuple(_as_scalar(x) for x in coords)
+        self._nz = None
+
+    @classmethod
+    def _of(cls, coords):
+        """Trusted constructor: ``coords`` is a tuple of Scalars already."""
+        v = cls.__new__(cls)
+        v.coords = coords
+        v._nz = None
+        return v
+
+    def _support(self):
+        """The (index, coordinate) pairs of the nonzero coordinates, cached."""
+        nz = self._nz
+        if nz is None:
+            nz = self._nz = _nonzero(self.coords)
+        return nz
 
     @classmethod
     def zero(cls, dim):
-        v = cls.__new__(cls)
-        v.coords = (ZERO,) * dim
-        return v
+        return cls._of((ZERO,) * dim)
 
     @classmethod
     def basis(cls, i, dim):
-        v = cls.__new__(cls)
-        v.coords = tuple(ONE if j == i else ZERO for j in range(dim))
-        return v
+        return cls._of(tuple(ONE if j == i else ZERO for j in range(dim)))
 
     @property
     def dim(self):
@@ -67,24 +94,33 @@ class Vector:
 
     def scale(self, s):
         s = _as_scalar(s)
-        return Vector(c * s for c in self.coords)
+        out = list(self.coords)
+        for k, c in self._support():
+            out[k] = c * s
+        return Vector._of(tuple(out))
 
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch("vector dimensions differ")
-        return Vector(a + b for a, b in zip(self.coords, other.coords))
+        out = list(self.coords)
+        for k, b in other._support():
+            _accumulate(out, k, b)
+        return Vector._of(tuple(out))
 
     def __sub__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch("vector dimensions differ")
-        return Vector(a - b for a, b in zip(self.coords, other.coords))
+        out = list(self.coords)
+        for k, b in other._support():
+            _accumulate(out, k, -b)
+        return Vector._of(tuple(out))
 
     def __neg__(self):
-        return Vector(-c for c in self.coords)
+        return Vector._of(tuple(-c for c in self.coords))
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -104,7 +140,7 @@ class Vector:
 class LinearMap:
     """A square matrix of Scalars; column j is the image of basis vector e_j."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_cols")
 
     def __init__(self, rows):
         rows = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
@@ -112,11 +148,23 @@ class LinearMap:
         for row in rows:
             if len(row) != dim:
                 raise DimensionMismatch("linear map matrix must be square")
+        self._set_rows(rows)
+
+    @classmethod
+    def _of(cls, rows):
+        """Trusted constructor: ``rows`` is a square tuple of Scalar tuples."""
+        m = cls.__new__(cls)
+        m._set_rows(rows)
+        return m
+
+    def _set_rows(self, rows):
         self.rows = rows
+        # nonzero (i, entry) pairs of each column
+        self._cols = tuple(_nonzero(col) for col in zip(*rows))
 
     @classmethod
     def identity(cls, dim):
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)))
+        return cls._of(tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)))
 
     @classmethod
     def from_columns(cls, cols):
@@ -129,7 +177,7 @@ class LinearMap:
         return len(self.rows)
 
     def column(self, j):
-        return Vector(row[j] for row in self.rows)
+        return Vector._of(tuple(row[j] for row in self.rows))
 
     def apply(self, v):
         if not isinstance(v, Vector):
@@ -137,33 +185,26 @@ class LinearMap:
         if v.dim != self.dim:
             raise DimensionMismatch("map and vector dimensions differ")
         out = [ZERO] * self.dim
-        for j, vj in enumerate(v.coords):
-            if vj.is_zero():
+        for vj, col in zip(v.coords, self._cols):
+            if not col or vj.is_zero():
                 continue
-            for i in range(self.dim):
-                entry = self.rows[i][j]
-                if not entry.is_zero():
-                    out[i] = out[i] + entry * vj
-        return Vector(out)
+            for i, entry in col:
+                _accumulate(out, i, entry * vj)
+        return Vector._of(tuple(out))
 
     def compose(self, other):
         """self after other (matrix product self . other)."""
         if not isinstance(other, LinearMap) or other.dim != self.dim:
             raise DimensionMismatch("composed maps must share one dimension")
         n = self.dim
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = ZERO
-                for k in range(n):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if not a.is_zero() and not b.is_zero():
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return LinearMap(tuple(rows))
+        cols = []
+        for other_col in other._cols:
+            col = [ZERO] * n
+            for k, b in other_col:
+                for i, a in self._cols[k]:
+                    _accumulate(col, i, a * b)
+            cols.append(col)
+        return LinearMap._of(tuple(zip(*cols)))
 
     def power(self, k):
         if not isinstance(k, int) or k < 0:
@@ -220,7 +261,7 @@ def zero_ternary_tensor(dim):
 class HomAlgebra:
     """A finite-dimensional binary-ternary algebra together with a twisting map."""
 
-    __slots__ = ("dim", "basis", "params", "binary", "ternary", "twist")
+    __slots__ = ("dim", "basis", "params", "binary", "ternary", "twist", "_binary_nz", "_ternary_nz")
 
     def __init__(self, dim, basis=None, params=(), binary=None, ternary=None, twist=None):
         if dim < 1:
@@ -250,6 +291,11 @@ class HomAlgebra:
         if twist.dim != dim:
             raise DimensionMismatch("twist matrix shape does not match the dimension")
         self.twist = twist
+        # nonzero (k, c) pairs of each cell; equality ignores them
+        self._binary_nz = tuple(tuple(_nonzero(cell) for cell in row) for row in self.binary)
+        self._ternary_nz = tuple(
+            tuple(tuple(_nonzero(cell) for cell in row) for row in plane) for plane in self.ternary
+        )
 
     def replace(self, **kwargs):
         fields = {
@@ -270,47 +316,44 @@ class HomAlgebra:
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatch("operands do not match the algebra dimension")
         out = [ZERO] * self.dim
-        for i, ui in enumerate(u.coords):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v.coords):
-                if vj.is_zero():
+        vs = v._support()
+        for i, ui in u._support():
+            cells = self._binary_nz[i]
+            for j, vj in vs:
+                cell = cells[j]
+                if not cell:
                     continue
-                cell = self.binary[i][j]
                 factor = ui * vj
-                for k in range(self.dim):
-                    c = cell[k]
-                    if not c.is_zero():
-                        out[k] = out[k] + factor * c
-        return Vector(out)
+                for k, c in cell:
+                    _accumulate(out, k, factor * c)
+        return Vector._of(tuple(out))
 
     def eval_ternary(self, u, v, w):
         if u.dim != self.dim or v.dim != self.dim or w.dim != self.dim:
             raise DimensionMismatch("operands do not match the algebra dimension")
         out = [ZERO] * self.dim
-        for i, ui in enumerate(u.coords):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v.coords):
-                if vj.is_zero():
-                    continue
-                uv = ui * vj
-                for k, wk in enumerate(w.coords):
-                    if wk.is_zero():
+        vs = v._support()
+        ws = w._support()
+        for i, ui in u._support():
+            for j, vj in vs:
+                cells = self._ternary_nz[i][j]
+                uv = None
+                for k, wk in ws:
+                    cell = cells[k]
+                    if not cell:
                         continue
-                    cell = self.ternary[i][j][k]
+                    if uv is None:
+                        uv = ui * vj
                     factor = uv * wk
-                    for l in range(self.dim):
-                        c = cell[l]
-                        if not c.is_zero():
-                            out[l] = out[l] + factor * c
-        return Vector(out)
+                    for l, c in cell:
+                        _accumulate(out, l, factor * c)
+        return Vector._of(tuple(out))
 
     def binary_value(self, i, j):
-        return Vector(self.binary[i][j])
+        return Vector._of(self.binary[i][j])
 
     def ternary_value(self, i, j, k):
-        return Vector(self.ternary[i][j][k])
+        return Vector._of(self.ternary[i][j][k])
 
     def is_multiplicative(self):
         """Whether the twist preserves both products (is a weak self-morphism)."""

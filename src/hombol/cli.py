@@ -221,6 +221,13 @@ def main(argv=None):
         return 3
     except (ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if exc.args else exc
+        # Python's message when an int is too long to print; reading one too
+        # long says "...conversion: value has N digits" instead
+        if isinstance(exc, ValueError) and "integer string conversion;" in str(message):
+            message = (
+                f"a coefficient of the result exceeds Python's {sys.get_int_max_str_digits()}-digit "
+                "limit for printing integers; use a lower --n, or leave the parameter symbolic"
+            )
         print(f"error: {message}", file=sys.stderr)
         return 2
 

@@ -30,6 +30,7 @@ e-th power of the ambient twist.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -549,6 +550,10 @@ def evaluate(node, alg, env, twist_exponent=1):
     return _Evaluator(alg, twist_exponent).eval(node, env)
 
 
+def _no_vars(env):
+    return ()
+
+
 class _BasisChecker(_Evaluator):
     """Evaluator over basis assignments with per-node memoization.
 
@@ -560,25 +565,22 @@ class _BasisChecker(_Evaluator):
     def __init__(self, alg, twist_exponent=1):
         super().__init__(alg, twist_exponent)
         self._memo = {}
-        self._freevars = {}
         self._basis = [alg.basis_vector(i) for i in range(alg.dim)]
 
-    def free_vars(self, node):
-        got = self._freevars.get(id(node))
-        if got is None:
-            seen = []
-            for v in _appearance_order(node):
-                if v not in seen:
-                    seen.append(v)
-            got = tuple(seen)
-            self._freevars[id(node)] = got
+    def node_memo(self, node):
+        """(key getter, memo) for a node: the getter reads the indices of the
+        node's free variables from an env, the memo maps them to values."""
+        names = tuple(dict.fromkeys(_appearance_order(node)))
+        got = (operator.itemgetter(*names) if names else _no_vars, {})
+        self._memo[id(node)] = got
         return got
 
     def eval_idx(self, node, env):
         if isinstance(node, Var):
             return self._basis[env[node.name]]
-        key = (id(node), tuple(env[v] for v in self.free_vars(node)))
-        hit = self._memo.get(key)
+        key_of, memo = self._memo.get(id(node)) or self.node_memo(node)
+        key = key_of(env)
+        hit = memo.get(key)
         if hit is not None:
             return hit
         if isinstance(node, MapApp):
@@ -609,7 +611,7 @@ class _BasisChecker(_Evaluator):
                 value = value + self.eval_idx(node.body, rotated)
         else:
             raise TypeError(f"not an identity node: {node!r}")
-        self._memo[key] = value
+        memo[key] = value
         return value
 
 

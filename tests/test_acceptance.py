@@ -147,6 +147,36 @@ def test_criterion_03_derived_algebras_stay_hom_bol():
     )
 
 
+SAGLE_DOC = (
+    "dim 4\nbasis e1 e2 e3 e4\ncomplete skew-binary\n"
+    "binary e1 e2 = -e2\nbinary e1 e3 = -e3\nbinary e1 e4 = e4\nbinary e2 e3 = 2*e4\n"
+)
+
+
+def test_twist_closure_on_sagle_malcev_algebra():
+    """Yau twist and derived algebras on Sagle's 4-dim non-Lie Malcev algebra.
+
+    e1e2 = -e2, e1e3 = -e3, e1e4 = e4, e2e3 = 2e4, skew-completed.  A
+    diagonal map diag(p1, p2, p3, p4) sends every zero cell to zero, so it
+    is an automorphism iff it respects the four nonzero cells:
+    p2 = p1p2, p3 = p1p3, p4 = p1p4 and p4 = p2p3.  Taking p1 = 1 leaves
+    p4 = p2p3, so beta = diag(1, 2, 3, 6) is one, with distinct entries.
+    Here, unlike on the 2-dim catalog, the associated Bol algebra's axioms
+    do not degenerate: a wrong power of beta on either product of the Yau
+    twist, or a wrong derived exponent, breaks Hom-Bol.
+    """
+    alg = parse_algebra(SAGLE_DOC)
+    assert check_suite(alg, "malcev").passed
+    assert not check_suite(alg, "hom_lie").passed  # not a Lie algebra
+
+    beta = LinearMap.from_columns(((1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 6)))
+    twisted = malcev_to_bol(alg, beta)
+    assert twisted.twist == beta
+    for n in range(4):  # order 0 is the twisted algebra itself
+        report = check_suite(nth_derived(twisted, n), "hom_bol")
+        assert report.passed, f"derived order {n}: {report.failures[0].describe(alg.basis)}"
+
+
 def test_criterion_04_derived_recursion_and_jacobian_law():
     failures = []
     for label, alg in _all_catalog():

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -121,6 +122,21 @@ def test_derive_command(tmp_path, capsys, hb2_file):
     assert capsys.readouterr().out == emit_algebra(nth_derived(alg, 1))
     assert main(["derive", str(path), "--n", "99"]) == 3
     assert "exceeds the exponent limit 16" in capsys.readouterr().err
+
+
+def test_derive_result_too_long_to_print(tmp_path, capsys):
+    # at n = 14 the twist entry (3/2)^(2^14) has a 7,818-digit numerator
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not 0 < limit < 7818:
+        pytest.skip("needs Python's default limit on printing long integers")
+    path = _write(tmp_path, "hb2.alg", emit_algebra(get_twisted("HB_A2", b=F(3, 2))))
+    assert main(["derive", path, "--n", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: a coefficient of the result exceeds Python's {limit}-digit limit for printing "
+        "integers; use a lower --n, or leave the parameter symbolic\n"
+    )
 
 
 def test_seq_command(tmp_path, capsys, hb2_file):

@@ -1,0 +1,187 @@
+"""Differential tests of the tensor kernels against dense nested loops.
+
+The kernels walk a private index of nonzero entries and build vectors
+through a trusted constructor; the references below visit every cell and
+use nothing but Scalar arithmetic, so any cell the index drops, or any
+coordinate the trusted path mishandles, shows up as a difference.
+"""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+
+from hombol.algebra import HomAlgebra, LinearMap, Vector
+from hombol.errors import DimensionMismatch
+from hombol.scalars import ONE, ZERO, Scalar
+
+PARAMS = ("a", "b", "lambda")
+
+
+def _scalar(rng):
+    """About 30% zeros; the rest rational, or a rational times a parameter
+    plus a rational."""
+    roll = rng.random()
+    if roll < 0.3:
+        return ZERO
+    coeff = Scalar.rational(F(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 2, 3))))
+    if roll < 0.7:
+        return coeff
+    return coeff * Scalar.parameter(rng.choice(PARAMS)) + Scalar.rational(rng.randint(-2, 2))
+
+
+def _coords(rng, dim):
+    return tuple(_scalar(rng) for _ in range(dim))
+
+
+def _tensor(rng, dim, arity):
+    """A cell of coordinates for each of the dim^arity index tuples."""
+    if arity == 0:
+        return _coords(rng, dim)
+    return tuple(_tensor(rng, dim, arity - 1) for _ in range(dim))
+
+
+def _matrix(rng, dim):
+    return tuple(_coords(rng, dim) for _ in range(dim))
+
+
+CASES = [(dim, seed) for dim in (3, 4, 5) for seed in (1, 2)]
+
+
+def dense_binary(binary, u, v):
+    n = len(u)
+    out = [ZERO] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                out[k] = out[k] + u[i] * v[j] * binary[i][j][k]
+    return tuple(out)
+
+
+def dense_ternary(ternary, u, v, w):
+    n = len(u)
+    out = [ZERO] * n
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for l in range(n):
+                    out[l] = out[l] + u[i] * v[j] * w[k] * ternary[i][j][k][l]
+    return tuple(out)
+
+
+def dense_apply(rows, v):
+    n = len(v)
+    return tuple(sum((rows[i][j] * v[j] for j in range(n)), ZERO) for i in range(n))
+
+
+def dense_product(a, b):
+    n = len(a)
+    return tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n)) for i in range(n)
+    )
+
+
+def dense_power(rows, k):
+    n = len(rows)
+    out = tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
+    for _ in range(k):
+        out = dense_product(out, rows)
+    return out
+
+
+@pytest.mark.parametrize("dim, seed", CASES)
+def test_products_match_dense_reference(dim, seed):
+    rng = random.Random(seed)
+    binary = _tensor(rng, dim, 2)
+    ternary = _tensor(rng, dim, 3)
+    alg = HomAlgebra(dim, binary=binary, ternary=ternary)
+    vectors = [_coords(rng, dim) for _ in range(4)] + [Vector.basis(i, dim).coords for i in range(dim)]
+    vectors.append((ZERO,) * dim)
+    for u in vectors:
+        for v in vectors[:4]:
+            assert alg.eval_binary(Vector(u), Vector(v)).coords == dense_binary(binary, u, v)
+            assert alg.eval_ternary(Vector(v), Vector(u), Vector(v)).coords == dense_ternary(ternary, v, u, v)
+    for i in range(dim):
+        for j in range(dim):
+            assert alg.binary_value(i, j).coords == binary[i][j]
+            assert alg.ternary_value(i, j, (i + j) % dim).coords == ternary[i][j][(i + j) % dim]
+
+
+@pytest.mark.parametrize("dim, seed", CASES)
+def test_linear_maps_match_dense_reference(dim, seed):
+    rng = random.Random(seed)
+    rows = _matrix(rng, dim)
+    other = _matrix(rng, dim)
+    m = LinearMap(rows)
+    for _ in range(4):
+        v = _coords(rng, dim)
+        assert m.apply(Vector(v)).coords == dense_apply(rows, v)
+    for j in range(dim):
+        assert m.column(j).coords == tuple(row[j] for row in rows)
+    assert m.compose(LinearMap(other)).rows == dense_product(rows, other)
+    # powers of a sparse rational map: symbolic powers grow fast
+    sparse = tuple(tuple(c if c.is_rational() else ZERO for c in row) for row in rows)
+    for k in range(5):
+        assert LinearMap(sparse).power(k).rows == dense_power(sparse, k)
+
+
+def test_vector_sums_and_scaling_match_coordinatewise_arithmetic():
+    rng = random.Random(7)
+    for dim in (3, 4, 5):
+        for _ in range(10):
+            u, v = _coords(rng, dim), _coords(rng, dim)
+            s = _scalar(rng)
+            assert (Vector(u) + Vector(v)).coords == tuple(a + b for a, b in zip(u, v))
+            assert (Vector(u) - Vector(v)).coords == tuple(a - b for a, b in zip(u, v))
+            assert (-Vector(u)).coords == tuple(-a for a in u)
+            assert Vector(u).scale(s).coords == tuple(a * s for a in u)
+            assert (Vector(u) - Vector(u)).is_zero()
+
+
+def test_public_vector_constructor_still_coerces_and_rejects():
+    v = Vector([1, F(1, 2)])
+    assert v.coords == (Scalar.rational(1), Scalar.rational(1, 2))
+    assert all(isinstance(c, Scalar) for c in v.coords)
+    with pytest.raises(TypeError):
+        Vector([1.5])
+    with pytest.raises(TypeError):
+        LinearMap(((1.5,),))
+
+
+def test_dimension_mismatches_still_raise():
+    alg = HomAlgebra(2)
+    two, three = Vector((1, 2)), Vector((1, 2, 3))
+    with pytest.raises(DimensionMismatch):
+        two + three
+    with pytest.raises(DimensionMismatch):
+        two - three
+    with pytest.raises(DimensionMismatch):
+        alg.eval_binary(two, three)
+    with pytest.raises(DimensionMismatch):
+        alg.eval_ternary(two, two, three)
+    with pytest.raises(DimensionMismatch):
+        LinearMap.identity(2).apply(three)
+    with pytest.raises(DimensionMismatch):
+        LinearMap.identity(2).compose(LinearMap.identity(3))
+    with pytest.raises(DimensionMismatch):
+        LinearMap(((1, 2),))
+    with pytest.raises(DimensionMismatch):
+        HomAlgebra(2, binary=(((1, 2), (1, 2)),))
+
+
+def test_algebra_equality_ignores_the_nonzero_index():
+    rng = random.Random(11)
+    binary = _tensor(rng, 3, 2)
+    ternary = _tensor(rng, 3, 3)
+    as_scalars = HomAlgebra(3, binary=binary, ternary=ternary)
+    as_fractions = HomAlgebra(
+        3,
+        binary=tuple(tuple(tuple(c.as_fraction() if c.is_rational() else c for c in cell) for cell in row) for row in binary),
+        ternary=ternary,
+    )
+    assert as_scalars == as_fractions
+    stale = as_scalars.replace()
+    stale._binary_nz = tuple(tuple(() for _ in row) for row in stale._binary_nz)
+    assert stale == as_scalars
+    assert as_scalars != as_scalars.replace(binary=_tensor(rng, 3, 2))
+    assert LinearMap(_matrix(random.Random(3), 3)) == LinearMap(_matrix(random.Random(3), 3))
