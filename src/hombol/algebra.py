@@ -13,6 +13,8 @@ skips the coercion the public constructor does.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import DimensionMismatch
 from .scalars import Scalar, ZERO, ONE
 
@@ -23,6 +25,7 @@ __all__ = [
     "is_weak_morphism",
     "is_morphism",
     "first_weak_morphism_failure",
+    "morphism_residuals",
     "zero_binary_tensor",
     "zero_ternary_tensor",
 ]
@@ -389,33 +392,30 @@ class HomAlgebra:
         return f"HomAlgebra(dim={self.dim}, basis={self.basis})"
 
 
-def first_weak_morphism_failure(theta, src, dst):
-    """First basis pair/triple where theta fails to intertwine the products.
-
-    Returns None when theta is a weak morphism, else ("binary"|"ternary",
-    index tuple, residual Vector), scanning pairs before triples in
-    lexicographic index order.
-    """
+def morphism_residuals(theta, src, dst):
+    """theta(x*y) - theta(x)*theta(y) on every basis pair, then
+    theta({x,y,z}) - {theta(x),theta(y),theta(z)} on every basis triple, in
+    lexicographic index order, as ("binary"|"ternary", index tuple, residual
+    Vector)."""
     if src.dim != dst.dim or theta.dim != src.dim:
         raise DimensionMismatch("morphism check needs equal dimensions")
     n = src.dim
     images = [theta.column(j) for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            lhs = theta.apply(src.binary_value(i, j))
-            rhs = dst.eval_binary(images[i], images[j])
-            residual = lhs - rhs
-            if not residual.is_zero():
-                return ("binary", (i, j), residual)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = theta.apply(src.ternary_value(i, j, k))
-                rhs = dst.eval_ternary(images[i], images[j], images[k])
-                residual = lhs - rhs
-                if not residual.is_zero():
-                    return ("ternary", (i, j, k), residual)
-    return None
+    for i, j in itertools.product(range(n), repeat=2):
+        lhs = theta.apply(src.binary_value(i, j))
+        yield "binary", (i, j), lhs - dst.eval_binary(images[i], images[j])
+    for i, j, k in itertools.product(range(n), repeat=3):
+        lhs = theta.apply(src.ternary_value(i, j, k))
+        yield "ternary", (i, j, k), lhs - dst.eval_ternary(images[i], images[j], images[k])
+
+
+def first_weak_morphism_failure(theta, src, dst):
+    """First basis pair/triple where theta fails to intertwine the products.
+
+    Returns None when theta is a weak morphism, else the first nonzero entry
+    of ``morphism_residuals``.
+    """
+    return next((r for r in morphism_residuals(theta, src, dst) if not r[2].is_zero()), None)
 
 
 def is_weak_morphism(theta, src, dst):

@@ -7,13 +7,14 @@ Exit codes: 0 success or Pass, 1 a check failed (counterexample printed),
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
 from .constructions import malcev_to_bol, nth_derived, self_twist, sequence_member
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, parse_int
 from .identities import SUITES, check_suite, parse_suite
 from .morphisms import DEFAULT_GRID, classify_2dim, generate_constraints, grid_search
 from .serialization import (
@@ -76,13 +77,22 @@ def _cmd_malcev2bol(args):
     return 0
 
 
+def _read_digits(flag, text, offset=0):
+    """text, once each of its digit runs has gone through parse_int: a run too
+    long for Python to read is a ParseError naming the flag and the column
+    (offset + 1 for the first character of text)."""
+    for m in re.finditer(r"\d+(?:_\d+)*", text):
+        parse_int(m.group(), column=offset + m.start() + 1, source=flag)
+    return text
+
+
 def _parse_bindings(pairs):
     bindings = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ValueError(f"--bind takes NAME=RATIONAL, got {pair!r}")
-        bindings[name] = Fraction(value)
+        bindings[name] = Fraction(_read_digits("--bind", value, len(name) + 1))
     return bindings
 
 
@@ -97,7 +107,7 @@ def _cmd_morphisms(args):
         print(text, end="")
     bindings = _parse_bindings(args.bind)
     grid = (
-        tuple(Fraction(tok) for tok in args.grid.split(","))
+        tuple(Fraction(tok) for tok in _read_digits("--grid", args.grid).split(","))
         if args.grid
         else DEFAULT_GRID
     )

@@ -8,11 +8,9 @@ twist powers grow like 2^(n+1).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .algebra import HomAlgebra, LinearMap, first_weak_morphism_failure, zero_ternary_tensor
+from .algebra import LinearMap, first_weak_morphism_failure, zero_ternary_tensor
 from .errors import ExponentLimitError, PreconditionError
-from .identities import SUITES, check_suite
+from .identities import SUITES, check_suite, parse_identity, tabulate
 
 __all__ = [
     "compose_binary",
@@ -53,8 +51,19 @@ def _require_endomorphism(beta, alg, who):
         )
 
 
-def _with_params(alg, beta):
-    return alg.params | beta.variables()
+def _recompose(algebra, base, p, q, t, *, tail=None, add_params=False):
+    """The algebra with its binary product composed with base^p, its ternary
+    product with base^q (None: zero), and the twist base^t, then tail.
+
+    The powers are made one at a time, after the previous one is used, so
+    only one large symbolic power is alive at once.  ``add_params`` adds
+    base's parameters to the algebra's.
+    """
+    binary = compose_binary(base.power(p), algebra.binary)
+    ternary = zero_ternary_tensor(algebra.dim) if q is None else compose_ternary(base.power(q), algebra.ternary)
+    twist = base.power(t) if tail is None else base.power(t).compose(tail)
+    params = algebra.params | base.variables() if add_params else algebra.params
+    return algebra.replace(binary=binary, ternary=ternary, twist=twist, params=params)
 
 
 def yau_twist(algebra, beta, *, check=True):
@@ -69,12 +78,7 @@ def yau_twist(algebra, beta, *, check=True):
         raise PreconditionError("yau_twist: the algebra must carry the identity twist")
     if check:
         _require_endomorphism(beta, algebra, "yau_twist")
-    return algebra.replace(
-        binary=compose_binary(beta, algebra.binary),
-        ternary=compose_ternary(beta.compose(beta), algebra.ternary),
-        twist=beta,
-        params=_with_params(algebra, beta),
-    )
+    return _recompose(algebra, beta, 1, 2, 1, add_params=True)
 
 
 def self_twist(algebra, beta, n):
@@ -88,13 +92,7 @@ def self_twist(algebra, beta, n):
     _require_endomorphism(beta, algebra, "self_twist")
     if not beta.commutes_with(algebra.twist):
         raise PreconditionError("self_twist: the map does not commute with the twist")
-    bn = beta.power(n)
-    return algebra.replace(
-        binary=compose_binary(bn, algebra.binary),
-        ternary=compose_ternary(beta.power(2 * n), algebra.ternary),
-        twist=bn.compose(algebra.twist),
-        params=_with_params(algebra, beta),
-    )
+    return _recompose(algebra, beta, n, 2 * n, n, tail=algebra.twist, add_params=True)
 
 
 def _check_order(n, limit, who):
@@ -110,23 +108,13 @@ def nth_derived(algebra, n, *, limit=DERIVED_ORDER_LIMIT):
     """The n-th derived algebra: binary gains twist^(2^n - 1), ternary
     twist^(2^(n+1) - 2), and the twist becomes twist^(2^n)."""
     _check_order(n, limit, "nth_derived")
-    alpha = algebra.twist
-    return algebra.replace(
-        binary=compose_binary(alpha.power(2**n - 1), algebra.binary),
-        ternary=compose_ternary(alpha.power(2 ** (n + 1) - 2), algebra.ternary),
-        twist=alpha.power(2**n),
-    )
+    return _recompose(algebra, algebra.twist, 2**n - 1, 2 ** (n + 1) - 2, 2**n)
 
 
 def derived_binary_only(algebra, n, *, limit=DERIVED_ORDER_LIMIT):
     """Derived construction for the binary part alone; the ternary is zero."""
     _check_order(n, limit, "derived_binary_only")
-    alpha = algebra.twist
-    return algebra.replace(
-        binary=compose_binary(alpha.power(2**n - 1), algebra.binary),
-        ternary=zero_ternary_tensor(algebra.dim),
-        twist=alpha.power(2**n),
-    )
+    return _recompose(algebra, algebra.twist, 2**n - 1, None, 2**n)
 
 
 def sequence_member(algebra, beta, n):
@@ -143,12 +131,12 @@ def sequence_member(algebra, beta, n):
     _require_endomorphism(beta, algebra, "sequence_member")
     if not beta.commutes_with(algebra.twist):
         raise PreconditionError("sequence_member: the map does not commute with the twist")
-    return algebra.replace(
-        binary=compose_binary(beta.power(n), algebra.binary),
-        ternary=compose_ternary(beta.power(2 * n), algebra.ternary),
-        twist=beta.power(n + 1),
-        params=_with_params(algebra, beta),
-    )
+    return _recompose(algebra, beta, n, 2 * n, n + 1, add_params=True)
+
+
+# the ternary product a Malcev algebra induces, and the twisted Jacobian
+_MALCEV_BRACKET = parse_identity("1/3 (2 (x*y)*z - (y*z)*x - (z*x)*y) = 0", name="malcev_bracket")
+_HOM_JACOBI = next(i for i in SUITES["hom_lie"].identities if i.name == "hom_jacobi")
 
 
 def malcev_to_bol(algebra, beta=None):
@@ -171,41 +159,12 @@ def malcev_to_bol(algebra, beta=None):
         beta = LinearMap.identity(algebra.dim)
     _require_endomorphism(beta, algebra, "malcev_to_bol")
 
-    third = Fraction(1, 3)
-    n = algebra.dim
-    cells = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                x, y, z = (algebra.basis_vector(t) for t in (i, j, k))
-                value = (
-                    algebra.eval_binary(algebra.eval_binary(x, y), z).scale(2)
-                    - algebra.eval_binary(algebra.eval_binary(y, z), x)
-                    - algebra.eval_binary(algebra.eval_binary(z, x), y)
-                ).scale(third)
-                row.append(tuple(value.coords))
-            plane.append(tuple(row))
-        cells.append(tuple(plane))
-    bol = algebra.replace(ternary=tuple(cells))
-    return yau_twist(bol, beta)
+    table = tabulate(_MALCEV_BRACKET.lhs, algebra, _MALCEV_BRACKET.variables)
+    ternary = tuple(tuple(tuple(v.coords for v in row) for row in plane) for plane in table)
+    return yau_twist(algebra.replace(ternary=ternary), beta)
 
 
 def hom_jacobian(algebra):
     """The twisted Jacobian tensor: J(x,y,z) = sum over cyclic rotations of
     (x*y)*alpha(z), returned as a rank-3 table of vectors indexed [i][j][k]."""
-    n = algebra.dim
-    alpha = algebra.twist
-    basis = [algebra.basis_vector(i) for i in range(n)]
-    twisted = [alpha.apply(v) for v in basis]
-
-    def jac(i, j, k):
-        total = algebra.eval_binary(algebra.eval_binary(basis[i], basis[j]), twisted[k])
-        total = total + algebra.eval_binary(algebra.eval_binary(basis[j], basis[k]), twisted[i])
-        total = total + algebra.eval_binary(algebra.eval_binary(basis[k], basis[i]), twisted[j])
-        return total
-
-    return tuple(
-        tuple(tuple(jac(i, j, k) for k in range(n)) for j in range(n)) for i in range(n)
-    )
+    return tabulate(_HOM_JACOBI.lhs, algebra, _HOM_JACOBI.variables, SUITES["hom_lie"].twist_exponent)

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the integer reader every parser uses."""
+
+import sys
 
 
 class ParseError(ValueError):
@@ -13,6 +15,26 @@ class ParseError(ValueError):
         elif column is not None:
             where = f" (column {column})"
         super().__init__(message + where)
+
+
+def parse_int(token, *, line=None, column=None, source=None):
+    """int(token) for a run of digits a parser has matched.
+
+    Python refuses to read an integer longer than sys.get_int_max_str_digits()
+    digits; that becomes a ParseError at the token, prefixed with ``source``
+    (a flag, say), instead of Python's ValueError naming no place.  The
+    digits are not echoed.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        where = f"{source}: " if source else ""
+        raise ParseError(
+            f"{where}an integer literal of {len(token.replace('_', ''))} digits exceeds Python's "
+            f"{sys.get_int_max_str_digits()}-digit limit for reading integers",
+            line=line,
+            column=column,
+        ) from None
 
 
 class MultilinearityError(ValueError):

@@ -25,6 +25,10 @@ index order and compares both sides with exact arithmetic; with symbolic
 parameters in the structure constants, Pass means identically zero
 polynomials.  A suite may fix a twist exponent e, reinterpreting A as the
 e-th power of the ambient twist.
+
+One memoizing evaluator does all evaluation: ``check_identity`` runs it over
+basis tuples, ``evaluate`` on the caller's vectors, and ``tabulate`` returns
+its value table over basis tuples (the constructions build tensors with it).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Vector
-from .errors import MultilinearityError, ParseError
+from .errors import MultilinearityError, ParseError, parse_int
 
 __all__ = [
     "Var",
@@ -54,6 +58,7 @@ __all__ = [
     "parse_suite",
     "format_node",
     "evaluate",
+    "tabulate",
     "check_identity",
     "check_suite",
     "SUITES",
@@ -221,15 +226,16 @@ class _Reader:
         coeff = None
         if kind == "num":
             self.take()
-            coeff = Fraction(int(value))
+            coeff = Fraction(parse_int(value, column=col))
             if self.at_op("/"):
                 self.take()
                 k2, v2, c2 = self.take()
                 if k2 != "num":
                     raise ParseError("expected a denominator", column=c2)
-                if int(v2) == 0:
+                den = parse_int(v2, column=c2)
+                if den == 0:
                     raise ParseError("zero denominator", column=c2)
-                coeff /= int(v2)
+                coeff /= den
             if self.at_op("*"):
                 self.take()
             if not self._starts_factor():
@@ -272,7 +278,7 @@ class _Reader:
                     k2, v2, c2 = self.take()
                     if k2 != "num":
                         raise ParseError("expected an integer power of A", column=c2)
-                    power = int(v2)
+                    power = parse_int(v2, column=c2)
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
@@ -497,14 +503,23 @@ def _validate_multilinear(ident):
 
 
 class _Evaluator:
-    """Evaluates identity nodes over one algebra with cached twist powers."""
+    """The one evaluator of identity nodes over an algebra.
 
-    def __init__(self, alg, twist_exponent=1):
+    env maps variable name -> index into ``leaves``, the vectors the
+    variables stand for: the basis by default.  A subexpression's value is
+    memoized on the indices of its own free variables, which makes the
+    five-variable identities cheap under full enumeration, and twist powers
+    are computed once.
+    """
+
+    def __init__(self, alg, twist_exponent=1, leaves=None):
         if twist_exponent < 0:
             raise ValueError("twist exponent must be nonnegative")
         self.alg = alg
         self.exponent = twist_exponent
+        self.leaves = [alg.basis_vector(i) for i in range(alg.dim)] if leaves is None else leaves
         self._powers = {}
+        self._memo = {}
 
     def map_power(self, k):
         m = self._powers.get(k)
@@ -512,60 +527,6 @@ class _Evaluator:
             m = self.alg.twist.power(self.exponent * k)
             self._powers[k] = m
         return m
-
-    def eval(self, node, env):
-        if isinstance(node, Var):
-            return env[node.name]
-        if isinstance(node, MapApp):
-            return self.map_power(node.power).apply(self.eval(node.arg, env))
-        if isinstance(node, Binary):
-            return self.alg.eval_binary(self.eval(node.left, env), self.eval(node.right, env))
-        if isinstance(node, Ternary):
-            return self.alg.eval_ternary(
-                self.eval(node.first, env), self.eval(node.second, env), self.eval(node.third, env)
-            )
-        if isinstance(node, ScalarMul):
-            return self.eval(node.arg, env).scale(node.coeff)
-        if isinstance(node, Sum):
-            total = Vector.zero(self.alg.dim)
-            for t in node.terms:
-                total = total + self.eval(t, env)
-            return total
-        if isinstance(node, CyclicSum):
-            a, b, c = node.names
-            rotations = (
-                env,
-                {**env, a: env[b], b: env[c], c: env[a]},
-                {**env, a: env[c], b: env[a], c: env[b]},
-            )
-            total = Vector.zero(self.alg.dim)
-            for rotated in rotations:
-                total = total + self.eval(node.body, rotated)
-            return total
-        raise TypeError(f"not an identity node: {node!r}")
-
-
-def evaluate(node, alg, env, twist_exponent=1):
-    """Evaluate a node on arbitrary vectors; env maps variable name -> Vector."""
-    return _Evaluator(alg, twist_exponent).eval(node, env)
-
-
-def _no_vars(env):
-    return ()
-
-
-class _BasisChecker(_Evaluator):
-    """Evaluator over basis assignments with per-node memoization.
-
-    env maps variable name -> basis index; results of a subexpression are
-    cached on the indices of its own free variables, which makes the
-    five-variable identities cheap under full enumeration.
-    """
-
-    def __init__(self, alg, twist_exponent=1):
-        super().__init__(alg, twist_exponent)
-        self._memo = {}
-        self._basis = [alg.basis_vector(i) for i in range(alg.dim)]
 
     def node_memo(self, node):
         """(key getter, memo) for a node: the getter reads the indices of the
@@ -575,30 +536,34 @@ class _BasisChecker(_Evaluator):
         self._memo[id(node)] = got
         return got
 
-    def eval_idx(self, node, env):
+    def basis_tuples(self, names):
+        """(indices, env) for every assignment of basis vectors to names, in
+        lexicographic index order."""
+        for indices in itertools.product(range(self.alg.dim), repeat=len(names)):
+            yield indices, dict(zip(names, indices))
+
+    def eval(self, node, env):
         if isinstance(node, Var):
-            return self._basis[env[node.name]]
+            return self.leaves[env[node.name]]
         key_of, memo = self._memo.get(id(node)) or self.node_memo(node)
         key = key_of(env)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if isinstance(node, MapApp):
-            value = self.map_power(node.power).apply(self.eval_idx(node.arg, env))
+            value = self.map_power(node.power).apply(self.eval(node.arg, env))
         elif isinstance(node, Binary):
-            value = self.alg.eval_binary(self.eval_idx(node.left, env), self.eval_idx(node.right, env))
+            value = self.alg.eval_binary(self.eval(node.left, env), self.eval(node.right, env))
         elif isinstance(node, Ternary):
             value = self.alg.eval_ternary(
-                self.eval_idx(node.first, env),
-                self.eval_idx(node.second, env),
-                self.eval_idx(node.third, env),
+                self.eval(node.first, env), self.eval(node.second, env), self.eval(node.third, env)
             )
         elif isinstance(node, ScalarMul):
-            value = self.eval_idx(node.arg, env).scale(node.coeff)
+            value = self.eval(node.arg, env).scale(node.coeff)
         elif isinstance(node, Sum):
             value = Vector.zero(self.alg.dim)
             for t in node.terms:
-                value = value + self.eval_idx(t, env)
+                value = value + self.eval(t, env)
         elif isinstance(node, CyclicSum):
             a, b, c = node.names
             rotations = (
@@ -608,11 +573,32 @@ class _BasisChecker(_Evaluator):
             )
             value = Vector.zero(self.alg.dim)
             for rotated in rotations:
-                value = value + self.eval_idx(node.body, rotated)
+                value = value + self.eval(node.body, rotated)
         else:
             raise TypeError(f"not an identity node: {node!r}")
         memo[key] = value
         return value
+
+
+def _no_vars(env):
+    return ()
+
+
+def evaluate(node, alg, env, twist_exponent=1):
+    """Evaluate a node on arbitrary vectors; env maps variable name -> Vector."""
+    ev = _Evaluator(alg, twist_exponent, list(env.values()))
+    return ev.eval(node, {name: i for i, name in enumerate(env)})
+
+
+def tabulate(node, alg, variables, twist_exponent=1):
+    """The values of a node on every assignment of basis vectors to
+    ``variables``: nested tuples of Vectors, indexed [i][j]... in the order
+    of ``variables``."""
+    ev = _Evaluator(alg, twist_exponent)
+    table = [ev.eval(node, env) for _, env in ev.basis_tuples(variables)]
+    for _ in variables:
+        table = [tuple(table[i : i + alg.dim]) for i in range(0, len(table), alg.dim)]
+    return table[0]
 
 
 def check_identity(alg, identity, twist_exponent=1):
@@ -622,11 +608,10 @@ def check_identity(alg, identity, twist_exponent=1):
     smallest failing index tuple.  With symbolic structure constants Pass
     means the residual is the zero polynomial at every tuple.
     """
-    checker = _BasisChecker(alg, twist_exponent)
+    ev = _Evaluator(alg, twist_exponent)
     names = identity.variables
-    for indices in itertools.product(range(alg.dim), repeat=len(names)):
-        env = dict(zip(names, indices))
-        residual = checker.eval_idx(identity.lhs, env) - checker.eval_idx(identity.rhs, env)
+    for indices, env in ev.basis_tuples(names):
+        residual = ev.eval(identity.lhs, env) - ev.eval(identity.rhs, env)
         if not residual.is_zero():
             return Counterexample(
                 identity=identity.name, variables=names, indices=indices, residual=residual

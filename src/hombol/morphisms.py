@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LinearMap, Vector
+from .algebra import LinearMap, Vector, morphism_residuals
 from .errors import PreconditionError
 from .scalars import Scalar, ZERO, ONE
 
@@ -90,7 +90,6 @@ def generate_constraints(algebra, *, include_twist=False):
     theta = LinearMap.from_columns(
         tuple(tuple(Scalar.parameter(names[j * n + i]) for i in range(n)) for j in range(n))
     )
-    images = [theta.column(j) for j in range(n)]
 
     equations = {}
 
@@ -99,16 +98,8 @@ def generate_constraints(algebra, *, include_twist=False):
             if not coord.is_zero():
                 equations.setdefault(coord, None)
 
-    for i in range(n):
-        for j in range(n):
-            push(theta.apply(algebra.binary_value(i, j)) - algebra.eval_binary(images[i], images[j]))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                push(
-                    theta.apply(algebra.ternary_value(i, j, k))
-                    - algebra.eval_ternary(images[i], images[j], images[k])
-                )
+    for _, _, residual in morphism_residuals(theta, algebra, algebra):
+        push(residual)
     if include_twist:
         lhs = theta.compose(algebra.twist)
         rhs = algebra.twist.compose(theta)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, parse_int
 
 __all__ = ["Scalar", "parse_scalar", "ZERO", "ONE"]
 
@@ -308,7 +308,7 @@ class _ScalarReader:
         kind, value, col = self.take()
         if kind != "num":
             raise ParseError(f"expected {what}", column=col)
-        return int(value)
+        return parse_int(value, column=col)
 
     def parse(self):
         value = self.sum()
@@ -349,7 +349,7 @@ class _ScalarReader:
     def factor(self):
         kind, value, col = self.take()
         if kind == "num":
-            num = Fraction(int(value))
+            num = Fraction(parse_int(value, column=col))
             kind2, value2, _ = self.peek()
             if kind2 == "op" and value2 == "/":
                 self.take()

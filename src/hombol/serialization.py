@@ -33,7 +33,7 @@ import math
 import re
 
 from .algebra import HomAlgebra, LinearMap, Vector
-from .errors import ParseError
+from .errors import ParseError, parse_int
 from .morphisms import ConstraintSystem
 from .scalars import Scalar, ZERO, parse_scalar
 
@@ -120,14 +120,16 @@ class _DocReader:
     def names(self):
         return set(self.params or ()) | set(self.basis)
 
-    def handle_header(self, lineno, words):
+    def handle_header(self, lineno, line, words):
         key = words[0]
         if key == "dim":
             if self.dim is not None:
                 raise ParseError("duplicate dim line", line=lineno)
-            if len(words) != 2 or not words[1].isdigit() or int(words[1]) < 1:
+            if len(words) != 2 or not words[1].isdecimal():
                 raise ParseError("dim takes one positive integer", line=lineno)
-            self.dim = int(words[1])
+            self.dim = parse_int(words[1], line=lineno, column=line.index(words[1], len(key)) + 1)
+            if self.dim < 1:
+                raise ParseError("dim takes one positive integer", line=lineno)
             return True
         if key == "params":
             if self.params is not None:
@@ -190,7 +192,7 @@ def parse_algebra(text):
         words = line.split("=", 1)[0].split()
         if not words:
             raise ParseError("missing keyword", line=lineno)
-        if doc.handle_header(lineno, words):
+        if doc.handle_header(lineno, line, words):
             continue
         key = words[0]
         if key == "complete":
@@ -326,7 +328,7 @@ def parse_map(text):
         words = line.split("=", 1)[0].split()
         if not words:
             raise ParseError("missing keyword", line=lineno)
-        if doc.handle_header(lineno, words):
+        if doc.handle_header(lineno, line, words):
             continue
         if words[0] != "alpha":
             raise ParseError("map documents allow only header and alpha lines", line=lineno)
