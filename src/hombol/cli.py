@@ -77,25 +77,6 @@ def _cmd_malcev2bol(args):
     return 0
 
 
-def _read_digits(flag, text, offset=0):
-    """text, once each of its digit runs has gone through parse_int: a run too
-    long for Python to read is a ParseError naming the flag and the column
-    (offset + 1 for the first character of text)."""
-    for m in re.finditer(r"\d+(?:_\d+)*", text):
-        parse_int(m.group(), column=offset + m.start() + 1, source=flag)
-    return text
-
-
-def _parse_bindings(pairs):
-    bindings = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep or not name:
-            raise ValueError(f"--bind takes NAME=RATIONAL, got {pair!r}")
-        bindings[name] = Fraction(_read_digits("--bind", value, len(name) + 1))
-    return bindings
-
-
 def _cmd_morphisms(args):
     alg = parse_algebra(_read(args.file))
     system = generate_constraints(alg, include_twist=not alg.twist.is_identity())
@@ -105,17 +86,11 @@ def _cmd_morphisms(args):
         print(f"wrote {len(system.equations)} equation(s) to {args.export}")
     else:
         print(text, end="")
-    bindings = _parse_bindings(args.bind)
-    grid = (
-        tuple(Fraction(tok) for tok in _read_digits("--grid", args.grid).split(","))
-        if args.grid
-        else DEFAULT_GRID
-    )
     if alg.dim == 2:
-        report = classify_2dim(alg, parameter_bindings=bindings or None, grid_values=grid)
-        print(report.describe())
+        grid = args.grid or DEFAULT_GRID
+        print(classify_2dim(alg, parameter_bindings=args.bind or None, grid_values=grid).describe())
     elif args.grid:
-        solutions = grid_search(system, grid, parameter_bindings=bindings or None)
+        solutions = grid_search(system, args.grid, parameter_bindings=args.bind or None)
         print(f"grid search: {len(solutions)} solution(s)")
         for m in solutions:
             print(emit_map(m, alg.basis), end="")
@@ -147,11 +122,73 @@ def _cmd_crosscheck(args):
     return 0
 
 
+def _flag_int(flag, text):
+    """An integer flag value, read through parse_int: an over-long one is a
+    short ParseError naming the flag, and no error echoes the value."""
+    m = re.fullmatch(r"\s*([-+]?)(\d+(?:_\d+)*)\s*", text)
+    if m is None:
+        raise ParseError(f"{flag} takes an integer")
+    value = parse_int(m.group(2), column=m.start(2) + 1, source=flag)
+    return -value if m.group(1) == "-" else value
+
+
+def _flag_rational(flag, text, offset=0):
+    """A rational flag value as Fraction reads it (p, p/q, a sign, a decimal,
+    underscores, a decimal exponent), but bounded: each digit run goes
+    through parse_int first, and an exponent above Python's int-digit limit,
+    which Fraction would expand digit by digit, is refused.  Errors are
+    ParseErrors naming the flag and the column (offset + 1 for the first
+    character of text)."""
+    for m in re.finditer(r"\d+(?:_\d+)*", text):
+        parse_int(m.group(), column=offset + m.start() + 1, source=flag)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    m = re.search(r"[eE][-+]?(\d+(?:_\d+)*)", text)
+    if m and int(m.group(1)) > limit:
+        raise ParseError(
+            f"{flag}: a decimal exponent may not exceed {limit}, Python's limit on integer digits",
+            column=offset + m.start() + 1,
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{flag} takes a rational: p, p/q or a decimal", column=offset + 1) from None
+
+
+def _flag_grid(flag, text):
+    grid, offset = [], 0
+    for tok in text.split(",") if text else ():
+        grid.append(_flag_rational(flag, tok, offset))
+        offset += len(tok) + 1
+    return tuple(grid) or None
+
+
+def _flag_bindings(flag, pairs):
+    bindings = {}
+    for pair in pairs:
+        name, sep, value = pair.partition("=")
+        if not sep or not name:
+            raise ValueError(f"{flag} takes NAME=RATIONAL, got {pair!r}")
+        bindings[name] = _flag_rational(flag, value, len(name) + 1)
+    return bindings
+
+
+# (dest, flag, reader) for every flag argparse leaves as text; main reads
+# them all before a command does any work
+_TYPED_FLAGS = (
+    ("n", "--n", _flag_int),
+    ("twist_exp", "--twist-exp", _flag_int),
+    ("lam", "--lambda", _flag_rational),
+    ("a", "--a", _flag_rational),
+    ("b", "--b", _flag_rational),
+    ("grid", "--grid", _flag_grid),
+    ("bind", "--bind", _flag_bindings),
+)
+
+
 def _add_entry_params(sp, sign_default=None):
-    sp.add_argument("--lambda", dest="lam", type=Fraction, default=None,
-                    help="bind the ternary coefficient (rational)")
-    sp.add_argument("--a", type=Fraction, default=None, help="bind the shear parameter")
-    sp.add_argument("--b", type=Fraction, default=None, help="bind the scale parameter")
+    sp.add_argument("--lambda", dest="lam", default=None, help="bind the ternary coefficient (rational)")
+    sp.add_argument("--a", default=None, help="bind the shear parameter")
+    sp.add_argument("--b", default=None, help="bind the scale parameter")
     sp.add_argument("--sign", choices=("+", "-"), default=sign_default,
                     help="sign of [e1,e2,e2] for the A3 family (use --sign=-)")
 
@@ -169,21 +206,21 @@ def _build_parser():
     which = sp.add_mutually_exclusive_group(required=True)
     which.add_argument("--suite", help=f"built-in suite: {', '.join(sorted(SUITES))}")
     which.add_argument("--identity", help="file of 'name : identity' lines")
-    sp.add_argument("--twist-exp", type=int, default=None,
+    sp.add_argument("--twist-exp", default=None,
                     help="reinterpret A as this power of the twist")
 
     sp = sub.add_parser("twist", help="twist along a commuting endomorphism")
     sp.add_argument("file")
     sp.add_argument("--map", required=True, help="map document for the endomorphism")
-    sp.add_argument("--n", type=int, default=1, help="twisting order (default 1)")
+    sp.add_argument("--n", default="1", help="twisting order (default 1)")
 
     sp = sub.add_parser("derive", help="nth derived algebra")
     sp.add_argument("file")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True)
 
     sp = sub.add_parser("seq", help="nth member of the twist-power sequence")
     sp.add_argument("file")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", required=True)
 
     sp = sub.add_parser("malcev2bol", help="Bol algebra from a Malcev algebra")
     sp.add_argument("file")
@@ -203,7 +240,7 @@ def _build_parser():
 
     sp = sub.add_parser("crosscheck", help="quoted closed forms vs constructor output")
     sp.add_argument("name")
-    sp.add_argument("--n", type=int, required=True, help="derived order")
+    sp.add_argument("--n", required=True, help="derived order")
     _add_entry_params(sp, sign_default="+")
 
     return parser
@@ -222,6 +259,9 @@ def main(argv=None):
         "crosscheck": _cmd_crosscheck,
     }[args.command]
     try:
+        for dest, flag, read in _TYPED_FLAGS:
+            if getattr(args, dest, None) is not None:
+                setattr(args, dest, read(flag, getattr(args, dest)))
         return handler(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Vector
-from .errors import MultilinearityError, ParseError, parse_int
+from .errors import MultilinearityError, ParseError
+from .scalars import NAME, TokenReader, content_lines, token_pattern
 
 __all__ = [
     "Var",
@@ -159,61 +159,18 @@ class SuiteReport:
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[{}(),;*^+=/-]))")
-
-
-class _Reader:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                tail = text[pos:].lstrip()
-                if not tail:
-                    break
-                raise ParseError(f"unexpected character {tail[0]!r}", column=len(text) - len(tail) + 1)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text) + 1)
-
-    def take(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect(self, symbol):
-        kind, value, col = self.take()
-        if kind != "op" or value != symbol:
-            raise ParseError(f"expected {symbol!r}", column=col)
-
-    def at_op(self, *symbols):
-        kind, value, _ = self.peek()
-        return kind == "op" and value in symbols
+class _Reader(TokenReader):
+    pattern = token_pattern("{}(),;*^+=/-")
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self):
         terms = []
-        negate = False
-        if self.at_op("+", "-"):
-            _, sign, _ = self.take()
-            negate = sign == "-"
         while True:
-            term = self.term()
-            if negate:
-                term = _scaled(Fraction(-1), term)
+            term = _scaled(Fraction(self.sign()), self.term())
             if term is not None:
                 terms.append(term)
-            if self.at_op("+", "-"):
-                _, sign, _ = self.take()
-                negate = sign == "-"
-                continue
-            break
+            if not self.at_op("+", "-"):
+                break
         if not terms:
             return Sum(())
         if len(terms) == 1:
@@ -222,20 +179,10 @@ class _Reader:
 
     # term := rational | [rational ['*']] product ; returns None for a 0 term
     def term(self):
-        kind, value, col = self.peek()
+        kind, _, col = self.peek()
         coeff = None
         if kind == "num":
-            self.take()
-            coeff = Fraction(parse_int(value, column=col))
-            if self.at_op("/"):
-                self.take()
-                k2, v2, c2 = self.take()
-                if k2 != "num":
-                    raise ParseError("expected a denominator", column=c2)
-                den = parse_int(v2, column=c2)
-                if den == 0:
-                    raise ParseError("zero denominator", column=c2)
-                coeff /= den
+            coeff = self.rational()
             if self.at_op("*"):
                 self.take()
             if not self._starts_factor():
@@ -248,10 +195,7 @@ class _Reader:
         return node
 
     def _starts_factor(self):
-        kind, value, _ = self.peek()
-        if kind == "name":
-            return True
-        return kind == "op" and value in ("{", "(")
+        return self.peek()[0] == "name" or self.at_op("{", "(")
 
     # product := factor ['*' factor] ; a third chained factor is ambiguous
     def product(self):
@@ -275,10 +219,7 @@ class _Reader:
                 power = 1
                 if self.at_op("^"):
                     self.take()
-                    k2, v2, c2 = self.take()
-                    if k2 != "num":
-                        raise ParseError("expected an integer power of A", column=c2)
-                    power = parse_int(v2, column=c2)
+                    power = self.expect_number("an integer power of A")
                 self.expect("(")
                 arg = self.expr()
                 self.expect(")")
@@ -332,9 +273,7 @@ def parse_identity(text, name="identity"):
     lhs = reader.expr()
     reader.expect("=")
     rhs = reader.expr()
-    kind, value, col = reader.peek()
-    if kind is not None:
-        raise ParseError(f"unexpected trailing {value!r}", column=col)
+    reader.expect_end()
     variables = []
     for node in (lhs, rhs):
         for v in _appearance_order(node):
@@ -349,15 +288,12 @@ def parse_suite(text, name="custom"):
     """Parse a suite file: one 'name : identity' per line, '#' comments allowed."""
     identities = []
     seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text):
         if ":" not in line:
             raise ParseError("expected 'name : identity'", line=lineno)
         label, body = line.split(":", 1)
         label = label.strip()
-        if not label or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", label):
+        if not NAME.match(label):
             raise ParseError(f"bad identity name {label!r}", line=lineno)
         if label in seen:
             raise ParseError(f"duplicate identity name {label!r}", line=lineno)

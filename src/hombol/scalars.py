@@ -10,6 +10,10 @@ each term a '*'-joined product of rationals ``p`` or ``p/q`` and parameter
 names, names optionally raised to a nonnegative integer power with ``^``::
 
     -1/3*lambda*b^2 + 2
+
+This module also holds what every text format shares: the token reader
+behind this grammar and the identity grammar, the signed-term renderer
+behind ``str(Scalar)`` and the vector layout, and the line splitter.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ __all__ = ["Scalar", "parse_scalar", "ZERO", "ONE"]
 # A monomial is a tuple of (name, exponent) pairs, sorted by name, exponents >= 1.
 _EMPTY = ()
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^]))")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+NAME = re.compile(_IDENT + r"\Z")
 
 
 def _mono_mul(m, n):
@@ -252,20 +257,7 @@ class Scalar:
         return bool(self._terms)
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for mono, coeff in self.terms():
-            factors = [f"{name}^{e}" if e > 1 else name for name, e in mono]
-            mag = abs(coeff)
-            if not factors or mag != 1:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+        return format_terms((mono, coeff, ()) for mono, coeff in self.terms())
 
     def __repr__(self):
         return f"Scalar({str(self)!r})"
@@ -275,22 +267,58 @@ ZERO = Scalar.rational(0)
 ONE = Scalar.rational(1)
 
 
-class _ScalarReader:
-    """Recursive-descent reader for the scalar literal grammar."""
+def format_terms(terms):
+    """Lay out signed terms, given as (monomial, coefficient, trailing
+    factors): '-2*b^2*x + a - 1/3'.  A magnitude of 1 is dropped unless the
+    term has no other factor; no terms is '0'."""
+    parts = []
+    for mono, coeff, tail in terms:
+        factors = [f"{name}^{e}" if e > 1 else name for name, e in mono]
+        factors.extend(tail)
+        mag = abs(coeff)
+        if not factors or mag != 1:
+            factors.insert(0, str(mag))
+        sign = ("- " if coeff < 0 else "+ ") if parts else ("-" if coeff < 0 else "")
+        parts.append(sign + "*".join(factors))
+    return " ".join(parts) or "0"
 
-    def __init__(self, text, names=None):
+
+def content_lines(text):
+    """(1-based line number, line) for every line of text that is not blank
+    once its '#' comment and surrounding whitespace are cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def token_pattern(ops):
+    """The tokens of a grammar: digit runs, identifiers and the one-character
+    operators in ``ops``."""
+    return re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>" + _IDENT + r")|(?P<op>[" + re.escape(ops) + "]))")
+
+
+class TokenReader:
+    """Tokens and a cursor over them, for a recursive-descent grammar.
+
+    A grammar subclasses this with its own ``pattern`` (see token_pattern).
+    Tokens are (kind, text, 1-based column) with kind 'num', 'name' or 'op';
+    past the end, peek gives (None, None, len(text) + 1).
+    """
+
+    pattern = None
+
+    def __init__(self, text):
         self.text = text
-        self.names = None if names is None else set(names)
         self.tokens = []
         pos = 0
         while pos < len(text):
-            m = _TOKEN.match(text, pos)
+            m = self.pattern.match(text, pos)
             if m is None:
-                stripped = text[pos:].lstrip()
-                if not stripped:
+                tail = text[pos:].lstrip()
+                if not tail:
                     break
-                col = len(text) - len(stripped) + 1
-                raise ParseError(f"unexpected character {stripped[0]!r}", column=col)
+                raise ParseError(f"unexpected character {tail[0]!r}", column=len(text) - len(tail) + 1)
             kind = m.lastgroup
             self.tokens.append((kind, m.group(kind), m.start(kind) + 1))
             pos = m.end()
@@ -304,71 +332,80 @@ class _ScalarReader:
         self.i += 1
         return tok
 
+    def at_op(self, *symbols):
+        kind, value, _ = self.peek()
+        return kind == "op" and value in symbols
+
+    def sign(self):
+        """Take an optional '+' or '-': -1 for '-', else 1."""
+        return -1 if self.at_op("+", "-") and self.take()[1] == "-" else 1
+
+    def expect(self, symbol):
+        kind, value, col = self.take()
+        if kind != "op" or value != symbol:
+            raise ParseError(f"expected {symbol!r}", column=col)
+
     def expect_number(self, what):
         kind, value, col = self.take()
         if kind != "num":
             raise ParseError(f"expected {what}", column=col)
         return parse_int(value, column=col)
 
-    def parse(self):
-        value = self.sum()
-        kind, value_, col = self.peek()
+    def expect_end(self):
+        kind, value, col = self.peek()
         if kind is not None:
-            raise ParseError(f"unexpected trailing {value_!r}", column=col)
+            raise ParseError(f"unexpected trailing {value!r}", column=col)
+
+    def rational(self):
+        """num ['/' num] as a Fraction; the cursor is at the numerator."""
+        value = Fraction(self.expect_number("a number"))
+        if self.at_op("/"):
+            self.take()
+            col = self.peek()[2]
+            den = self.expect_number("a denominator")
+            if den == 0:
+                raise ParseError("zero denominator", column=col)
+            value /= den
         return value
+
+
+class _ScalarReader(TokenReader):
+    """Recursive-descent reader for the scalar literal grammar."""
+
+    pattern = token_pattern("-+*/^")
+
+    def __init__(self, text, names=None):
+        super().__init__(text)
+        self.names = None if names is None else set(names)
 
     def sum(self):
         total = ZERO
-        sign = Fraction(1)
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            if value == "-":
-                sign = -sign
         while True:
-            total = total + Scalar.rational(sign) * self.term()
-            kind, value, col = self.peek()
-            if kind is None:
+            total = total + Scalar.rational(self.sign()) * self.term()
+            if not self.at_op("+", "-"):
                 return total
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = Fraction(1) if value == "+" else Fraction(-1)
-                continue
-            return total
 
     def term(self):
         value = self.factor()
-        while True:
-            kind, tok, _ = self.peek()
-            if kind == "op" and tok == "*":
-                self.take()
-                value = value * self.factor()
-            else:
-                return value
+        while self.at_op("*"):
+            self.take()
+            value = value * self.factor()
+        return value
 
     def factor(self):
-        kind, value, col = self.take()
+        kind, value, col = self.peek()
         if kind == "num":
-            num = Fraction(parse_int(value, column=col))
-            kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "/":
-                self.take()
-                den = self.expect_number("a denominator")
-                if den == 0:
-                    raise ParseError("zero denominator", column=col)
-                num = num / den
-            base = Scalar.rational(num)
+            base = Scalar.rational(self.rational())
         elif kind == "name":
+            self.take()
             if self.names is not None and value not in self.names:
                 raise ParseError(f"undeclared symbol {value!r}", column=col)
             base = Scalar.parameter(value)
         else:
             raise ParseError(f"expected a number or name, got {value!r}" if value else "unexpected end of input", column=col)
-        kind2, value2, _ = self.peek()
-        if kind2 == "op" and value2 == "^":
+        if self.at_op("^"):
             self.take()
-            exp = self.expect_number("an integer exponent")
-            base = base**exp
+            base = base ** self.expect_number("an integer exponent")
         return base
 
 
@@ -381,4 +418,6 @@ def parse_scalar(text, names=None):
     reader = _ScalarReader(text, names)
     if not reader.tokens:
         raise ParseError("empty scalar")
-    return reader.parse()
+    value = reader.sum()
+    reader.expect_end()
+    return value

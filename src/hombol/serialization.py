@@ -30,12 +30,11 @@ Constraint-system documents carry an ``unknowns`` header, an optional
 from __future__ import annotations
 
 import math
-import re
 
 from .algebra import HomAlgebra, LinearMap, Vector
 from .errors import ParseError, parse_int
 from .morphisms import ConstraintSystem
-from .scalars import Scalar, ZERO, parse_scalar
+from .scalars import NAME, Scalar, ZERO, content_lines, format_terms, parse_scalar
 
 __all__ = [
     "parse_algebra",
@@ -48,25 +47,12 @@ __all__ = [
     "format_suite_report",
 ]
 
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
 
 def format_vector(v, labels):
     """Render coordinates as the flat linear-combination grammar, e1 first."""
-    parts = []
-    for coord, label in zip(v.coords, labels):
-        for mono, coeff in coord.terms():
-            factors = [f"{name}^{e}" if e > 1 else name for name, e in mono]
-            factors.append(label)
-            mag = abs(coeff)
-            if mag != 1:
-                factors.insert(0, str(mag))
-            body = "*".join(factors)
-            if not parts:
-                parts.append(body if coeff > 0 else "-" + body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+    return format_terms(
+        (mono, coeff, (label,)) for coord, label in zip(v.coords, labels) for mono, coeff in coord.terms()
+    )
 
 
 def format_suite_report(report, labels=None):
@@ -86,41 +72,42 @@ def format_suite_report(report, labels=None):
     return "\n".join(lines)
 
 
-def _content_lines(text):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line
-
-
-def _vector_from_scalar(poly, labels, lineno):
-    label_set = set(labels)
-    coords = [ZERO] * len(labels)
-    for mono, coeff in poly.terms():
-        hits = [(name, e) for name, e in mono if name in label_set]
-        if len(hits) != 1 or hits[0][1] != 1:
-            raise ParseError(
-                "right-hand side must be a linear combination of basis vectors", line=lineno
-            )
-        rest = tuple((name, e) for name, e in mono if name not in label_set)
-        i = labels.index(hits[0][0])
-        coords[i] = coords[i] + Scalar({rest: coeff})
-    return Vector(coords)
-
-
 class _DocReader:
-    """Shared header handling for algebra and map documents."""
+    """The one reader of algebra and map documents.
 
-    def __init__(self, text):
-        self.dim = None
-        self.params = None
-        self.basis = None
-        self.lines = list(_content_lines(text))
+    It reads the header lines (dim, params, basis) and the assignment lines
+    '<key> <label>... = <value>' for the keys of ``arity``, into
+    ``cells[key][indices] = (Vector, line number)``; any other keyword goes
+    to ``other(lineno, words)``, which handles it or raises.
+    """
 
-    def names(self):
-        return set(self.params or ()) | set(self.basis)
+    def __init__(self, text, arity, other):
+        self.dim = self.params = self.basis = None
+        self.cells = {key: {} for key in arity}
+        for lineno, line in content_lines(text):
+            words = line.split("=", 1)[0].split()
+            if not words:
+                raise ParseError("missing keyword", line=lineno)
+            key = words[0]
+            if self.header(lineno, line, words):
+                continue
+            if key not in arity:
+                other(lineno, words)
+                continue
+            if self.basis is None:
+                raise ParseError("basis must be declared before assignments", line=lineno)
+            if len(words) != 1 + arity[key] or "=" not in line:
+                raise ParseError(f"expected '{key} {' '.join(['<label>'] * arity[key])} = <value>'", line=lineno)
+            idx = tuple(self.label_index(w, lineno) for w in words[1:])
+            if idx in self.cells[key]:
+                raise ParseError(f"duplicate assignment for {key} {' '.join(words[1:])}", line=lineno)
+            self.cells[key][idx] = (self.rhs_vector(line, lineno), lineno)
+        if self.dim is None:
+            raise ParseError("missing dim line")
+        if self.basis is None:
+            raise ParseError("missing basis line")
 
-    def handle_header(self, lineno, line, words):
+    def header(self, lineno, line, words):
         key = words[0]
         if key == "dim":
             if self.dim is not None:
@@ -136,7 +123,7 @@ class _DocReader:
                 raise ParseError("duplicate params line", line=lineno)
             names = words[1:]
             for name in names:
-                if not _NAME.match(name):
+                if not NAME.match(name):
                     raise ParseError(f"bad parameter name {name!r}", line=lineno)
             if len(set(names)) != len(names):
                 raise ParseError("duplicate parameter name", line=lineno)
@@ -151,17 +138,13 @@ class _DocReader:
             if len(labels) != self.dim or len(set(labels)) != self.dim:
                 raise ParseError(f"basis needs {self.dim} distinct labels", line=lineno)
             for label in labels:
-                if not _NAME.match(label):
+                if not NAME.match(label):
                     raise ParseError(f"bad basis label {label!r}", line=lineno)
             if self.params and set(labels) & set(self.params):
                 raise ParseError("basis labels and parameters overlap", line=lineno)
             self.basis = tuple(labels)
             return True
         return False
-
-    def need_basis(self, lineno):
-        if self.basis is None:
-            raise ParseError("basis must be declared before assignments", line=lineno)
 
     def label_index(self, label, lineno):
         try:
@@ -170,63 +153,50 @@ class _DocReader:
             raise ParseError(f"undeclared symbol {label!r}", line=lineno) from None
 
     def rhs_vector(self, line, lineno):
+        """The right-hand side, a linear combination of basis labels."""
         _, _, rhs = line.partition("=")
         if not rhs.strip():
             raise ParseError("missing right-hand side", line=lineno)
         try:
-            poly = parse_scalar(rhs, self.names())
+            poly = parse_scalar(rhs, set(self.params or ()) | set(self.basis))
         except ParseError as exc:
             raise ParseError(f"{exc.args[0]}", line=lineno) from None
-        return _vector_from_scalar(poly, self.basis, lineno)
+        coords = [ZERO] * self.dim
+        for mono, coeff in poly.terms():
+            hits = [(name, e) for name, e in mono if name in self.basis]
+            if len(hits) != 1 or hits[0][1] != 1:
+                raise ParseError("right-hand side must be a linear combination of basis vectors", line=lineno)
+            i = self.basis.index(hits[0][0])
+            coords[i] = coords[i] + Scalar({tuple(f for f in mono if f[0] not in self.basis): coeff})
+        return Vector(coords)
+
+    def twist(self, required):
+        """The map of the alpha lines; with none, the identity unless required."""
+        alpha = self.cells["alpha"]
+        if not alpha and not required:
+            return LinearMap.identity(self.dim)
+        missing = [label for j, label in enumerate(self.basis) if (j,) not in alpha]
+        if missing:
+            raise ParseError(f"alpha image missing for {missing[0]!r}")
+        return LinearMap.from_columns(tuple(alpha[(j,)][0].coords for j in range(self.dim)))
 
 
 def parse_algebra(text):
-    doc = _DocReader(text)
-    skew_binary = False
-    skew_ternary = False
-    binary = {}
-    ternary = {}
-    alpha = {}
+    complete = set()
 
-    for lineno, line in doc.lines:
-        words = line.split("=", 1)[0].split()
-        if not words:
-            raise ParseError("missing keyword", line=lineno)
-        if doc.handle_header(lineno, line, words):
-            continue
-        key = words[0]
-        if key == "complete":
-            if len(words) != 2 or words[1] not in ("skew-binary", "skew-ternary"):
-                raise ParseError("complete takes skew-binary or skew-ternary", line=lineno)
-            if words[1] == "skew-binary":
-                skew_binary = True
-            else:
-                skew_ternary = True
-            continue
-        if key in ("binary", "ternary", "alpha"):
-            doc.need_basis(lineno)
-            arity = {"binary": 2, "ternary": 3, "alpha": 1}[key]
-            if len(words) != 1 + arity or "=" not in line:
-                raise ParseError(f"expected '{key} {' '.join(['<label>'] * arity)} = <value>'", line=lineno)
-            idx = tuple(doc.label_index(w, lineno) for w in words[1:])
-            store = {"binary": binary, "ternary": ternary, "alpha": alpha}[key]
-            if idx in store:
-                raise ParseError(f"duplicate assignment for {key} {' '.join(words[1:])}", line=lineno)
-            store[idx] = (doc.rhs_vector(line, lineno), lineno)
-            continue
-        raise ParseError(f"unknown keyword {key!r}", line=lineno)
+    def directive(lineno, words):
+        if words[0] != "complete":
+            raise ParseError(f"unknown keyword {words[0]!r}", line=lineno)
+        if len(words) != 2 or words[1] not in ("skew-binary", "skew-ternary"):
+            raise ParseError("complete takes skew-binary or skew-ternary", line=lineno)
+        complete.add(words[1])
 
-    if doc.dim is None:
-        raise ParseError("missing dim line")
-    if doc.basis is None:
-        raise ParseError("missing basis line")
+    doc = _DocReader(text, {"binary": 2, "ternary": 3, "alpha": 1}, directive)
     n = doc.dim
     zero = Vector.zero(n)
 
     def completed_pairs(assigned, skew, partner, diagonal, what):
-        cells = {}
-        for idx, (value, lineno) in assigned.items():
-            cells[idx] = value
+        cells = {idx: value for idx, (value, _) in assigned.items()}
         if skew:
             for idx, (value, lineno) in assigned.items():
                 mate = partner(idx)
@@ -250,15 +220,15 @@ def parse_algebra(text):
         return cells
 
     bin_cells = completed_pairs(
-        binary,
-        skew_binary,
+        doc.cells["binary"],
+        "skew-binary" in complete,
         lambda ij: (ij[1], ij[0]),
         [(i, i) for i in range(n)],
         "binary product",
     )
     tern_cells = completed_pairs(
-        ternary,
-        skew_ternary,
+        doc.cells["ternary"],
+        "skew-ternary" in complete,
         lambda ijk: (ijk[1], ijk[0], ijk[2]),
         [(i, i, k) for i in range(n) for k in range(n)],
         "ternary product",
@@ -272,21 +242,13 @@ def parse_algebra(text):
         for i in range(n)
     )
 
-    if alpha:
-        missing = [doc.basis[j] for j in range(n) if (j,) not in alpha]
-        if missing:
-            raise ParseError(f"alpha image missing for {missing[0]!r}")
-        twist = LinearMap.from_columns(tuple(alpha[(j,)][0].coords for j in range(n)))
-    else:
-        twist = LinearMap.identity(n)
-
     return HomAlgebra(
         dim=n,
         basis=doc.basis,
         params=frozenset(doc.params or ()),
         binary=binary_tensor,
         ternary=ternary_tensor,
-        twist=twist,
+        twist=doc.twist(required=False),
     )
 
 
@@ -317,37 +279,17 @@ def emit_algebra(alg):
     return "\n".join(lines) + "\n"
 
 
+def _map_only(lineno, words):
+    raise ParseError("map documents allow only header and alpha lines", line=lineno)
+
+
 def parse_map(text):
     """Parse a map document (header plus one alpha line per basis vector).
 
     Returns (LinearMap, basis labels, declared parameter names).
     """
-    doc = _DocReader(text)
-    alpha = {}
-    for lineno, line in doc.lines:
-        words = line.split("=", 1)[0].split()
-        if not words:
-            raise ParseError("missing keyword", line=lineno)
-        if doc.handle_header(lineno, line, words):
-            continue
-        if words[0] != "alpha":
-            raise ParseError("map documents allow only header and alpha lines", line=lineno)
-        doc.need_basis(lineno)
-        if len(words) != 2 or "=" not in line:
-            raise ParseError("expected 'alpha <label> = <value>'", line=lineno)
-        j = doc.label_index(words[1], lineno)
-        if j in alpha:
-            raise ParseError(f"duplicate assignment for alpha {words[1]}", line=lineno)
-        alpha[j] = doc.rhs_vector(line, lineno)
-    if doc.dim is None:
-        raise ParseError("missing dim line")
-    if doc.basis is None:
-        raise ParseError("missing basis line")
-    missing = [doc.basis[j] for j in range(doc.dim) if j not in alpha]
-    if missing:
-        raise ParseError(f"alpha image missing for {missing[0]!r}")
-    m = LinearMap.from_columns(tuple(alpha[j].coords for j in range(doc.dim)))
-    return m, doc.basis, frozenset(doc.params or ())
+    doc = _DocReader(text, {"alpha": 1}, _map_only)
+    return doc.twist(required=True), doc.basis, frozenset(doc.params or ())
 
 
 def emit_map(m, basis, params=None):
@@ -365,7 +307,7 @@ def parse_constraints(text):
     unknowns = None
     params = ()
     equations = []
-    for lineno, line in _content_lines(text):
+    for lineno, line in content_lines(text):
         words = line.split()
         if words[0] == "unknowns":
             if unknowns is not None:
