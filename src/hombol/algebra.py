@@ -6,9 +6,12 @@ the e_l coordinate of {e_i, e_j, e_k}, and ``twist`` a square matrix whose
 column j is the image of e_j.  All entries are Scalars, so every evaluation
 is exact and symbolic parameters ride along for free.
 
-The public tensors stay dense; the kernels loop over a private index of their
-nonzero entries and build vectors through the trusted ``Vector._of``, which
-skips the coercion the public constructor does.
+A structure tensor of arity r (2 for the binary product, 3 for the ternary
+one) is a dense nested tuple indexed t[i1]...[ir]; ``tensor``, ``cell_at`` and
+``HomAlgebra.cells`` build, read and walk both arities alike.  The kernels stay
+written per arity: they loop over a private index of the nonzero entries and
+build vectors through the trusted ``Vector._of``, which skips the coercion the
+public constructor does.
 """
 
 from __future__ import annotations
@@ -26,9 +29,14 @@ __all__ = [
     "is_morphism",
     "first_weak_morphism_failure",
     "morphism_residuals",
-    "zero_binary_tensor",
-    "zero_ternary_tensor",
+    "PRODUCTS",
+    "tensor",
+    "cell_at",
+    "zero_tensor",
 ]
+
+# (kind, arity) of the two structure tensors, in the order they are walked
+PRODUCTS = (("binary", 2), ("ternary", 3))
 
 
 def _as_scalar(x):
@@ -251,14 +259,30 @@ class LinearMap:
         return f"LinearMap([{body}])"
 
 
-def zero_binary_tensor(dim):
-    cell = (ZERO,) * dim
-    return tuple(tuple(cell for _ in range(dim)) for _ in range(dim))
+def tensor(dim, arity, cell):
+    """The dense tensor t with t[i1]...[ir] == cell((i1, ..., ir)) for every
+    index tuple of the given arity r; cells are made in lexicographic order."""
+    flat = [cell(idx) for idx in itertools.product(range(dim), repeat=arity)]
+    for _ in range(arity):
+        flat = [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)]
+    return flat[0]
 
 
-def zero_ternary_tensor(dim):
+def cell_at(t, idx):
+    """t[i1]...[ir] for the index tuple idx."""
+    for i in idx:
+        t = t[i]
+    return t
+
+
+def zero_tensor(dim, arity):
     cell = (ZERO,) * dim
-    return tuple(tuple(tuple(cell for _ in range(dim)) for _ in range(dim)) for _ in range(dim))
+    return tensor(dim, arity, lambda idx: cell)
+
+
+def _has_shape(t, dim, arity):
+    """Whether t nests arity levels of length dim (its cells are not looked at)."""
+    return len(t) == dim and (arity == 1 or all(_has_shape(s, dim, arity - 1) for s in t))
 
 
 class HomAlgebra:
@@ -277,28 +301,22 @@ class HomAlgebra:
             raise ValueError("basis labels must be distinct and match the dimension")
         self.basis = basis
         self.params = frozenset(params)
-        binary = zero_binary_tensor(dim) if binary is None else binary
-        ternary = zero_ternary_tensor(dim) if ternary is None else ternary
-        if len(binary) != dim or any(len(row) != dim for row in binary):
-            raise DimensionMismatch("binary tensor shape does not match the dimension")
-        self.binary = tuple(tuple(_as_coords(cell, dim) for cell in row) for row in binary)
-        if len(ternary) != dim or any(
-            len(plane) != dim or any(len(row) != dim for row in plane) for plane in ternary
-        ):
-            raise DimensionMismatch("ternary tensor shape does not match the dimension")
-        self.ternary = tuple(
-            tuple(tuple(_as_coords(cell, dim) for cell in row) for row in plane) for plane in ternary
-        )
+        given = {"binary": binary, "ternary": ternary}
+        for kind, arity in PRODUCTS:
+            raw = given[kind]
+            if raw is None:
+                raw = zero_tensor(dim, arity)
+            elif not _has_shape(raw, dim, arity):
+                raise DimensionMismatch(f"{kind} tensor shape does not match the dimension")
+            dense = tensor(dim, arity, lambda idx: _as_coords(cell_at(raw, idx), dim))
+            setattr(self, kind, dense)
+            # nonzero (k, c) pairs of each cell; equality ignores them
+            setattr(self, f"_{kind}_nz", tensor(dim, arity, lambda idx: _nonzero(cell_at(dense, idx))))
         if twist is None:
             twist = LinearMap.identity(dim)
         if twist.dim != dim:
             raise DimensionMismatch("twist matrix shape does not match the dimension")
         self.twist = twist
-        # nonzero (k, c) pairs of each cell; equality ignores them
-        self._binary_nz = tuple(tuple(_nonzero(cell) for cell in row) for row in self.binary)
-        self._ternary_nz = tuple(
-            tuple(tuple(_nonzero(cell) for cell in row) for row in plane) for plane in self.ternary
-        )
 
     def replace(self, **kwargs):
         fields = {
@@ -362,17 +380,19 @@ class HomAlgebra:
         """Whether the twist preserves both products (is a weak self-morphism)."""
         return first_weak_morphism_failure(self.twist, self, self) is None
 
+    def cells(self):
+        """(kind, index tuple, coords) for every cell of both products: the
+        binary pairs, then the ternary triples, each in lexicographic order."""
+        for kind, arity in PRODUCTS:
+            t = getattr(self, kind)
+            for idx in itertools.product(range(self.dim), repeat=arity):
+                yield kind, idx, cell_at(t, idx)
+
     def all_variables(self):
         names = set(self.params)
-        for row in self.binary:
-            for cell in row:
-                for c in cell:
-                    names |= c.variables()
-        for plane in self.ternary:
-            for row in plane:
-                for cell in row:
-                    for c in cell:
-                        names |= c.variables()
+        for _, _, coords in self.cells():
+            for c in coords:
+                names |= c.variables()
         names |= self.twist.variables()
         return frozenset(names)
 
@@ -399,14 +419,11 @@ def morphism_residuals(theta, src, dst):
     Vector)."""
     if src.dim != dst.dim or theta.dim != src.dim:
         raise DimensionMismatch("morphism check needs equal dimensions")
-    n = src.dim
-    images = [theta.column(j) for j in range(n)]
-    for i, j in itertools.product(range(n), repeat=2):
-        lhs = theta.apply(src.binary_value(i, j))
-        yield "binary", (i, j), lhs - dst.eval_binary(images[i], images[j])
-    for i, j, k in itertools.product(range(n), repeat=3):
-        lhs = theta.apply(src.ternary_value(i, j, k))
-        yield "ternary", (i, j, k), lhs - dst.eval_ternary(images[i], images[j], images[k])
+    images = [theta.column(j) for j in range(src.dim)]
+    products = {"binary": dst.eval_binary, "ternary": dst.eval_ternary}
+    for kind, idx, coords in src.cells():
+        lhs = theta.apply(Vector._of(coords))
+        yield kind, idx, lhs - products[kind](*(images[i] for i in idx))
 
 
 def first_weak_morphism_failure(theta, src, dst):

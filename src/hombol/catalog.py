@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HomAlgebra, LinearMap, Vector
+from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, tensor
 from .constructions import nth_derived, yau_twist
 from .scalars import ONE, Scalar, ZERO
 from .serialization import format_vector
@@ -72,25 +72,12 @@ def _vec(c1, c2):
 
 def _bol(v12, t121, t122):
     """Two-dimensional Bol algebra from the three defining cells, skew-completed."""
-    z = Vector.zero(2)
-    binary = ((z.coords, v12.coords), ((-v12).coords, z.coords))
-    row01 = (t121.coords, t122.coords)
-    row10 = ((-t121).coords, (-t122).coords)
-    ternary = (
-        ((z.coords, z.coords), row01),
-        (row10, (z.coords, z.coords)),
-    )
-    params = frozenset().union(
-        *(c.variables() for cell in (v12, t121, t122) for c in cell.coords)
-    )
-    return HomAlgebra(
-        dim=2,
-        basis=_BASIS,
-        params=params,
-        binary=binary,
-        ternary=ternary,
-        twist=LinearMap.identity(2),
-    )
+    defining = {(0, 1): v12, (0, 1, 0): t121, (0, 1, 1): t122}
+    cells = {**defining, **{(1, 0) + idx[2:]: -v for idx, v in defining.items()}}
+    zero = Vector.zero(2)
+    products = {kind: tensor(2, arity, lambda idx: cells.get(idx, zero).coords) for kind, arity in PRODUCTS}
+    params = frozenset().union(*(c.variables() for cell in defining.values() for c in cell.coords))
+    return HomAlgebra(dim=2, basis=_BASIS, params=params, twist=LinearMap.identity(2), **products)
 
 
 def _build_a1():

@@ -79,16 +79,17 @@ def _cmd_malcev2bol(args):
 
 def _cmd_morphisms(args):
     alg = parse_algebra(_read(args.file))
-    system = generate_constraints(alg, include_twist=not alg.twist.is_identity())
+    # dimension 2 classifies too; its report carries the one system built
+    report = classify_2dim(alg, args.bind or None, args.grid or DEFAULT_GRID) if alg.dim == 2 else None
+    system = generate_constraints(alg) if report is None else report.system
     text = emit_constraints(system)
     if args.export:
         Path(args.export).write_text(text, encoding="utf-8")
         print(f"wrote {len(system.equations)} equation(s) to {args.export}")
     else:
         print(text, end="")
-    if alg.dim == 2:
-        grid = args.grid or DEFAULT_GRID
-        print(classify_2dim(alg, parameter_bindings=args.bind or None, grid_values=grid).describe())
+    if report is not None:
+        print(report.describe())
     elif args.grid:
         solutions = grid_search(system, args.grid, parameter_bindings=args.bind or None)
         print(f"grid search: {len(solutions)} solution(s)")
@@ -167,7 +168,7 @@ def _flag_bindings(flag, pairs):
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
-            raise ValueError(f"{flag} takes NAME=RATIONAL, got {pair!r}")
+            raise ParseError(f"{flag} takes NAME=RATIONAL")
         bindings[name] = _flag_rational(flag, value, len(name) + 1)
     return bindings
 

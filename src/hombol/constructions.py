@@ -8,13 +8,12 @@ twist powers grow like 2^(n+1).
 
 from __future__ import annotations
 
-from .algebra import LinearMap, first_weak_morphism_failure, zero_ternary_tensor
+from .algebra import LinearMap, cell_at, first_weak_morphism_failure, tensor, zero_tensor
 from .errors import ExponentLimitError, PreconditionError
 from .identities import SUITES, check_suite, parse_identity, tabulate
 
 __all__ = [
-    "compose_binary",
-    "compose_ternary",
+    "compose_tensor",
     "yau_twist",
     "self_twist",
     "nth_derived",
@@ -28,16 +27,11 @@ __all__ = [
 DERIVED_ORDER_LIMIT = 16
 
 
-def compose_binary(m, binary):
-    """Tensor of m(e_i * e_j): the map applied to every binary product value."""
-    return tuple(tuple(tuple(m.apply(cell).coords) for cell in row) for row in binary)
-
-
-def compose_ternary(m, ternary):
-    return tuple(
-        tuple(tuple(tuple(m.apply(cell).coords) for cell in row) for row in plane)
-        for plane in ternary
-    )
+def compose_tensor(m, t, arity):
+    """The map applied to every cell of a structure tensor of the given
+    arity: m(e_i * e_j) for the binary product, m({e_i, e_j, e_k}) for the
+    ternary one."""
+    return tensor(len(t), arity, lambda idx: m.apply(cell_at(t, idx)).coords)
 
 
 def _require_endomorphism(beta, alg, who):
@@ -59,8 +53,8 @@ def _recompose(algebra, base, p, q, t, *, tail=None, add_params=False):
     only one large symbolic power is alive at once.  ``add_params`` adds
     base's parameters to the algebra's.
     """
-    binary = compose_binary(base.power(p), algebra.binary)
-    ternary = zero_ternary_tensor(algebra.dim) if q is None else compose_ternary(base.power(q), algebra.ternary)
+    binary = compose_tensor(base.power(p), algebra.binary, 2)
+    ternary = None if q is None else compose_tensor(base.power(q), algebra.ternary, 3)
     twist = base.power(t) if tail is None else base.power(t).compose(tail)
     params = algebra.params | base.variables() if add_params else algebra.params
     return algebra.replace(binary=binary, ternary=ternary, twist=twist, params=params)
@@ -149,7 +143,7 @@ def malcev_to_bol(algebra, beta=None):
     """
     if not algebra.twist.is_identity():
         raise PreconditionError("malcev_to_bol: the algebra must carry the identity twist")
-    if algebra.ternary != zero_ternary_tensor(algebra.dim):
+    if algebra.ternary != zero_tensor(algebra.dim, 3):
         raise PreconditionError("malcev_to_bol: the ternary tensor must be zero")
     report = check_suite(algebra, SUITES["malcev"])
     if not report.passed:
@@ -160,7 +154,7 @@ def malcev_to_bol(algebra, beta=None):
     _require_endomorphism(beta, algebra, "malcev_to_bol")
 
     table = tabulate(_MALCEV_BRACKET.lhs, algebra, _MALCEV_BRACKET.variables)
-    ternary = tuple(tuple(tuple(v.coords for v in row) for row in plane) for plane in table)
+    ternary = tensor(algebra.dim, 3, lambda idx: cell_at(table, idx).coords)
     return yau_twist(algebra.replace(ternary=ternary), beta)
 
 

@@ -7,6 +7,7 @@ class ParseError(ValueError):
     """Malformed textual input. Carries optional 1-based line/column."""
 
     def __init__(self, message, line=None, column=None):
+        self.message = message
         self.line = line
         self.column = column
         where = ""
@@ -15,6 +16,12 @@ class ParseError(ValueError):
         elif column is not None:
             where = f" (column {column})"
         super().__init__(message + where)
+
+    def located(self, line, offset=0):
+        """This error, raised on a piece of a document line, placed on that
+        line: ``offset`` characters precede the piece in it."""
+        column = None if self.column is None else self.column + offset
+        return ParseError(self.message, line=line, column=column)
 
 
 def parse_int(token, *, line=None, column=None, source=None):

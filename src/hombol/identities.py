@@ -38,7 +38,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Vector
+from .algebra import Vector, tensor
 from .errors import MultilinearityError, ParseError
 from .scalars import NAME, TokenReader, content_lines, token_pattern
 
@@ -300,8 +300,10 @@ def parse_suite(text, name="custom"):
         seen.add(label)
         try:
             identities.append(parse_identity(body, name=label))
-        except (ParseError, MultilinearityError) as exc:
-            raise type(exc)(f"{exc.args[0] if exc.args else exc} (line {lineno})") from exc
+        except ParseError as exc:
+            raise exc.located(lineno, line.index(":") + 1) from None
+        except MultilinearityError as exc:
+            raise MultilinearityError(f"{exc} (line {lineno})") from exc
     return IdentitySuite(name=name, identities=tuple(identities))
 
 
@@ -472,12 +474,6 @@ class _Evaluator:
         self._memo[id(node)] = got
         return got
 
-    def basis_tuples(self, names):
-        """(indices, env) for every assignment of basis vectors to names, in
-        lexicographic index order."""
-        for indices in itertools.product(range(self.alg.dim), repeat=len(names)):
-            yield indices, dict(zip(names, indices))
-
     def eval(self, node, env):
         if isinstance(node, Var):
             return self.leaves[env[node.name]]
@@ -531,10 +527,7 @@ def tabulate(node, alg, variables, twist_exponent=1):
     ``variables``: nested tuples of Vectors, indexed [i][j]... in the order
     of ``variables``."""
     ev = _Evaluator(alg, twist_exponent)
-    table = [ev.eval(node, env) for _, env in ev.basis_tuples(variables)]
-    for _ in variables:
-        table = [tuple(table[i : i + alg.dim]) for i in range(0, len(table), alg.dim)]
-    return table[0]
+    return tensor(alg.dim, len(variables), lambda idx: ev.eval(node, dict(zip(variables, idx))))
 
 
 def check_identity(alg, identity, twist_exponent=1):
@@ -546,7 +539,8 @@ def check_identity(alg, identity, twist_exponent=1):
     """
     ev = _Evaluator(alg, twist_exponent)
     names = identity.variables
-    for indices, env in ev.basis_tuples(names):
+    for indices in itertools.product(range(alg.dim), repeat=len(names)):
+        env = dict(zip(names, indices))
         residual = ev.eval(identity.lhs, env) - ev.eval(identity.rhs, env)
         if not residual.is_zero():
             return Counterexample(

@@ -1,10 +1,11 @@
 """Self-morphism constraint systems: generate, verify, and solve over grids.
 
-For an algebra with identity twist, a self-morphism is a matrix theta with
-theta(e_i * e_j) = theta(e_i) * theta(e_j) and likewise for the ternary
-product.  Writing theta with one unknown per entry and expanding both sides
-over the basis yields one polynomial per coordinate; the system is the
-deduplicated list of those polynomials, each meaning "= 0".
+A self-morphism is a matrix theta with theta(e_i * e_j) = theta(e_i) *
+theta(e_j), likewise for the ternary product, and theta . alpha = alpha . theta
+for the twist alpha (no condition when alpha is the identity).  Writing theta
+with one unknown per entry and expanding both sides over the basis yields one
+polynomial per coordinate; the system is the deduplicated list of those
+polynomials, each meaning "= 0".
 
 Unknowns for dimension 2 follow the classical layout: theta(e1) = a1 e1 + a2 e2,
 theta(e2) = b1 e1 + b2 e2.  Other dimensions use t<src>_<tgt>.
@@ -68,18 +69,13 @@ def unknown_names(dim):
     return tuple(f"t{j + 1}_{i + 1}" for j in range(dim) for i in range(dim))
 
 
-def generate_constraints(algebra, *, include_twist=False):
+def generate_constraints(algebra):
     """The polynomial system cutting out self-morphisms of the algebra.
 
-    Requires the identity twist unless ``include_twist`` is set, in which
-    case theta must also intertwine the twist and those (linear) equations
-    join the system.
+    Theta must intertwine both products and the twist.  The twist's
+    (linear) equations theta.alpha - alpha.theta come last; for the identity
+    twist they are all zero, so none joins the system.
     """
-    if not include_twist and not algebra.twist.is_identity():
-        raise PreconditionError(
-            "generate_constraints: algebra carries a nontrivial twist; "
-            "pass include_twist=True to add the intertwining equations"
-        )
     n = algebra.dim
     names = unknown_names(n)
     taken = algebra.all_variables()
@@ -100,11 +96,10 @@ def generate_constraints(algebra, *, include_twist=False):
 
     for _, _, residual in morphism_residuals(theta, algebra, algebra):
         push(residual)
-    if include_twist:
-        lhs = theta.compose(algebra.twist)
-        rhs = algebra.twist.compose(theta)
-        for i in range(n):
-            push(Vector(lhs.rows[i]) - Vector(rhs.rows[i]))
+    lhs = theta.compose(algebra.twist)
+    rhs = algebra.twist.compose(theta)
+    for i in range(n):
+        push(Vector(lhs.rows[i]) - Vector(rhs.rows[i]))
 
     eqs = tuple(equations)
     params = frozenset().union(*(eq.variables() for eq in eqs)) - set(names) if eqs else frozenset()

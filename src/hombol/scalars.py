@@ -285,9 +285,10 @@ def format_terms(terms):
 
 def content_lines(text):
     """(1-based line number, line) for every line of text that is not blank
-    once its '#' comment and surrounding whitespace are cut."""
+    once its '#' comment and trailing whitespace are cut.  Leading
+    whitespace stays, so a column in the line is a column in the source."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.split("#", 1)[0].rstrip()
         if line:
             yield lineno, line
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import HomAlgebra, LinearMap, Vector
+from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, tensor
 from .errors import ParseError, parse_int
 from .morphisms import ConstraintSystem
 from .scalars import NAME, Scalar, ZERO, content_lines, format_terms, parse_scalar
@@ -154,13 +154,13 @@ class _DocReader:
 
     def rhs_vector(self, line, lineno):
         """The right-hand side, a linear combination of basis labels."""
-        _, _, rhs = line.partition("=")
+        head, _, rhs = line.partition("=")
         if not rhs.strip():
             raise ParseError("missing right-hand side", line=lineno)
         try:
             poly = parse_scalar(rhs, set(self.params or ()) | set(self.basis))
         except ParseError as exc:
-            raise ParseError(f"{exc.args[0]}", line=lineno) from None
+            raise exc.located(lineno, len(head) + 1) from None
         coords = [ZERO] * self.dim
         for mono, coeff in poly.terms():
             hits = [(name, e) for name, e in mono if name in self.basis]
@@ -191,64 +191,36 @@ def parse_algebra(text):
             raise ParseError("complete takes skew-binary or skew-ternary", line=lineno)
         complete.add(words[1])
 
-    doc = _DocReader(text, {"binary": 2, "ternary": 3, "alpha": 1}, directive)
-    n = doc.dim
-    zero = Vector.zero(n)
-
-    def completed_pairs(assigned, skew, partner, diagonal, what):
+    doc = _DocReader(text, {**dict(PRODUCTS), "alpha": 1}, directive)
+    zero = Vector.zero(doc.dim)
+    products = {}
+    for kind, arity in PRODUCTS:
+        assigned = doc.cells[kind]
         cells = {idx: value for idx, (value, _) in assigned.items()}
-        if skew:
+        if f"skew-{kind}" in complete:
             for idx, (value, lineno) in assigned.items():
-                mate = partner(idx)
+                # skew partner: the first two slots swapped
+                mate = (idx[1], idx[0]) + idx[2:]
                 if mate == idx:
                     if not value.is_zero():
                         raise ParseError(
-                            f"conflicting assignment: {what} at {idx} must vanish under skew completion",
+                            f"conflicting assignment: {kind} product at {idx} must vanish under skew completion",
                             line=lineno,
                         )
-                    continue
-                if mate in assigned:
-                    if assigned[mate][0] != -value:
-                        raise ParseError(
-                            f"conflicting assignment: {what} at {mate} breaks skew symmetry",
-                            line=assigned[mate][1],
-                        )
-                else:
+                elif mate not in assigned:
                     cells[mate] = -value
-            for idx in diagonal:
-                cells.setdefault(idx, zero)
-        return cells
-
-    bin_cells = completed_pairs(
-        doc.cells["binary"],
-        "skew-binary" in complete,
-        lambda ij: (ij[1], ij[0]),
-        [(i, i) for i in range(n)],
-        "binary product",
-    )
-    tern_cells = completed_pairs(
-        doc.cells["ternary"],
-        "skew-ternary" in complete,
-        lambda ijk: (ijk[1], ijk[0], ijk[2]),
-        [(i, i, k) for i in range(n) for k in range(n)],
-        "ternary product",
-    )
-
-    binary_tensor = tuple(
-        tuple(bin_cells.get((i, j), zero).coords for j in range(n)) for i in range(n)
-    )
-    ternary_tensor = tuple(
-        tuple(tuple(tern_cells.get((i, j, k), zero).coords for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
+                elif assigned[mate][0] != -value:
+                    raise ParseError(
+                        f"conflicting assignment: {kind} product at {mate} breaks skew symmetry",
+                        line=assigned[mate][1],
+                    )
+        products[kind] = tensor(doc.dim, arity, lambda idx: cells.get(idx, zero).coords)
     return HomAlgebra(
-        dim=n,
+        dim=doc.dim,
         basis=doc.basis,
         params=frozenset(doc.params or ()),
-        binary=binary_tensor,
-        ternary=ternary_tensor,
         twist=doc.twist(required=False),
+        **products,
     )
 
 
@@ -258,23 +230,12 @@ def emit_algebra(alg):
     if declared:
         lines.append("params " + " ".join(declared))
     lines.append("basis " + " ".join(alg.basis))
-    n = alg.dim
-    for i in range(n):
-        for j in range(n):
-            cell = alg.binary_value(i, j)
-            if not cell.is_zero():
-                lines.append(f"binary {alg.basis[i]} {alg.basis[j]} = {format_vector(cell, alg.basis)}")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                cell = alg.ternary_value(i, j, k)
-                if not cell.is_zero():
-                    lines.append(
-                        f"ternary {alg.basis[i]} {alg.basis[j]} {alg.basis[k]} = "
-                        f"{format_vector(cell, alg.basis)}"
-                    )
+    for kind, idx, coords in alg.cells():
+        if any(coords):  # a Scalar is true when nonzero
+            labels = " ".join(alg.basis[i] for i in idx)
+            lines.append(f"{kind} {labels} = {format_vector(Vector(coords), alg.basis)}")
     if not alg.twist.is_identity():
-        for j in range(n):
+        for j in range(alg.dim):
             lines.append(f"alpha {alg.basis[j]} = {format_vector(alg.twist.column(j), alg.basis)}")
     return "\n".join(lines) + "\n"
 
@@ -326,7 +287,7 @@ def parse_constraints(text):
         try:
             equations.append(parse_scalar(line, set(unknowns) | set(params)))
         except ParseError as exc:
-            raise ParseError(f"{exc.args[0]}", line=lineno) from None
+            raise exc.located(lineno) from None
     if unknowns is None:
         raise ParseError("missing unknowns line")
     dim = math.isqrt(len(unknowns))

@@ -14,7 +14,7 @@ import itertools
 import random
 from fractions import Fraction as F
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, zero_binary_tensor, zero_ternary_tensor
+from hombol.algebra import HomAlgebra, LinearMap, Vector, zero_tensor
 from hombol.catalog import build, cross_check, get, get_twisted, names
 from hombol.constructions import hom_jacobian, malcev_to_bol, nth_derived, self_twist, sequence_member, yau_twist
 from hombol.errors import PreconditionError
@@ -335,7 +335,7 @@ def test_criterion_07_identity_twist_reduction_and_triple_systems():
         if not check_suite(alg, "hom_bol").passed:
             failures.append(f"{label}: expected a Hom-Bol passer")
             continue
-        stripped = alg.replace(binary=zero_binary_tensor(alg.dim))
+        stripped = alg.replace(binary=zero_tensor(alg.dim, 2))
         report = check_suite(stripped, "hom_lie_triple", twist_exponent=2)
         if not report.passed:
             ce = report.failures[0]

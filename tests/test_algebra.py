@@ -9,8 +9,7 @@ from hombol.algebra import (
     first_weak_morphism_failure,
     is_morphism,
     is_weak_morphism,
-    zero_binary_tensor,
-    zero_ternary_tensor,
+    zero_tensor,
 )
 from hombol.catalog import get, get_twisted
 from hombol.errors import DimensionMismatch
@@ -109,7 +108,7 @@ def test_replace_and_equality_ignores_params():
     a2 = get("A2")
     alias = a2.replace(params=a2.params | {"unused"})
     assert alias == a2
-    other = a2.replace(binary=zero_binary_tensor(2))
+    other = a2.replace(binary=zero_tensor(2, 2))
     assert other != a2
 
 
@@ -119,8 +118,8 @@ def test_all_variables():
 
 
 def test_zero_tensors():
-    assert all(c.is_zero() for row in zero_binary_tensor(2) for cell in row for c in cell)
-    t = zero_ternary_tensor(2)
+    assert all(c.is_zero() for row in zero_tensor(2, 2) for cell in row for c in cell)
+    t = zero_tensor(2, 3)
     assert all(
         c.is_zero() for plane in t for row in plane for cell in row for c in cell
     )
@@ -184,8 +183,8 @@ def test_construction_validation():
             dim=2,
             basis=("e1", "e2", "e3"),
             params=frozenset(),
-            binary=zero_binary_tensor(2),
-            ternary=zero_ternary_tensor(2),
+            binary=zero_tensor(2, 2),
+            ternary=zero_tensor(2, 3),
             twist=LinearMap.identity(2),
         )
     with pytest.raises(DimensionMismatch):
@@ -193,7 +192,7 @@ def test_construction_validation():
             dim=2,
             basis=("e1", "e2"),
             params=frozenset(),
-            binary=zero_binary_tensor(3),
-            ternary=zero_ternary_tensor(2),
+            binary=zero_tensor(3, 2),
+            ternary=zero_tensor(2, 3),
             twist=LinearMap.identity(2),
         )

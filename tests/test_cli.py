@@ -6,7 +6,8 @@ import pytest
 from hombol.catalog import cross_check, get, get_twisted
 from hombol.cli import main
 from hombol.constructions import malcev_to_bol, nth_derived, self_twist, sequence_member
-from hombol.serialization import emit_algebra, emit_map, parse_algebra
+from hombol.morphisms import generate_constraints
+from hombol.serialization import emit_algebra, emit_constraints, emit_map, parse_algebra
 
 CROSS_LIE_DOC = (
     "dim 3\nbasis e1 e2 e3\ncomplete skew-binary\n"
@@ -201,6 +202,24 @@ def test_morphisms_grid_in_dimension_three(tmp_path, capsys):
     assert main(["morphisms", path, "--grid=-1,0,1"]) == 0
     out = capsys.readouterr().out
     assert "grid search: 25 solution(s)" in out  # 24 rotations plus the zero map
+
+
+def test_morphisms_on_a_twisted_algebra(capsys, hb2_file):
+    path, alg = hb2_file
+    assert main(["morphisms", str(path)]) == 0
+    out = capsys.readouterr().out
+    system = generate_constraints(alg)
+    assert len(system.equations) == 12  # product equations plus the twist's
+    assert out.startswith(emit_constraints(system))
+    assert "grid check:" in out
+
+
+def test_bind_without_equals_is_not_echoed(tmp_path, capsys):
+    path = _write(tmp_path, "a2.alg", emit_algebra(get("A2")))
+    assert main(["morphisms", path, "--bind", "x" * 5000]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --bind takes NAME=RATIONAL\n"
 
 
 # --- catalog and crosscheck ----------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, zero_ternary_tensor
+from hombol.algebra import HomAlgebra, LinearMap, Vector, zero_tensor
 from hombol.catalog import get, get_twisted
 from hombol.constructions import (
     DERIVED_ORDER_LIMIT,
@@ -29,7 +29,7 @@ def _skew_lie(dim, cells):
         dim=dim,
         basis=tuple(f"e{i + 1}" for i in range(dim)),
         binary=tuple(tuple(tuple(r) for r in p) for p in binary),
-        ternary=zero_ternary_tensor(dim),
+        ternary=zero_tensor(dim, 3),
         twist=LinearMap.identity(dim),
     )
 
@@ -135,7 +135,7 @@ def test_derived_preserves_hom_bol():
 def test_derived_binary_only_strips_the_ternary():
     alg = get_twisted("HB_A2")
     d1 = derived_binary_only(alg, 1)
-    assert d1.ternary == zero_ternary_tensor(2)
+    assert d1.ternary == zero_tensor(2, 3)
     e1, e2 = Vector.basis(0, 2), Vector.basis(1, 2)
     assert d1.eval_binary(e1, e2) == nth_derived(alg, 1).eval_binary(e1, e2)
     assert d1.twist == nth_derived(alg, 1).twist

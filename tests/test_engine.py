@@ -6,6 +6,11 @@ references below are those loops, written densely with nothing but Scalar
 arithmetic; the new code tabulates identity expressions or reads
 ``morphism_residuals``.  The algebras are the seeded random dim 3-5 tensors
 of test_kernels, about 30% zero cells, rational and symbolic.
+
+The structure-tensor helpers (``tensor``, ``cell_at``, ``HomAlgebra.cells``)
+replaced one copy per arity of the composition, emission and dense-build
+code; verbatim copies of those per-arity versions are kept below as well and
+compared on the same tensors, and on dim 2.
 """
 
 import itertools
@@ -14,13 +19,26 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_kernels import CASES, _coords, _matrix, _tensor
+from test_kernels import CASES, PARAMS, _coords, _matrix, _tensor
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, first_weak_morphism_failure, morphism_residuals
-from hombol.constructions import hom_jacobian, malcev_to_bol, yau_twist
+from test_round_trip import _algebra
+
+from hombol.algebra import (
+    PRODUCTS,
+    HomAlgebra,
+    LinearMap,
+    Vector,
+    cell_at,
+    first_weak_morphism_failure,
+    morphism_residuals,
+    tensor,
+)
+from hombol.constructions import compose_tensor, hom_jacobian, malcev_to_bol, yau_twist
+from hombol.errors import ParseError
 from hombol.identities import SUITES, evaluate, parse_identity, tabulate
 from hombol.morphisms import generate_constraints, unknown_names
 from hombol.scalars import ONE, ZERO, Scalar
+from hombol.serialization import _DocReader, emit_algebra, format_vector, parse_algebra
 
 
 def _random_algebra(rng, dim, twisted=True):
@@ -216,3 +234,232 @@ def test_generate_constraints_equations_are_unchanged(dim, seed):
     alg = _random_algebra(random.Random(seed), dim, twisted=False)
     assert generate_constraints(alg).equations == old_equations(alg)
 
+
+
+def test_twisted_constraints_add_the_intertwining_equations_last():
+    alg = _random_algebra(random.Random(3), 3)
+    n = alg.dim
+    names = unknown_names(n)
+    theta = LinearMap.from_columns(
+        tuple(tuple(Scalar.parameter(names[j * n + i]) for i in range(n)) for j in range(n))
+    )
+    lhs, rhs = theta.compose(alg.twist), alg.twist.compose(theta)
+    expected = dict.fromkeys(old_equations(alg))
+    for i in range(n):
+        for coord in (Vector(lhs.rows[i]) - Vector(rhs.rows[i])).coords:
+            if not coord.is_zero():
+                expected.setdefault(coord, None)
+    assert generate_constraints(alg).equations == tuple(expected)
+
+
+# --- structure tensors of arity r -------------------------------------------
+#
+# The per-arity code that tensor, cell_at and HomAlgebra.cells replaced,
+# copied verbatim: constructions.compose_binary/compose_ternary, the loop
+# nests of serialization.emit_algebra, and the skew completion and dense
+# build of serialization.parse_algebra.
+
+
+def old_compose_binary(m, binary):
+    """Tensor of m(e_i * e_j): the map applied to every binary product value."""
+    return tuple(tuple(tuple(m.apply(cell).coords) for cell in row) for row in binary)
+
+
+def old_compose_ternary(m, ternary):
+    return tuple(
+        tuple(tuple(tuple(m.apply(cell).coords) for cell in row) for row in plane)
+        for plane in ternary
+    )
+
+
+def old_emit_algebra(alg):
+    lines = [f"dim {alg.dim}"]
+    declared = sorted(alg.all_variables())
+    if declared:
+        lines.append("params " + " ".join(declared))
+    lines.append("basis " + " ".join(alg.basis))
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            cell = alg.binary_value(i, j)
+            if not cell.is_zero():
+                lines.append(f"binary {alg.basis[i]} {alg.basis[j]} = {format_vector(cell, alg.basis)}")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                cell = alg.ternary_value(i, j, k)
+                if not cell.is_zero():
+                    lines.append(
+                        f"ternary {alg.basis[i]} {alg.basis[j]} {alg.basis[k]} = "
+                        f"{format_vector(cell, alg.basis)}"
+                    )
+    if not alg.twist.is_identity():
+        for j in range(n):
+            lines.append(f"alpha {alg.basis[j]} = {format_vector(alg.twist.column(j), alg.basis)}")
+    return "\n".join(lines) + "\n"
+
+
+def old_parse_algebra(text):
+    complete = set()
+
+    def directive(lineno, words):
+        if words[0] != "complete":
+            raise ParseError(f"unknown keyword {words[0]!r}", line=lineno)
+        if len(words) != 2 or words[1] not in ("skew-binary", "skew-ternary"):
+            raise ParseError("complete takes skew-binary or skew-ternary", line=lineno)
+        complete.add(words[1])
+
+    doc = _DocReader(text, {"binary": 2, "ternary": 3, "alpha": 1}, directive)
+    n = doc.dim
+    zero = Vector.zero(n)
+
+    def completed_pairs(assigned, skew, partner, diagonal, what):
+        cells = {idx: value for idx, (value, _) in assigned.items()}
+        if skew:
+            for idx, (value, lineno) in assigned.items():
+                mate = partner(idx)
+                if mate == idx:
+                    if not value.is_zero():
+                        raise ParseError(
+                            f"conflicting assignment: {what} at {idx} must vanish under skew completion",
+                            line=lineno,
+                        )
+                    continue
+                if mate in assigned:
+                    if assigned[mate][0] != -value:
+                        raise ParseError(
+                            f"conflicting assignment: {what} at {mate} breaks skew symmetry",
+                            line=assigned[mate][1],
+                        )
+                else:
+                    cells[mate] = -value
+            for idx in diagonal:
+                cells.setdefault(idx, zero)
+        return cells
+
+    bin_cells = completed_pairs(
+        doc.cells["binary"],
+        "skew-binary" in complete,
+        lambda ij: (ij[1], ij[0]),
+        [(i, i) for i in range(n)],
+        "binary product",
+    )
+    tern_cells = completed_pairs(
+        doc.cells["ternary"],
+        "skew-ternary" in complete,
+        lambda ijk: (ijk[1], ijk[0], ijk[2]),
+        [(i, i, k) for i in range(n) for k in range(n)],
+        "ternary product",
+    )
+
+    binary_tensor = tuple(
+        tuple(bin_cells.get((i, j), zero).coords for j in range(n)) for i in range(n)
+    )
+    ternary_tensor = tuple(
+        tuple(tuple(tern_cells.get((i, j, k), zero).coords for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
+
+    return HomAlgebra(
+        dim=n,
+        basis=doc.basis,
+        params=frozenset(doc.params or ()),
+        binary=binary_tensor,
+        ternary=ternary_tensor,
+        twist=doc.twist(required=False),
+    )
+
+
+TENSOR_CASES = [(2, 1), (2, 2)] + CASES
+KINDS = pytest.mark.parametrize("symbolic", [False, True], ids=["rational", "symbolic"])
+
+
+@KINDS
+@pytest.mark.parametrize("dim, seed", TENSOR_CASES)
+def test_tensor_rebuilds_from_its_cells_in_product_order(dim, seed, symbolic):
+    alg = _algebra(dim, seed, symbolic)
+    for kind, arity in PRODUCTS:
+        t = getattr(alg, kind)
+        assert tensor(dim, arity, lambda idx: cell_at(t, idx)) == t
+        indices = tensor(dim, arity, lambda idx: idx)
+        assert all(cell_at(indices, idx) == idx for idx in itertools.product(range(dim), repeat=arity))
+        order = [idx for k, idx, _ in alg.cells() if k == kind]
+        assert order == list(itertools.product(range(dim), repeat=arity))
+    assert [k for k, _, _ in alg.cells()] == ["binary"] * dim**2 + ["ternary"] * dim**3
+    assert all(coords == cell_at(getattr(alg, k), idx) for k, idx, coords in alg.cells())
+
+
+@KINDS
+@pytest.mark.parametrize("dim, seed", TENSOR_CASES)
+def test_compose_tensor_matches_the_per_arity_copies(dim, seed, symbolic):
+    alg = _algebra(dim, seed, symbolic)
+    m = alg.twist
+    assert compose_tensor(m, alg.binary, 2) == old_compose_binary(m, alg.binary)
+    assert compose_tensor(m, alg.ternary, 3) == old_compose_ternary(m, alg.ternary)
+
+
+@KINDS
+@pytest.mark.parametrize("dim, seed", TENSOR_CASES)
+def test_emit_and_parse_match_the_per_arity_copies(dim, seed, symbolic):
+    alg = _algebra(dim, seed, symbolic)
+    text = emit_algebra(alg)
+    assert text == old_emit_algebra(alg)
+    assert emit_algebra(alg.replace(twist=None)) == old_emit_algebra(alg.replace(twist=None))
+    back = parse_algebra(text)
+    assert back == old_parse_algebra(text)
+    assert back.params == old_parse_algebra(text).params
+
+
+def _skew_document(alg, rng, conflict):
+    """alg's header and twist, both complete directives, and for each skew
+    pair of cells none, one or both (consistently), in shuffled order.
+    ``conflict`` adds one cell that completion must refuse: a nonzero
+    diagonal cell, or the mate of an assigned cell with the wrong sign."""
+    n = alg.dim
+    assigned = {}
+    for kind, idx, _ in alg.cells():
+        mate = (idx[1], idx[0]) + idx[2:]
+        roll = rng.random()
+        if idx == mate and roll < 0.5:
+            assigned[kind, idx] = Vector.zero(n)
+        elif idx < mate:
+            value = Vector(_coords(rng, n))
+            if roll < 0.3:
+                assigned[kind, idx] = value
+            elif roll < 0.6:
+                assigned[kind, mate] = value
+            elif roll < 0.8:
+                assigned[kind, idx], assigned[kind, mate] = value, -value
+    if conflict:
+        kind, idx, _ = rng.choice([c for c in alg.cells() if (c[1][0] == c[1][1]) == (conflict == "diagonal")])
+        value = Vector(_coords(rng, n))
+        if conflict == "diagonal":
+            assigned[kind, idx] = value + Vector.basis(0, n) if value.is_zero() else value
+        else:
+            assigned[kind, idx], assigned[kind, (idx[1], idx[0]) + idx[2:]] = value, Vector.basis(0, n) - value
+    body = [
+        f"{kind} {' '.join(alg.basis[i] for i in idx)} = {format_vector(value, alg.basis)}"
+        for (kind, idx), value in assigned.items()
+    ]
+    rng.shuffle(body)
+    head = [f"dim {n}", "params " + " ".join(PARAMS), "basis " + " ".join(alg.basis)]
+    head += [line for line in emit_algebra(alg).splitlines() if line.startswith("alpha")]
+    return "\n".join(head + ["complete skew-binary", "complete skew-ternary"] + body) + "\n"
+
+
+@pytest.mark.parametrize("conflict", [None, "diagonal", "mate"])
+@pytest.mark.parametrize("dim, seed", TENSOR_CASES)
+def test_skew_completion_matches_the_per_arity_copy(dim, seed, conflict):
+    rng = random.Random(seed)
+    alg = _algebra(dim, seed, symbolic=True)
+    for _ in range(3):
+        text = _skew_document(alg, rng, conflict)
+        if conflict is None:
+            assert parse_algebra(text) == old_parse_algebra(text)
+            continue
+        with pytest.raises(ParseError) as old:
+            old_parse_algebra(text)
+        with pytest.raises(ParseError) as new:
+            parse_algebra(text)
+        assert str(new.value) == str(old.value)
+        assert "conflicting assignment" in str(new.value)

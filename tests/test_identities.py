@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.algebra import LinearMap, Vector, zero_binary_tensor
+from hombol.algebra import LinearMap, Vector, zero_tensor
 from hombol.catalog import get, get_twisted
 from hombol.errors import MultilinearityError, ParseError
 from hombol.identities import (
@@ -157,7 +157,7 @@ def test_twist_exponent_changes_the_verdict():
 
 def test_ternary_part_of_twisted_entry_is_triple_system_for_squared_twist():
     stripped = get_twisted("HB_A3", lam=F(1), b=F(2), sign="+").replace(
-        binary=zero_binary_tensor(2)
+        binary=zero_tensor(2, 2)
     )
     assert check_suite(stripped, "hom_lie_triple", twist_exponent=2).passed
 

@@ -45,12 +45,12 @@ def test_scalar_grammar(text, column):
 
 @pytest.mark.parametrize(
     "body, column",
-    [(BIG + " x*y = 0", 2), ("1/" + BIG + " x*y = 0", 4), ("A^" + BIG + "(x) = x", 4)],
+    [(BIG + " x*y = 0", 7), ("1/" + BIG + " x*y = 0", 9), ("A^" + BIG + "(x) = x", 9)],
     ids=["coefficient", "denominator", "map-power"],
 )
 def test_identity_files(body, column):
     text = "# a comment\nskew : x*y = -y*x\nbig : " + body + "\n"
-    assert _error(parse_suite, text).endswith(f"(column {column}) (line 3)")
+    assert _error(parse_suite, text).endswith(f"(line 3, column {column})")
 
 
 def test_dim_header():
@@ -63,7 +63,7 @@ def test_check_command_exits_2(tmp_path, capsys):
     assert main(["check", str(path), "--suite", "bol"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {MESSAGE} (column 2) (line 3)\n"
+    assert captured.err == f"error: {MESSAGE} (line 3, column 16)\n"
 
 
 @pytest.mark.parametrize(

@@ -56,11 +56,9 @@ def test_parameter_name_clash_is_rejected():
         generate_constraints(parse_algebra(doc))
 
 
-def test_twisted_algebra_needs_include_twist():
+def test_twisted_algebra_adds_intertwining_equations():
     hb2 = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
-    with pytest.raises(PreconditionError, match="include_twist"):
-        generate_constraints(hb2)
-    system = generate_constraints(hb2, include_twist=True)
+    system = generate_constraints(hb2)
     assert len(system.equations) == 12  # morphism equations plus intertwining
     assert verify_candidate(system, LinearMap.identity(2)) is None
     assert verify_candidate(system, hb2.twist) is None

@@ -3,10 +3,13 @@
 The scalar grammar, the identity grammar and the three document formats
 share one token reader, one line splitter and one document loop, so each
 message below (and its line and column) must come out of the shared code
-exactly as it did from the per-grammar copies it replaced.  The one
-deliberate change: a zero denominator in the scalar grammar is reported at
-the denominator's column, as identity files always reported it, not at the
-numerator's.
+exactly as it did from the per-grammar copies it replaced.  Two deliberate
+changes: a zero denominator in the scalar grammar is reported at the
+denominator's column, as identity files always reported it, not at the
+numerator's; and an error inside a right-hand side, a suite line's identity
+or a constraint line is reported as (line L, column C) with C counted in the
+source line, where it used to read (column c) (line L) with c counted from
+the start of the right-hand side or identity body.
 """
 
 import pytest
@@ -73,9 +76,9 @@ CASES = [
     ('suite', '# c\n\n1bad : x = x', ParseError, "bad identity name '1bad' (line 3)"),
     ('suite', ' : x = x', ParseError, "bad identity name '' (line 1)"),
     ('suite', 'a : x*y = -y*x\na : x = x', ParseError, "duplicate identity name 'a' (line 2)"),
-    ('suite', 'a : x*y = ', ParseError, 'unexpected end of input (column 7) (line 1)'),
+    ('suite', 'a : x*y = ', ParseError, 'unexpected end of input (line 1, column 10)'),
     ('suite', 'a : x*x = 0', MultilinearityError, "identity 'a' is not multilinear: variable 'x' appears 2 times in the left-side term 'x*x' (line 1)"),
-    ('suite', 'ok : x = x # note\nb : 1/0 x = x', ParseError, 'zero denominator (column 4) (line 2)'),
+    ('suite', 'ok : x = x # note\nb : 1/0 x = x', ParseError, 'zero denominator (line 2, column 7)'),
     ('algebra', '', ParseError, 'missing dim line'),
     ('algebra', 'dim 2', ParseError, 'missing basis line'),
     ('algebra', 'dim 2\ndim 2', ParseError, 'duplicate dim line (line 2)'),
@@ -101,9 +104,9 @@ CASES = [
     ('algebra', H + 'binary e1 e2 = e1*e2', ParseError, 'right-hand side must be a linear combination of basis vectors (line 3)'),
     ('algebra', H + 'binary e1 e2 = 3', ParseError, 'right-hand side must be a linear combination of basis vectors (line 3)'),
     ('algebra', H + 'binary e1 e2 = e1^2', ParseError, 'right-hand side must be a linear combination of basis vectors (line 3)'),
-    ('algebra', H + 'binary e1 e2 = x*e1', ParseError, "undeclared symbol 'x' (column 2) (line 3)"),
+    ('algebra', H + 'binary e1 e2 = x*e1', ParseError, "undeclared symbol 'x' (line 3, column 16)"),
     # the denominator's column, as identity files report it
-    ('algebra', H + 'binary e1 e2 = 1/0*e1', ParseError, 'zero denominator (column 4) (line 3)'),
+    ('algebra', H + 'binary e1 e2 = 1/0*e1', ParseError, 'zero denominator (line 3, column 18)'),
     ('algebra', H + 'complete skew', ParseError, 'complete takes skew-binary or skew-ternary (line 3)'),
     ('algebra', H + 'complete', ParseError, 'complete takes skew-binary or skew-ternary (line 3)'),
     ('algebra', H + 'foo e1', ParseError, "unknown keyword 'foo' (line 3)"),
@@ -115,10 +118,10 @@ CASES = [
     ('algebra', H + 'complete skew-binary\nbinary e1 e1 = e1\nalpha e1 = e1', ParseError, 'conflicting assignment: binary product at (0, 0) must vanish under skew completion (line 4)'),
     ('algebra', H + 'ternary e1 e2 = e1', ParseError, "expected 'ternary <label> <label> <label> = <value>' (line 3)"),
     ('algebra', H + 'alpha e1 e2 = e1', ParseError, "expected 'alpha <label> = <value>' (line 3)"),
-    ('algebra', H + 'binary e1 e2 = e1 $', ParseError, "unexpected character '$' (column 5) (line 3)"),
-    ('algebra', H + 'binary e1 e2 = e1 = e2', ParseError, "unexpected character '=' (column 5) (line 3)"),
+    ('algebra', H + 'binary e1 e2 = e1 $', ParseError, "unexpected character '$' (line 3, column 19)"),
+    ('algebra', H + 'binary e1 e2 = e1 = e2', ParseError, "unexpected character '=' (line 3, column 19)"),
     ('algebra', 'binary e1 e2 = e1\ndim 2', ParseError, 'basis must be declared before assignments (line 1)'),
-    ('algebra', 'dim 2\nparams a\nbasis e1 e2\nalpha e1 = e1\nalpha e2 = a*e2 + b*e1', ParseError, "undeclared symbol 'b' (column 9) (line 5)"),
+    ('algebra', 'dim 2\nparams a\nbasis e1 e2\nalpha e1 = e1\nalpha e2 = a*e2 + b*e1', ParseError, "undeclared symbol 'b' (line 5, column 19)"),
     ('map', '', ParseError, 'missing dim line'),
     ('map', 'dim 2', ParseError, 'missing basis line'),
     ('map', H, ParseError, "alpha image missing for 'e1'"),
@@ -133,7 +136,7 @@ CASES = [
     ('map', H + 'alpha e1 =', ParseError, 'missing right-hand side (line 3)'),
     ('map', H + 'alpha e1 = e1', ParseError, "alpha image missing for 'e2'"),
     # the denominator's column, as identity files report it
-    ('map', H + 'alpha e1 = 1/0*e1\nalpha e2 = e2', ParseError, 'zero denominator (column 4) (line 3)'),
+    ('map', H + 'alpha e1 = 1/0*e1\nalpha e2 = e2', ParseError, 'zero denominator (line 3, column 14)'),
     ('map', H + 'alpha e1 = e1*e1\nalpha e2 = e2', ParseError, 'right-hand side must be a linear combination of basis vectors (line 3)'),
     ('constraints', '', ParseError, 'missing unknowns line'),
     ('constraints', 'x + 1', ParseError, 'unknowns must come first (line 1)'),
@@ -142,12 +145,12 @@ CASES = [
     ('constraints', 'unknowns a a', ParseError, 'unknowns takes distinct names (line 1)'),
     ('constraints', 'unknowns a\nunknowns b', ParseError, 'duplicate unknowns line (line 2)'),
     ('constraints', 'unknowns a b', ParseError, 'the number of unknowns must be a perfect square'),
-    ('constraints', 'unknowns a\nz', ParseError, "undeclared symbol 'z' (column 1) (line 2)"),
-    ('constraints', 'unknowns a\na/0', ParseError, "unexpected trailing '/' (column 2) (line 2)"),
+    ('constraints', 'unknowns a\nz', ParseError, "undeclared symbol 'z' (line 2, column 1)"),
+    ('constraints', 'unknowns a\na/0', ParseError, "unexpected trailing '/' (line 2, column 2)"),
     # the denominator's column, as identity files report it
-    ('constraints', 'unknowns a\n1/0*a', ParseError, 'zero denominator (column 3) (line 2)'),
-    ('constraints', 'unknowns a\n1 $', ParseError, "unexpected character '$' (column 3) (line 2)"),
-    ('constraints', 'unknowns a\nparams p\np*a^', ParseError, 'expected an integer exponent (column 5) (line 3)'),
+    ('constraints', 'unknowns a\n1/0*a', ParseError, 'zero denominator (line 2, column 3)'),
+    ('constraints', 'unknowns a\n1 $', ParseError, "unexpected character '$' (line 2, column 3)"),
+    ('constraints', 'unknowns a\nparams p\np*a^', ParseError, 'expected an integer exponent (line 3, column 5)'),
 ]
 
 

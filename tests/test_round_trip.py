@@ -87,7 +87,7 @@ def test_map_documents_round_trip(dim, seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_constraint_documents_round_trip(seed):
-    system = generate_constraints(_algebra(3, seed, symbolic=True), include_twist=True)
+    system = generate_constraints(_algebra(3, seed, symbolic=True))
     text = emit_constraints(system)
     back = parse_constraints(text)
     assert back.equations == system.equations
