@@ -79,9 +79,24 @@ def _cmd_malcev2bol(args):
 
 def _cmd_morphisms(args):
     alg = parse_algebra(_read(args.file))
-    # dimension 2 classifies too; its report carries the one system built
-    report = classify_2dim(alg, args.bind or None, args.grid or DEFAULT_GRID) if alg.dim == 2 else None
-    system = generate_constraints(alg) if report is None else report.system
+    stray = sorted(set(args.bind) - alg.all_variables())
+    if stray:
+        name = stray[0] if len(stray[0]) <= 40 else stray[0][:40] + "..."
+        raise ParseError(f"--bind: {name!r} is not a parameter of the algebra")
+    # every search runs before anything is printed, so a failing one leaves
+    # stdout empty; dimension 2 classifies too, and its report carries the
+    # one system built
+    solutions = None
+    if alg.dim == 2:
+        report = classify_2dim(alg, args.bind, args.grid or DEFAULT_GRID)
+        system = report.system
+    else:
+        if args.bind and not args.grid:
+            raise ParseError("--bind binds parameters for the grid search, so it needs --grid "
+                             "(in dimension 2 the default grid is used)")
+        report, system = None, generate_constraints(alg)
+        if args.grid:
+            solutions = grid_search(system, args.grid, parameter_bindings=args.bind)
     text = emit_constraints(system)
     if args.export:
         Path(args.export).write_text(text, encoding="utf-8")
@@ -90,8 +105,7 @@ def _cmd_morphisms(args):
         print(text, end="")
     if report is not None:
         print(report.describe())
-    elif args.grid:
-        solutions = grid_search(system, args.grid, parameter_bindings=args.bind or None)
+    elif solutions is not None:
         print(f"grid search: {len(solutions)} solution(s)")
         for m in solutions:
             print(emit_map(m, alg.basis), end="")

@@ -7,13 +7,21 @@ with one unknown per entry and expanding both sides over the basis yields one
 polynomial per coordinate; the system is the deduplicated list of those
 polynomials, each meaning "= 0".
 
+Solving over a grid finds every assignment of grid values to the unknowns
+that satisfies the system, in lexicographic order.  It is a depth-first
+search, not an exhaustive scan: unknowns are bound one at a time in their
+listed order, each equation is tested as soon as its last unknown is bound,
+and a partial assignment that fails one is pruned with everything below it.
+The equations are compiled once to integer-coefficient rows, so the search
+stays in exact int and Fraction arithmetic.
+
 Unknowns for dimension 2 follow the classical layout: theta(e1) = a1 e1 + a2 e2,
 theta(e2) = b1 e1 + b2 e2.  Other dimensions use t<src>_<tgt>.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -150,35 +158,92 @@ def verify_candidate(system, candidate):
     return None
 
 
+def _compile(system, bindings):
+    """The equations with the parameters bound, as integer rows filed by
+    their last unknown: ``filed[k]`` lists the equations to test once
+    unknowns 0..k are bound, each a tuple of ``(int coefficient,
+    ((unknown index, exponent), ...))`` rows.  An equation is first scaled by
+    the lcm of its coefficient denominators, which leaves its zero set as it
+    is.  None when some equation is a nonzero constant, which nothing solves.
+    """
+    position = {name: k for k, name in enumerate(system.unknowns)}
+    filed = [[] for _ in system.unknowns]
+    for eq in system.equations:
+        terms = (eq.substitute(bindings) if bindings else eq).terms()
+        if not terms:
+            continue
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        try:
+            rows = tuple(
+                (c.numerator * (scale // c.denominator), tuple((position[name], e) for name, e in mono))
+                for mono, c in terms
+            )
+        except KeyError as exc:  # a name the system lists neither as unknown nor as parameter
+            raise ValueError(f"unbound parameter {exc.args[0]!r}") from None
+        last = max((k for _, factors in rows for k, _ in factors), default=None)
+        if last is None:
+            return None
+        filed[last].append(rows)
+    return filed
+
+
+def _vanishes(rows, x):
+    total = 0
+    for c, factors in rows:
+        for k, e in factors:
+            c *= x[k] ** e
+        total += c
+    return total == 0
+
+
 def grid_search(system, values, parameter_bindings=None):
     """All unknown assignments over a finite value grid solving the system.
 
-    Every algebra parameter must be bound to a rational first.  Candidates
-    are enumerated, and returned, in lexicographic order of the unknown
-    vector over the ascending value grid; the zero map, when it solves the
-    system, is simply one of them.
+    Every algebra parameter must be bound to a rational first.  The search
+    is depth first: it binds the unknowns in ``system.unknowns`` order, tries
+    the ascending, de-duplicated grid values at each depth, and tests each
+    equation as soon as its last unknown is bound, descending only when
+    every equation filed at that depth vanishes.  A branch that fails an
+    equation is never extended, so far fewer than ``len(grid) **
+    len(unknowns)`` points are visited; the answer is still every grid
+    point that solves the system.  Arithmetic is exact: equations are
+    compiled once to integer coefficients and integral grid values are
+    Python ints.  Solutions come back in lexicographic order of the unknown
+    vector over the ascending grid, the order of an exhaustive scan; the
+    zero map, when it solves the system, is simply one of them.
     """
     bindings = {name: Fraction(v) for name, v in (parameter_bindings or {}).items()}
     unbound = sorted(system.params - set(bindings))
     if unbound:
         raise ValueError(f"unbound parameter {unbound[0]!r}")
-    grid = sorted({Fraction(v) for v in values})
-    bound_eqs = [eq.substitute(bindings) for eq in system.equations] if bindings else list(system.equations)
-    bound_eqs = [eq for eq in bound_eqs if not eq.is_zero()]
+    grid = [int(v) if v.denominator == 1 else v for v in sorted({Fraction(v) for v in values})]
+    filed = _compile(system, bindings)
+    if filed is None:
+        return []
 
     solutions = []
-    n = system.dim
-    for combo in itertools.product(grid, repeat=len(system.unknowns)):
-        assignment = dict(zip(system.unknowns, combo))
-        if all(eq.evaluate(assignment) == 0 for eq in bound_eqs):
+    n, size = system.dim, len(system.unknowns)
+    x = [None] * size
+    # stack[k] yields the grid values still to try for unknown k; the loop
+    # stops at depth size, where x is a solution
+    stack = [iter(grid)]
+    while stack:
+        k = len(stack) - 1
+        if k == size:
             solutions.append(
                 LinearMap.from_columns(
-                    tuple(
-                        tuple(Scalar.rational(combo[j * n + i]) for i in range(n))
-                        for j in range(n)
-                    )
+                    tuple(tuple(Scalar.rational(x[j * n + i]) for i in range(n)) for j in range(n))
                 )
             )
+            stack.pop()
+            continue
+        for v in stack[k]:
+            x[k] = v
+            if all(_vanishes(rows, x) for rows in filed[k]):
+                stack.append(iter(grid))
+                break
+        else:
+            stack.pop()
     return solutions
 
 

@@ -204,6 +204,38 @@ def test_morphisms_grid_in_dimension_three(tmp_path, capsys):
     assert "grid search: 25 solution(s)" in out  # 24 rotations plus the zero map
 
 
+P3_DOC = "dim 3\nparams p\nbasis e1 e2 e3\ncomplete skew-binary\nbinary e1 e2 = p*e3\n"
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        (P3_DOC, ["--grid=0"], "unbound parameter 'p'"),
+        (P3_DOC, ["--grid=0", "--export", "system.eqs"], "unbound parameter 'p'"),
+        (P3_DOC, ["--grid=0", "--bind", "p=1", "--bind", "nosuch=1"], "--bind: 'nosuch' is not a parameter of the algebra"),
+        (emit_algebra(get("A1")), ["--bind", "lambda=1"], "--bind: 'lambda' is not a parameter of the algebra"),
+        (P3_DOC, ["--bind", "q" * 5000 + "=1"], "--bind: '" + "q" * 40 + "...' is not a parameter of the algebra"),
+        (P3_DOC, ["--bind", "p=1"], "--bind binds parameters for the grid search, so it needs --grid "
+                                     "(in dimension 2 the default grid is used)"),
+    ],
+    ids=["grid-unbound", "grid-unbound-export", "bind-stray", "bind-stray-dim2", "bind-stray-long", "bind-no-grid"],
+)
+def test_morphisms_flag_mismatch_exits_2_before_output(tmp_path, monkeypatch, capsys, doc, flags, message):
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, "p.alg", doc)
+    assert main(["morphisms", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "system.eqs").exists()
+
+
+def test_morphisms_grid_with_bound_parameter(tmp_path, capsys):
+    path = _write(tmp_path, "p.alg", P3_DOC)
+    assert main(["morphisms", path, "--grid=0", "--bind", "p=1"]) == 0
+    assert "grid search: 1 solution(s)" in capsys.readouterr().out  # the zero map
+
+
 def test_morphisms_on_a_twisted_algebra(capsys, hb2_file):
     path, alg = hb2_file
     assert main(["morphisms", str(path)]) == 0

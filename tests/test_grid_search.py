@@ -1,0 +1,212 @@
+"""grid_search against the exhaustive scan it replaced.
+
+``brute_force_grid_search`` below is the earlier implementation, verbatim
+but for its name: it evaluates every equation at every point of
+``grid ** unknowns`` with ``Scalar.evaluate``.  The pruned depth-first
+search must return the identical ordered list of maps on every system here,
+including ones where no equation prunes (the zero algebra), where every
+branch dies at once (a nonzero constant), and where exactness decides.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+from fractions import Fraction as F
+
+import pytest
+
+from hombol.algebra import HomAlgebra, LinearMap
+from hombol.catalog import get, get_twisted
+from hombol.morphisms import DEFAULT_GRID, ConstraintSystem, generate_constraints, grid_search, unknown_names
+from hombol.scalars import ZERO, Scalar, parse_scalar
+from hombol.serialization import parse_algebra
+
+
+def brute_force_grid_search(system, values, parameter_bindings=None):
+    """All unknown assignments over a finite value grid solving the system.
+
+    Every algebra parameter must be bound to a rational first.  Candidates
+    are enumerated, and returned, in lexicographic order of the unknown
+    vector over the ascending value grid; the zero map, when it solves the
+    system, is simply one of them.
+    """
+    bindings = {name: Fraction(v) for name, v in (parameter_bindings or {}).items()}
+    unbound = sorted(system.params - set(bindings))
+    if unbound:
+        raise ValueError(f"unbound parameter {unbound[0]!r}")
+    grid = sorted({Fraction(v) for v in values})
+    bound_eqs = [eq.substitute(bindings) for eq in system.equations] if bindings else list(system.equations)
+    bound_eqs = [eq for eq in bound_eqs if not eq.is_zero()]
+
+    solutions = []
+    n = system.dim
+    for combo in itertools.product(grid, repeat=len(system.unknowns)):
+        assignment = dict(zip(system.unknowns, combo))
+        if all(eq.evaluate(assignment) == 0 for eq in bound_eqs):
+            solutions.append(
+                LinearMap.from_columns(
+                    tuple(
+                        tuple(Scalar.rational(combo[j * n + i]) for i in range(n))
+                        for j in range(n)
+                    )
+                )
+            )
+    return solutions
+
+
+def _same(system, values, bindings=None):
+    """Both searches agree, map by map and in order; returns the maps."""
+    expected = brute_force_grid_search(system, values, bindings)
+    found = grid_search(system, values, bindings)
+    assert [m.rows for m in found] == [m.rows for m in expected]
+    return found
+
+
+LAMBDAS = (F(-2), F(-1), F(-1, 2), F(1, 2), F(1), F(2))
+
+
+@pytest.mark.parametrize(
+    "name, sign, lam",
+    [("A1", None, None)] + [("A2", None, lam) for lam in LAMBDAS]
+    + [("A3", sign, lam) for sign in "+-" for lam in LAMBDAS],
+)
+def test_catalog_entries_on_the_default_grid(name, sign, lam):
+    system = generate_constraints(get(name, sign=sign))
+    found = _same(system, DEFAULT_GRID, None if lam is None else {"lambda": lam})
+    assert any(m.is_zero() for m in found)
+
+
+def test_scaled_relabelled_so3():
+    # the cross product scaled by 3/2 on the basis (v, u, w): the zero map
+    # plus the 24 signed permutation matrices
+    doc = (
+        "dim 3\nbasis u v w\ncomplete skew-binary\n"
+        "binary v u = 3/2*w\nbinary u w = 3/2*v\nbinary w v = 3/2*u\n"
+    )
+    found = _same(generate_constraints(parse_algebra(doc)), (-1, 0, 1))
+    assert len(found) == 25
+
+
+def _random_case(dim, seed):
+    """A sparse algebra with fractional and symbolic entries, and a value for
+    its parameter p.  A binary cell is empty with probability 0.8 and a
+    ternary one with 0.95; the others are one basis vector times c or c*p."""
+    rng = random.Random(f"grid-search/{dim}/{seed}")
+
+    def cell(empty):
+        if rng.random() < empty:
+            return (ZERO,) * dim
+        coeff = Scalar.rational(F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2, 3))))
+        if rng.random() < 0.4:
+            coeff = coeff * Scalar.parameter("p")
+        k = rng.randrange(dim)
+        return tuple(coeff if i == k else ZERO for i in range(dim))
+
+    binary = tuple(tuple(cell(0.8) for _ in range(dim)) for _ in range(dim))
+    ternary = tuple(tuple(tuple(cell(0.95) for _ in range(dim)) for _ in range(dim)) for _ in range(dim))
+    system = generate_constraints(HomAlgebra(dim, params=("p",), binary=binary, ternary=ternary))
+    return system, {"p": F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2)))}
+
+
+@pytest.mark.parametrize(
+    "dim, seed, grid",
+    [(2, seed, DEFAULT_GRID) for seed in range(6)] + [(3, seed, (F(-1, 2), 0, 1)) for seed in range(3)],
+)
+def test_random_sparse_algebras(dim, seed, grid):
+    system, bindings = _random_case(dim, seed)
+    _same(system, grid, bindings)
+
+
+def test_random_algebras_have_maps_besides_zero():
+    # guards the cases above against all degenerating to "zero map only"
+    counts = []
+    for seed in range(6):
+        system, bindings = _random_case(2, seed)
+        counts.append(len(grid_search(system, DEFAULT_GRID, bindings)))
+    assert sum(c > 1 for c in counts) >= 3
+
+
+def test_zero_algebra_every_point_solves_in_order():
+    system = generate_constraints(HomAlgebra(2))
+    assert system.equations == ()
+    found = _same(system, DEFAULT_GRID)
+    assert len(found) == len(DEFAULT_GRID) ** 4 == 2401
+    assert [tuple(m.column(0).coords) for m in found[:3]] == [
+        (Scalar.rational(-2), Scalar.rational(-2)),
+    ] * 3
+
+
+@pytest.mark.parametrize("b", (F(2), F(-1), F(1, 2)))
+def test_twisted_algebra_adds_intertwining_equations(b):
+    system = generate_constraints(get_twisted("HB_A2", lam=F(1), a=F(0), b=b))
+    found = _same(system, DEFAULT_GRID)
+    assert len(found) >= 2  # the zero map and the identity at least
+
+
+def test_twisted_algebra_with_symbolic_parameters_bound_at_search():
+    system = generate_constraints(get_twisted("HB_A3", sign="+"))
+    assert system.params >= {"lambda", "b"}
+    bindings = {name: value for name, value in zip(sorted(system.params), (F(1), F(-1), F(1, 2)))}
+    _same(system, DEFAULT_GRID, bindings)
+
+
+def _system(*equations, params=()):
+    return ConstraintSystem(
+        dim=2,
+        unknowns=unknown_names(2),
+        params=frozenset(params),
+        equations=tuple(parse_scalar(e) for e in equations),
+    )
+
+
+def test_binding_to_a_nonzero_constant_means_no_solutions():
+    system = _system("a1*b2 - a2", "p^2 - 4", "a1 - b1", params=("p",))
+    assert _same(system, DEFAULT_GRID, {"p": 3}) == []
+    # at p = 2 the constant vanishes and the other equations decide
+    assert len(_same(system, DEFAULT_GRID, {"p": 2})) > 1
+
+
+def test_binding_that_cancels_an_equation_drops_it():
+    system = _system("p*a1 - a1", "a2 - b1", params=("p",))
+    found = _same(system, DEFAULT_GRID, {"p": 1})
+    assert len(found) == len(DEFAULT_GRID) ** 3
+
+
+def test_unsorted_grid_with_duplicates_and_fractions():
+    system = generate_constraints(get("A3", sign="-"))
+    grid = (1, F(-1, 2), 0, F(2, 4), 1, -1, F(1, 2), 0, F(-4, 2))
+    found = _same(system, grid, {"lambda": F(-1, 2)})
+    assert found == _same(system, sorted(set(map(F, grid))), {"lambda": F(-1, 2)})
+
+
+THIRDS = (F(-2, 3), F(-1, 3), 0, F(1, 3), F(2, 3), 1, F(4, 3), 2)
+
+
+@pytest.mark.parametrize(
+    "equations, grid, count",
+    [
+        # a float evaluation finds 71 of these 83 maps: each lost one is a
+        # sum of terms k/7 * (thirds)^3 that cancels exactly but rounds
+        (("-1/7*a1^2*b1 - 1/7*a2^2*b1 - 1/7*b1*b2", "3/7*a1*a2*b2 + 3/7*a1^3 + 3/7*a2*b1"), THIRDS, 83),
+        # mixed denominators: the lcm scaling must not drop one of them
+        (("3/7*a1 - 1/2*b1", "1/3*a2*b2 - 2/5*a2 + 1/5*b1*a2"), THIRDS + (F(-3, 7), F(3, 7), F(6, 7)), 22),
+    ],
+    ids=["thirds-sevenths", "mixed-denominators"],
+)
+def test_rational_grids_are_decided_exactly(equations, grid, count):
+    """Zeros that only exact rational arithmetic finds: integer rows over
+    fractional grid values must give exactly the exhaustive scan's maps."""
+    assert len(_same(_system(*equations), grid)) == count
+
+
+def test_unbound_parameter_is_refused_before_searching():
+    system = _system("p*a1", params=("p", "q"))
+    with pytest.raises(ValueError, match="^unbound parameter 'p'$"):
+        grid_search(system, DEFAULT_GRID)
+    with pytest.raises(ValueError, match="^unbound parameter 'q'$"):
+        grid_search(system, DEFAULT_GRID, {"p": 1})
+    # a name the system does not declare is refused in the same words
+    undeclared = _system("p*a1 - b2")
+    for search in (grid_search, brute_force_grid_search):
+        with pytest.raises(ValueError, match="^unbound parameter 'p'$"):
+            search(undeclared, DEFAULT_GRID)

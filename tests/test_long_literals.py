@@ -126,7 +126,10 @@ def test_flag_rationals_still_accepted(capsys, value, entry):
 
 def test_grid_and_bind_rationals_still_accepted(tmp_path, capsys):
     path = tmp_path / "lie.alg"
-    path.write_text("dim 3\nbasis e1 e2 e3\ncomplete skew-binary\nbinary e1 e2 = e3\n", encoding="utf-8")
+    path.write_text(
+        "dim 3\nparams lam\nbasis e1 e2 e3\ncomplete skew-binary\nbinary e1 e2 = 2*lam*e3\n", encoding="utf-8"
+    )
     assert main(["morphisms", str(path), "--grid=0, 1e0,-1_0/1_0", "--bind", "lam=0.5"]) == 0
-    # the same grid as --grid=0,1,-1, which finds 657 maps
+    # the same grid as --grid=0,1,-1, which finds 657 maps (lam = 1/2 makes
+    # the product e1 e2 = e3; scaling a product leaves its morphisms as they are)
     assert "grid search: 657 solution(s)" in capsys.readouterr().out
