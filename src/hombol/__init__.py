@@ -14,12 +14,10 @@ from .algebra import HomAlgebra, LinearMap, Vector, is_morphism, is_weak_morphis
 from .catalog import DiscrepancyReport, cross_check, get, get_twisted
 from .constructions import (
     DERIVED_ORDER_LIMIT,
-    derived_binary_only,
     hom_jacobian,
     malcev_to_bol,
     nth_derived,
     self_twist,
-    sequence_member,
     yau_twist,
 )
 from .errors import (
@@ -77,7 +75,6 @@ __all__ = [
     "check_suite",
     "classify_2dim",
     "cross_check",
-    "derived_binary_only",
     "emit_algebra",
     "emit_constraints",
     "emit_map",
@@ -97,7 +94,6 @@ __all__ = [
     "parse_scalar",
     "parse_suite",
     "self_twist",
-    "sequence_member",
     "verify_candidate",
     "yau_twist",
 ]

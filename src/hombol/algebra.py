@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ExponentLimitError
 from .scalars import Scalar, ZERO, ONE
 
 __all__ = [
@@ -33,7 +33,13 @@ __all__ = [
     "tensor",
     "cell_at",
     "zero_tensor",
+    "POWER_LIMIT",
 ]
+
+# the largest exponent LinearMap.power takes: it admits 2^(n+1) - 2 at the
+# largest derived order n = 16, and since an entry of a symbolic map power can
+# gain a term per factor, it also bounds the size of a twisted algebra
+POWER_LIMIT = 2**17
 
 # (kind, arity) of the two structure tensors, in the order they are walked
 PRODUCTS = (("binary", 2), ("ternary", 3))
@@ -220,6 +226,8 @@ class LinearMap:
     def power(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("map powers take a nonnegative integer exponent")
+        if k > POWER_LIMIT:
+            raise ExponentLimitError(f"a map power exceeds the exponent limit {POWER_LIMIT}")
         result = LinearMap.identity(self.dim)
         base = self
         while k:

@@ -13,8 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import catalog
-from .constructions import malcev_to_bol, nth_derived, self_twist, sequence_member
-from .errors import ParseError, PreconditionError, parse_int
+from .constructions import malcev_to_bol, nth_derived, self_twist
+from .errors import ParseError, PreconditionError, int_digit_limit, parse_int
 from .identities import SUITES, check_suite, parse_suite
 from .morphisms import DEFAULT_GRID, classify_2dim, generate_constraints, grid_search
 from .serialization import (
@@ -66,7 +66,7 @@ def _cmd_derive(args):
 
 def _cmd_seq(args):
     alg = parse_algebra(_read(args.file))
-    print(emit_algebra(sequence_member(alg, None, args.n)), end="")
+    print(emit_algebra(self_twist(alg, alg.twist, args.n)), end="")
     return 0
 
 
@@ -156,7 +156,7 @@ def _flag_rational(flag, text, offset=0):
     character of text)."""
     for m in re.finditer(r"\d+(?:_\d+)*", text):
         parse_int(m.group(), column=offset + m.start() + 1, source=flag)
-    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    limit = int_digit_limit()
     m = re.search(r"[eE][-+]?(\d+(?:_\d+)*)", text)
     if m and int(m.group(1)) > limit:
         raise ParseError(

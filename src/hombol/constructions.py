@@ -2,8 +2,10 @@
 
 Each construction composes a power of some endomorphism with the structure
 tensors (matrix times unfolded tensor, entry by entry), so outputs stay exact
-scalar tensors.  Derived-algebra orders are capped (default 16) because the
-twist powers grow like 2^(n+1).
+scalar tensors.  The paper's two closure theorems are ``self_twist``, along a
+commuting self-morphism (``yau_twist`` is its identity-twist case, the twisting
+sequence its beta = alpha case), and ``nth_derived``, whose order is capped at
+DERIVED_ORDER_LIMIT because its twist powers grow like 2^(n+1).
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ __all__ = [
     "yau_twist",
     "self_twist",
     "nth_derived",
-    "derived_binary_only",
-    "sequence_member",
     "malcev_to_bol",
     "hom_jacobian",
     "DERIVED_ORDER_LIMIT",
@@ -47,14 +47,14 @@ def _require_endomorphism(beta, alg, who):
 
 def _recompose(algebra, base, p, q, t, *, tail=None, add_params=False):
     """The algebra with its binary product composed with base^p, its ternary
-    product with base^q (None: zero), and the twist base^t, then tail.
+    product with base^q, and the twist base^t, then tail.
 
     The powers are made one at a time, after the previous one is used, so
     only one large symbolic power is alive at once.  ``add_params`` adds
     base's parameters to the algebra's.
     """
     binary = compose_tensor(base.power(p), algebra.binary, 2)
-    ternary = None if q is None else compose_tensor(base.power(q), algebra.ternary, 3)
+    ternary = compose_tensor(base.power(q), algebra.ternary, 3)
     twist = base.power(t) if tail is None else base.power(t).compose(tail)
     params = algebra.params | base.variables() if add_params else algebra.params
     return algebra.replace(binary=binary, ternary=ternary, twist=twist, params=params)
@@ -76,56 +76,31 @@ def yau_twist(algebra, beta, *, check=True):
 
 
 def self_twist(algebra, beta, n):
-    """Twist a twisted algebra along a commuting endomorphism beta, n >= 1.
+    """Twist a twisted algebra along a commuting endomorphism beta, n >= 0.
 
     Binary gains beta^n, ternary beta^(2n), and the twist becomes
-    beta^n . alpha.
+    beta^n . alpha; n = 0 gives the algebra back.  With beta = alpha this is
+    member n of the twisting sequence.
     """
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError("self_twist: n must be a positive integer")
+    if not isinstance(n, int) or n < 0:
+        raise PreconditionError("self_twist: n must be a nonnegative integer")
     _require_endomorphism(beta, algebra, "self_twist")
     if not beta.commutes_with(algebra.twist):
         raise PreconditionError("self_twist: the map does not commute with the twist")
     return _recompose(algebra, beta, n, 2 * n, n, tail=algebra.twist, add_params=True)
 
 
-def _check_order(n, limit, who):
-    if not isinstance(n, int) or n < 0:
-        raise PreconditionError(f"{who}: the order n must be a nonnegative integer")
-    if n > limit:
-        raise ExponentLimitError(
-            f"{who}: order {n} exceeds the exponent limit {limit}; twist powers would reach 2^{n + 1}"
-        )
-
-
-def nth_derived(algebra, n, *, limit=DERIVED_ORDER_LIMIT):
+def nth_derived(algebra, n):
     """The n-th derived algebra: binary gains twist^(2^n - 1), ternary
     twist^(2^(n+1) - 2), and the twist becomes twist^(2^n)."""
-    _check_order(n, limit, "nth_derived")
-    return _recompose(algebra, algebra.twist, 2**n - 1, 2 ** (n + 1) - 2, 2**n)
-
-
-def derived_binary_only(algebra, n, *, limit=DERIVED_ORDER_LIMIT):
-    """Derived construction for the binary part alone; the ternary is zero."""
-    _check_order(n, limit, "derived_binary_only")
-    return _recompose(algebra, algebra.twist, 2**n - 1, None, 2**n)
-
-
-def sequence_member(algebra, beta, n):
-    """Member n of the twisting sequence: binary beta^n, ternary beta^(2n),
-    twist beta^(n+1).
-
-    ``beta=None`` uses the algebra twist (the closure case); any other beta
-    must be a commuting endomorphism.
-    """
     if not isinstance(n, int) or n < 0:
-        raise PreconditionError("sequence_member: n must be a nonnegative integer")
-    if beta is None:
-        beta = algebra.twist
-    _require_endomorphism(beta, algebra, "sequence_member")
-    if not beta.commutes_with(algebra.twist):
-        raise PreconditionError("sequence_member: the map does not commute with the twist")
-    return _recompose(algebra, beta, n, 2 * n, n + 1, add_params=True)
+        raise PreconditionError("nth_derived: the order n must be a nonnegative integer")
+    if n > DERIVED_ORDER_LIMIT:
+        raise ExponentLimitError(
+            f"nth_derived: order {n} exceeds the exponent limit {DERIVED_ORDER_LIMIT}; "
+            f"twist powers would reach 2^{n + 1}"
+        )
+    return _recompose(algebra, algebra.twist, 2**n - 1, 2 ** (n + 1) - 2, 2**n)
 
 
 # the ternary product a Malcev algebra induces, and the twisted Jacobian

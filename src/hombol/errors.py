@@ -24,6 +24,12 @@ class ParseError(ValueError):
         return ParseError(self.message, line=line, column=column)
 
 
+def int_digit_limit():
+    """Python's limit on the digits of an integer it reads or prints (the
+    default one when the limit is switched off)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def parse_int(token, *, line=None, column=None, source=None):
     """int(token) for a run of digits a parser has matched.
 
@@ -53,7 +59,8 @@ class PreconditionError(ValueError):
 
 
 class ExponentLimitError(PreconditionError):
-    """Derived-algebra order exceeds the configured exponent bound."""
+    """A derived-algebra order above DERIVED_ORDER_LIMIT, or a map power above
+    POWER_LIMIT (twisting orders, --twist-exp, A^k in identities)."""
 
 
 class DimensionMismatch(ValueError):

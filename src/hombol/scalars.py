@@ -18,10 +18,11 @@ behind ``str(Scalar)`` and the vector layout, and the line splitter.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError, parse_int
+from .errors import ParseError, int_digit_limit, parse_int
 
 __all__ = ["Scalar", "parse_scalar", "ZERO", "ONE"]
 
@@ -370,6 +371,13 @@ class TokenReader:
         return value
 
 
+def _too_long_power(q, k):
+    """Whether the numerator or denominator of q^k has more digits than
+    Python prints, decided without computing the power."""
+    m = max(abs(q.numerator), q.denominator)
+    return m > 1 and k >= int_digit_limit() / math.log10(m)
+
+
 class _ScalarReader(TokenReader):
     """Recursive-descent reader for the scalar literal grammar."""
 
@@ -406,7 +414,14 @@ class _ScalarReader(TokenReader):
             raise ParseError(f"expected a number or name, got {value!r}" if value else "unexpected end of input", column=col)
         if self.at_op("^"):
             self.take()
-            base = base ** self.expect_number("an integer exponent")
+            col = self.peek()[2]
+            k = self.expect_number("an integer exponent")
+            if kind == "num" and _too_long_power(base.as_fraction(), k):
+                raise ParseError(
+                    f"a power of a number would exceed Python's {int_digit_limit()}-digit limit for integers",
+                    column=col,
+                )
+            base = base**k
         return base
 
 

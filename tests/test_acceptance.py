@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 from hombol.algebra import HomAlgebra, LinearMap, Vector, zero_tensor
 from hombol.catalog import build, cross_check, get, get_twisted, names
-from hombol.constructions import hom_jacobian, malcev_to_bol, nth_derived, self_twist, sequence_member, yau_twist
+from hombol.constructions import hom_jacobian, malcev_to_bol, nth_derived, self_twist, yau_twist
 from hombol.errors import PreconditionError
 from hombol.identities import SUITES, check_identity, check_suite, evaluate
 from hombol.morphisms import DEFAULT_GRID, FAMILY_CANDIDATES, generate_constraints, grid_search, verify_candidate
@@ -445,7 +445,7 @@ def test_criterion_10_serialization_round_trip():
     samples += [
         ("derived HB_A2 n=2", nth_derived(hb2, 2)),
         ("self-twisted HB_A2", self_twist(hb2, hb2.twist, 1)),
-        ("sequence member n=3", sequence_member(hb2, None, 3)),
+        ("sequence member n=3", self_twist(hb2, hb2.twist, 3)),
         ("malcev bridge", malcev_to_bol(lie)),
         (
             "malcev bridge twisted",

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol.algebra import (
+    POWER_LIMIT,
     HomAlgebra,
     LinearMap,
     Vector,
@@ -12,7 +13,7 @@ from hombol.algebra import (
     zero_tensor,
 )
 from hombol.catalog import get, get_twisted
-from hombol.errors import DimensionMismatch
+from hombol.errors import DimensionMismatch, ExponentLimitError
 from hombol.scalars import ONE, Scalar, ZERO
 
 
@@ -60,6 +61,15 @@ def test_linear_map_power():
     assert shear.power(2).column(0) == Vector((ONE, a * (ONE + b)))
     with pytest.raises(ValueError):
         m.power(-1)
+
+
+def test_linear_map_power_limit():
+    flip = LinearMap.from_columns(((ONE, ZERO), (ZERO, -ONE)))
+    assert flip.power(POWER_LIMIT).is_identity()
+    with pytest.raises(ExponentLimitError, match=f"exponent limit {POWER_LIMIT}"):
+        flip.power(POWER_LIMIT + 1)
+    with pytest.raises(ExponentLimitError):
+        LinearMap.identity(2).power(10**4000)
 
 
 def test_linear_map_commutes_with():

@@ -1,11 +1,12 @@
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from hombol.catalog import cross_check, get, get_twisted
 from hombol.cli import main
-from hombol.constructions import malcev_to_bol, nth_derived, self_twist, sequence_member
+from hombol.constructions import malcev_to_bol, nth_derived, self_twist
 from hombol.morphisms import generate_constraints
 from hombol.serialization import emit_algebra, emit_constraints, emit_map, parse_algebra
 
@@ -143,7 +144,43 @@ def test_derive_result_too_long_to_print(tmp_path, capsys):
 def test_seq_command(tmp_path, capsys, hb2_file):
     path, alg = hb2_file
     assert main(["seq", str(path), "--n", "2"]) == 0
-    assert capsys.readouterr().out == emit_algebra(sequence_member(alg, None, 2))
+    assert capsys.readouterr().out == emit_algebra(self_twist(alg, alg.twist, 2))
+
+
+def test_twist_and_seq_order_zero_print_the_input(tmp_path, capsys, hb2_file):
+    path, alg = hb2_file
+    map_path = _write(tmp_path, "alpha.map", emit_map(alg.twist, alg.basis))
+    for argv in (["twist", str(path), "--map", map_path, "--n", "0"], ["seq", str(path), "--n", "0"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == path.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["twist", "hb2.alg", "--map", "alpha.map", "--n", "100000000"], 3, "exponent limit 131072"),
+        (["seq", "hb2.alg", "--n", "100000000"], 3, "exponent limit 131072"),
+        (["check", "hb2.alg", "--suite", "hom_bol", "--twist-exp", "100000000"], 3, "exponent limit 131072"),
+        (["check", "hb2.alg", "--identity", "big.ids"], 3, "exponent limit 131072"),
+        (["check", "pow.alg", "--suite", "bol"], 2, "limit for integers (line 3, column 18)"),
+    ],
+    ids=["twist-n", "seq-n", "twist-exp", "identity-power", "numeric-power"],
+)
+def test_oversized_exponents_fail_fast(tmp_path, monkeypatch, capsys, argv, code, message):
+    """Every map power passes one exponent cap, and a numeric power in a
+    document is refused before it is computed."""
+    monkeypatch.chdir(tmp_path)
+    alg = get_twisted("HB_A2")
+    _write(tmp_path, "hb2.alg", emit_algebra(alg))
+    _write(tmp_path, "alpha.map", emit_map(alg.twist, alg.basis))
+    _write(tmp_path, "big.ids", "big : A^1000000000(x) = x\n")
+    _write(tmp_path, "pow.alg", "dim 1\nbasis e1\nbinary e1 e1 = 3^999999999*e1\n")
+    start = time.perf_counter()
+    assert main(argv) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_malcev2bol_command(tmp_path, capsys):

@@ -2,16 +2,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, zero_tensor
+from hombol.algebra import POWER_LIMIT, HomAlgebra, LinearMap, Vector, zero_tensor
 from hombol.catalog import get, get_twisted
 from hombol.constructions import (
     DERIVED_ORDER_LIMIT,
-    derived_binary_only,
+    _recompose,
     hom_jacobian,
     malcev_to_bol,
     nth_derived,
     self_twist,
-    sequence_member,
     yau_twist,
 )
 from hombol.errors import ExponentLimitError, PreconditionError
@@ -81,8 +80,8 @@ def test_self_twist_composes_powers_of_the_morphism():
 
 def test_self_twist_needs_positive_order_and_commuting_map():
     alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
-    with pytest.raises(PreconditionError, match="positive"):
-        self_twist(alg, alg.twist, 0)
+    with pytest.raises(PreconditionError, match="nonnegative"):
+        self_twist(alg, alg.twist, -1)
     shear = LinearMap.from_columns(((1, 1), (0, 1)))  # endomorphism, does not commute
     with pytest.raises(PreconditionError, match="commute"):
         self_twist(alg, shear, 1)
@@ -134,7 +133,7 @@ def test_derived_preserves_hom_bol():
 
 def test_derived_binary_only_strips_the_ternary():
     alg = get_twisted("HB_A2")
-    d1 = derived_binary_only(alg, 1)
+    d1 = nth_derived(alg.replace(ternary=None), 1)
     assert d1.ternary == zero_tensor(2, 3)
     e1, e2 = Vector.basis(0, 2), Vector.basis(1, 2)
     assert d1.eval_binary(e1, e2) == nth_derived(alg, 1).eval_binary(e1, e2)
@@ -146,28 +145,39 @@ def test_derived_order_limit():
     nth_derived(alg, DERIVED_ORDER_LIMIT)  # at the limit: fine
     with pytest.raises(ExponentLimitError):
         nth_derived(alg, DERIVED_ORDER_LIMIT + 1)
-    with pytest.raises(ExponentLimitError):
-        nth_derived(alg, 5, limit=4)
     with pytest.raises(PreconditionError, match="nonnegative"):
         nth_derived(alg, -1)
 
 
-# --- sequence_member ---------------------------------------------------------
+def test_derived_powers_stay_under_the_map_power_limit():
+    assert 2 ** (DERIVED_ORDER_LIMIT + 1) - 2 <= POWER_LIMIT
+    alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(-1))
+    top = nth_derived(alg, DERIVED_ORDER_LIMIT)  # twist powers up to 2^17 - 2
+    assert top.twist.is_identity() and top.ternary == alg.ternary
+    with pytest.raises(ExponentLimitError, match="exponent limit"):
+        self_twist(alg, alg.twist, POWER_LIMIT // 2 + 1)  # ternary power POWER_LIMIT + 2
+
+
+# --- the twisting sequence: self_twist along the algebra's own twist ----------
 
 
 def test_sequence_member_zero_keeps_tensors_and_installs_the_map():
     beta = LinearMap.from_columns(
         ((Scalar.rational(1), Scalar.parameter("a")), (0, Scalar.parameter("b")))
     )
-    member = sequence_member(get("A2"), beta, 0)
+    member = self_twist(get("A2"), beta, 0)
     assert member.binary == get("A2").binary
     assert member.ternary == get("A2").ternary
+    assert member.twist == get("A2").twist
+    # along beta, the first member of an untwisted algebra's sequence is its Yau twist
+    member = self_twist(get("A2"), beta, 1)
     assert member.twist == beta
+    assert member == yau_twist(get("A2"), beta)
 
 
 def test_sequence_member_scales_like_hand_expansion():
     alg = get_twisted("HB_A2")
-    member = sequence_member(alg, None, 2)  # None: reuse the algebra twist
+    member = self_twist(alg, alg.twist, 2)
     e1, e2 = Vector.basis(0, 2), Vector.basis(1, 2)
     names = {"a", "b", "lambda"}
     assert member.eval_binary(e1, e2) == Vector(
@@ -184,7 +194,20 @@ def test_sequence_member_rejects_non_commuting_maps():
     alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
     shear = LinearMap.from_columns(((1, 1), (0, 1)))
     with pytest.raises(PreconditionError, match="commute"):
-        sequence_member(alg, shear, 1)
+        self_twist(alg, shear, 1)
+
+
+def test_self_twist_along_a_foreign_automorphism_stays_hom_bol():
+    """The cyclic permutation P is an automorphism of the cross product.
+    Twisting so(3)'s Bol algebra along it keeps the hom_bol suite; the
+    formula with the twist P^(n+1) instead of P^n . alpha does not."""
+    bol = malcev_to_bol(_skew_lie(3, CROSS))
+    P = LinearMap.from_columns(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
+    for n in range(3):
+        assert check_suite(self_twist(bol, P, n), "hom_bol").passed
+        unsound = _recompose(bol, P, n, 2 * n, n + 1)
+        failing = {name for name, r in check_suite(unsound, "hom_bol").results if r is not None}
+        assert "twisted_binary_derivation" in failing
 
 
 # --- malcev_to_bol -----------------------------------------------------------

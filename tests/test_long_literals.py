@@ -53,6 +53,29 @@ def test_identity_files(body, column):
     assert _error(parse_suite, text).endswith(f"(line 3, column {column})")
 
 
+POWER = f"a power of a number would exceed Python's {LIMIT}-digit limit for integers"
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [("3^999999999", 3), ("x + 2/3^9" + "9" * 40, 9), ("-10^" + str(LIMIT), 5), ("1/2^" + str(4 * LIMIT), 5)],
+    ids=["integer", "rational", "power-of-ten", "denominator"],
+)
+def test_numeric_powers_are_bounded(text, column):
+    """A numeric power whose numerator or denominator Python could not print
+    is refused at its exponent, before it is computed."""
+    with pytest.raises(ParseError) as info:
+        parse_scalar(text)
+    assert str(info.value) == f"{POWER} (column {column})"
+
+
+def test_numeric_powers_within_the_bound():
+    assert len(str(parse_scalar("10^" + str(LIMIT - 1)))) == LIMIT
+    for base in ("0", "1", "-1", "7/7"):
+        assert str(parse_scalar(base + "^999999999")) == str(parse_scalar(base))
+    assert str(parse_scalar("b^65536")) == "b^65536"
+
+
 def test_dim_header():
     assert _error(parse_algebra, "dim " + BIG + "\nbasis e1\n").endswith("(line 1, column 5)")
 

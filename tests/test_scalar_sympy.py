@@ -1,0 +1,73 @@
+"""Scalar ring laws against sympy (needs hypothesis and sympy; skipped without them).
+
+Sums, products, powers, substitutions and evaluations of small random
+polynomials must equal what sympy.expand makes of the same expressions.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+sympy = pytest.importorskip("sympy")
+
+from hombol.scalars import Scalar
+
+given = hypothesis.given
+
+NAMES = ("a", "b", "lambda")
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+
+monomials = st.lists(st.tuples(st.sampled_from(NAMES), st.integers(1, 3)), max_size=3).map(
+    lambda pairs: tuple(sorted(dict(pairs).items()))
+)
+coefficients = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+scalars = st.dictionaries(monomials, coefficients, max_size=4).map(Scalar)
+# values bound to a parameter: linear, so a substitution stays small
+linear_monomials = st.sampled_from(((),) + tuple(((name, 1),) for name in NAMES))
+linear = st.dictionaries(linear_monomials, coefficients, max_size=2).map(Scalar)
+
+
+def to_sympy(s):
+    """The sympy expression of a Scalar, built term by term (no text)."""
+    total = sympy.Integer(0)
+    for mono, coeff in s.terms():
+        term = sympy.Rational(coeff.numerator, coeff.denominator)
+        for name, e in mono:
+            term *= SYMBOLS[name] ** e
+        total += term
+    return total
+
+
+def same(s, expr):
+    """Whether a Scalar equals a sympy expression once both are expanded."""
+    return sympy.expand(to_sympy(s) - expr) == 0
+
+
+@given(scalars, scalars)
+def test_sum(x, y):
+    assert same(x + y, to_sympy(x) + to_sympy(y))
+    assert same(x - y, to_sympy(x) - to_sympy(y))
+
+
+@given(scalars, scalars)
+def test_product(x, y):
+    assert same(x * y, to_sympy(x) * to_sympy(y))
+
+
+@given(scalars, st.integers(0, 4))
+def test_power(x, k):
+    assert same(x**k, to_sympy(x) ** k)
+
+
+@given(scalars, st.dictionaries(st.sampled_from(NAMES), linear, max_size=3))
+def test_substitute(x, bindings):
+    expected = to_sympy(x).subs({SYMBOLS[n]: to_sympy(v) for n, v in bindings.items()}, simultaneous=True)
+    assert same(x.substitute(bindings), expected)
+
+
+@given(scalars, st.fixed_dictionaries({name: coefficients for name in NAMES}))
+def test_evaluate(x, values):
+    expected = to_sympy(x).subs({SYMBOLS[n]: sympy.Rational(v.numerator, v.denominator) for n, v in values.items()})
+    assert x.evaluate(values) == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
