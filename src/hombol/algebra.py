@@ -338,9 +338,6 @@ class HomAlgebra:
         fields.update(kwargs)
         return HomAlgebra(**fields)
 
-    def basis_vector(self, i):
-        return Vector.basis(i, self.dim)
-
     def eval_binary(self, u, v):
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatch("operands do not match the algebra dimension")
@@ -377,12 +374,6 @@ class HomAlgebra:
                     for l, c in cell:
                         _accumulate(out, l, factor * c)
         return Vector._of(tuple(out))
-
-    def binary_value(self, i, j):
-        return Vector._of(self.binary[i][j])
-
-    def ternary_value(self, i, j, k):
-        return Vector._of(self.ternary[i][j][k])
 
     def is_multiplicative(self):
         """Whether the twist preserves both products (is a weak self-morphism)."""
@@ -424,7 +415,8 @@ def morphism_residuals(theta, src, dst):
     """theta(x*y) - theta(x)*theta(y) on every basis pair, then
     theta({x,y,z}) - {theta(x),theta(y),theta(z)} on every basis triple, in
     lexicographic index order, as ("binary"|"ternary", index tuple, residual
-    Vector)."""
+    Vector); then ("twist", (i,), row i of theta.alpha_src - alpha_dst.theta)
+    for every row i."""
     if src.dim != dst.dim or theta.dim != src.dim:
         raise DimensionMismatch("morphism check needs equal dimensions")
     images = [theta.column(j) for j in range(src.dim)]
@@ -432,15 +424,19 @@ def morphism_residuals(theta, src, dst):
     for kind, idx, coords in src.cells():
         lhs = theta.apply(Vector._of(coords))
         yield kind, idx, lhs - products[kind](*(images[i] for i in idx))
+    lhs, rhs = theta.compose(src.twist), dst.twist.compose(theta)
+    for i in range(src.dim):
+        yield "twist", (i,), Vector._of(lhs.rows[i]) - Vector._of(rhs.rows[i])
 
 
 def first_weak_morphism_failure(theta, src, dst):
     """First basis pair/triple where theta fails to intertwine the products.
 
-    Returns None when theta is a weak morphism, else the first nonzero entry
-    of ``morphism_residuals``.
+    Returns None when theta is a weak morphism, else the first nonzero
+    product entry of ``morphism_residuals``; the twist rows are not read.
     """
-    return next((r for r in morphism_residuals(theta, src, dst) if not r[2].is_zero()), None)
+    products = itertools.takewhile(lambda r: r[0] != "twist", morphism_residuals(theta, src, dst))
+    return next((r for r in products if not r[2].is_zero()), None)
 
 
 def is_weak_morphism(theta, src, dst):
@@ -450,6 +446,4 @@ def is_weak_morphism(theta, src, dst):
 
 def is_morphism(theta, src, dst):
     """A weak morphism that also intertwines the twists."""
-    if not is_weak_morphism(theta, src, dst):
-        return False
-    return theta.compose(src.twist) == dst.twist.compose(theta)
+    return all(r[2].is_zero() for r in morphism_residuals(theta, src, dst))

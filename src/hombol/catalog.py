@@ -221,9 +221,9 @@ _ROW_LABELS = (
 
 def _constructed_rows(alg):
     return (
-        alg.binary_value(0, 1),
-        alg.ternary_value(0, 1, 0),
-        alg.ternary_value(0, 1, 1),
+        Vector(alg.binary[0][1]),
+        Vector(alg.ternary[0][1][0]),
+        Vector(alg.ternary[0][1][1]),
         alg.twist.column(0),
         alg.twist.column(1),
     )

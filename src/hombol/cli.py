@@ -53,7 +53,7 @@ def _cmd_check(args):
 
 def _cmd_twist(args):
     alg = parse_algebra(_read(args.file))
-    beta = _load_map(args.map, alg)
+    beta = _load_map(args.map, alg) if args.map else alg.twist
     print(emit_algebra(self_twist(alg, beta, args.n)), end="")
     return 0
 
@@ -61,12 +61,6 @@ def _cmd_twist(args):
 def _cmd_derive(args):
     alg = parse_algebra(_read(args.file))
     print(emit_algebra(nth_derived(alg, args.n)), end="")
-    return 0
-
-
-def _cmd_seq(args):
-    alg = parse_algebra(_read(args.file))
-    print(emit_algebra(self_twist(alg, alg.twist, args.n)), end="")
     return 0
 
 
@@ -221,19 +215,16 @@ def _build_parser():
     which = sp.add_mutually_exclusive_group(required=True)
     which.add_argument("--suite", help=f"built-in suite: {', '.join(sorted(SUITES))}")
     which.add_argument("--identity", help="file of 'name : identity' lines")
-    sp.add_argument("--twist-exp", default=None,
-                    help="reinterpret A as this power of the twist")
+    sp.add_argument("--twist-exp", default="1",
+                    help="reinterpret A as this power of the twist (default 1)")
 
     sp = sub.add_parser("twist", help="twist along a commuting endomorphism")
     sp.add_argument("file")
-    sp.add_argument("--map", required=True, help="map document for the endomorphism")
+    sp.add_argument("--map", help="map document for the endomorphism (default: the algebra's "
+                    "own twist, giving the twisting sequence)")
     sp.add_argument("--n", default="1", help="twisting order (default 1)")
 
     sp = sub.add_parser("derive", help="nth derived algebra")
-    sp.add_argument("file")
-    sp.add_argument("--n", required=True)
-
-    sp = sub.add_parser("seq", help="nth member of the twist-power sequence")
     sp.add_argument("file")
     sp.add_argument("--n", required=True)
 
@@ -267,7 +258,6 @@ def main(argv=None):
         "check": _cmd_check,
         "twist": _cmd_twist,
         "derive": _cmd_derive,
-        "seq": _cmd_seq,
         "malcev2bol": _cmd_malcev2bol,
         "morphisms": _cmd_morphisms,
         "catalog": _cmd_catalog,

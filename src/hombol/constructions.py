@@ -10,7 +10,7 @@ DERIVED_ORDER_LIMIT because its twist powers grow like 2^(n+1).
 
 from __future__ import annotations
 
-from .algebra import LinearMap, cell_at, first_weak_morphism_failure, tensor, zero_tensor
+from .algebra import POWER_LIMIT, LinearMap, cell_at, morphism_residuals, tensor, zero_tensor
 from .errors import ExponentLimitError, PreconditionError
 from .identities import SUITES, check_suite, parse_identity, tabulate
 
@@ -24,7 +24,8 @@ __all__ = [
     "DERIVED_ORDER_LIMIT",
 ]
 
-DERIVED_ORDER_LIMIT = 16
+# the largest order whose ternary power 2^(n+1) - 2 stays within POWER_LIMIT
+DERIVED_ORDER_LIMIT = POWER_LIMIT.bit_length() - 2
 
 
 def compose_tensor(m, t, arity):
@@ -35,9 +36,11 @@ def compose_tensor(m, t, arity):
 
 
 def _require_endomorphism(beta, alg, who):
-    failure = first_weak_morphism_failure(beta, alg, alg)
-    if failure is not None:
-        kind, indices, residual = failure
+    for kind, indices, residual in morphism_residuals(beta, alg, alg):
+        if residual.is_zero():
+            continue
+        if kind == "twist":
+            raise PreconditionError(f"{who}: the map does not commute with the twist")
         labels = ", ".join(alg.basis[i] for i in indices)
         raise PreconditionError(
             f"{who}: map is not an endomorphism; {kind} product at ({labels}) "
@@ -45,17 +48,18 @@ def _require_endomorphism(beta, alg, who):
         )
 
 
-def _recompose(algebra, base, p, q, t, *, tail=None, add_params=False):
-    """The algebra with its binary product composed with base^p, its ternary
-    product with base^q, and the twist base^t, then tail.
+def _recompose(algebra, base, p, q, *, add_params=False):
+    """The algebra with its ternary product composed with base^q, its binary
+    product with base^p, and the twist base^p . alpha.
 
-    The powers are made one at a time, after the previous one is used, so
-    only one large symbolic power is alive at once.  ``add_params`` adds
-    base's parameters to the algebra's.
+    The ternary power is made and dropped before the binary one, so only
+    one large symbolic power is alive at once.  ``add_params`` adds base's
+    parameters to the algebra's.
     """
-    binary = compose_tensor(base.power(p), algebra.binary, 2)
     ternary = compose_tensor(base.power(q), algebra.ternary, 3)
-    twist = base.power(t) if tail is None else base.power(t).compose(tail)
+    power = base.power(p)
+    binary = compose_tensor(power, algebra.binary, 2)
+    twist = power.compose(algebra.twist)
     params = algebra.params | base.variables() if add_params else algebra.params
     return algebra.replace(binary=binary, ternary=ternary, twist=twist, params=params)
 
@@ -72,7 +76,7 @@ def yau_twist(algebra, beta, *, check=True):
         raise PreconditionError("yau_twist: the algebra must carry the identity twist")
     if check:
         _require_endomorphism(beta, algebra, "yau_twist")
-    return _recompose(algebra, beta, 1, 2, 1, add_params=True)
+    return _recompose(algebra, beta, 1, 2, add_params=True)
 
 
 def self_twist(algebra, beta, n):
@@ -85,9 +89,7 @@ def self_twist(algebra, beta, n):
     if not isinstance(n, int) or n < 0:
         raise PreconditionError("self_twist: n must be a nonnegative integer")
     _require_endomorphism(beta, algebra, "self_twist")
-    if not beta.commutes_with(algebra.twist):
-        raise PreconditionError("self_twist: the map does not commute with the twist")
-    return _recompose(algebra, beta, n, 2 * n, n, tail=algebra.twist, add_params=True)
+    return _recompose(algebra, beta, n, 2 * n, add_params=True)
 
 
 def nth_derived(algebra, n):
@@ -100,7 +102,7 @@ def nth_derived(algebra, n):
             f"nth_derived: order {n} exceeds the exponent limit {DERIVED_ORDER_LIMIT}; "
             f"twist powers would reach 2^{n + 1}"
         )
-    return _recompose(algebra, algebra.twist, 2**n - 1, 2 ** (n + 1) - 2, 2**n)
+    return _recompose(algebra, algebra.twist, 2**n - 1, 2 ** (n + 1) - 2)
 
 
 # the ternary product a Malcev algebra induces, and the twisted Jacobian
@@ -130,10 +132,10 @@ def malcev_to_bol(algebra, beta=None):
 
     table = tabulate(_MALCEV_BRACKET.lhs, algebra, _MALCEV_BRACKET.variables)
     ternary = tensor(algebra.dim, 3, lambda idx: cell_at(table, idx).coords)
-    return yau_twist(algebra.replace(ternary=ternary), beta)
+    return _recompose(algebra.replace(ternary=ternary), beta, 1, 2, add_params=True)
 
 
 def hom_jacobian(algebra):
     """The twisted Jacobian tensor: J(x,y,z) = sum over cyclic rotations of
     (x*y)*alpha(z), returned as a rank-3 table of vectors indexed [i][j][k]."""
-    return tabulate(_HOM_JACOBI.lhs, algebra, _HOM_JACOBI.variables, SUITES["hom_lie"].twist_exponent)
+    return tabulate(_HOM_JACOBI.lhs, algebra, _HOM_JACOBI.variables)

@@ -123,7 +123,6 @@ class Identity:
 class IdentitySuite:
     name: str
     identities: tuple
-    twist_exponent: int = 1
 
 
 @dataclass(frozen=True)
@@ -455,7 +454,7 @@ class _Evaluator:
             raise ValueError("twist exponent must be nonnegative")
         self.alg = alg
         self.exponent = twist_exponent
-        self.leaves = [alg.basis_vector(i) for i in range(alg.dim)] if leaves is None else leaves
+        self.leaves = [Vector.basis(i, alg.dim) for i in range(alg.dim)] if leaves is None else leaves
         self._powers = {}
         self._memo = {}
 
@@ -549,19 +548,18 @@ def check_identity(alg, identity, twist_exponent=1):
     return None
 
 
-def check_suite(alg, suite, twist_exponent=None):
-    """Check every identity of a suite; the suite's twist exponent applies
-    unless overridden."""
+def check_suite(alg, suite, twist_exponent=1):
+    """Check every identity of a suite, reading A as the given power of the
+    twist."""
     if isinstance(suite, str):
         try:
             suite = SUITES[suite.lower()]
         except KeyError:
             raise KeyError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}") from None
-    e = suite.twist_exponent if twist_exponent is None else twist_exponent
     results = []
     for ident in suite.identities:
-        results.append((ident.name, check_identity(alg, ident, twist_exponent=e)))
-    return SuiteReport(suite=suite.name, twist_exponent=e, results=tuple(results))
+        results.append((ident.name, check_identity(alg, ident, twist_exponent=twist_exponent)))
+    return SuiteReport(suite=suite.name, twist_exponent=twist_exponent, results=tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import LinearMap, Vector, morphism_residuals
+from .algebra import LinearMap, morphism_residuals
 from .errors import PreconditionError
 from .scalars import Scalar, ZERO, ONE
 
@@ -96,18 +96,10 @@ def generate_constraints(algebra):
     )
 
     equations = {}
-
-    def push(residual):
+    for _, _, residual in morphism_residuals(theta, algebra, algebra):
         for coord in residual.coords:
             if not coord.is_zero():
                 equations.setdefault(coord, None)
-
-    for _, _, residual in morphism_residuals(theta, algebra, algebra):
-        push(residual)
-    lhs = theta.compose(algebra.twist)
-    rhs = algebra.twist.compose(theta)
-    for i in range(n):
-        push(Vector(lhs.rows[i]) - Vector(rhs.rows[i]))
 
     eqs = tuple(equations)
     params = frozenset().union(*(eq.variables() for eq in eqs)) - set(names) if eqs else frozenset()

@@ -45,7 +45,12 @@ __all__ = [
     "emit_constraints",
     "format_vector",
     "format_suite_report",
+    "DIM_LIMIT",
 ]
+
+# the largest dim a document may declare: an algebra holds dim^4 ternary
+# coordinates, about a million at dim 32
+DIM_LIMIT = 32
 
 
 def format_vector(v, labels):
@@ -114,9 +119,12 @@ class _DocReader:
                 raise ParseError("duplicate dim line", line=lineno)
             if len(words) != 2 or not words[1].isdecimal():
                 raise ParseError("dim takes one positive integer", line=lineno)
-            self.dim = parse_int(words[1], line=lineno, column=line.index(words[1], len(key)) + 1)
+            column = line.index(words[1], len(key)) + 1
+            self.dim = parse_int(words[1], line=lineno, column=column)
             if self.dim < 1:
                 raise ParseError("dim takes one positive integer", line=lineno)
+            if self.dim > DIM_LIMIT:
+                raise ParseError(f"dim may not exceed {DIM_LIMIT}", line=lineno, column=column)
             return True
         if key == "params":
             if self.params is not None:

@@ -10,6 +10,7 @@ from hombol.algebra import (
     first_weak_morphism_failure,
     is_morphism,
     is_weak_morphism,
+    morphism_residuals,
     zero_tensor,
 )
 from hombol.catalog import get, get_twisted
@@ -104,8 +105,8 @@ def test_eval_ternary_oracle():
     w = Vector((0, 3))
     # only [e2,e1,e2] survives: coeff 1*2*3 = 6, value +e2 -> (0, 6)
     assert a1.eval_ternary(u, v, w) == Vector((0, 6))
-    assert a1.ternary_value(0, 1, 0) == Vector((1, 0))
-    assert a1.binary_value(1, 0) == Vector((0, 1))
+    assert Vector(a1.ternary[0][1][0]) == Vector((1, 0))
+    assert Vector(a1.binary[1][0]) == Vector((0, 1))
 
 
 def test_eval_dimension_guard():
@@ -165,6 +166,15 @@ def test_is_morphism_needs_twist_compatibility():
     assert is_morphism(hb2.twist, hb2, hb2)
     swap = LinearMap.from_columns(((0, 1), (1, 0)))
     assert not is_morphism(swap, hb2, hb2)
+
+
+def test_is_morphism_false_for_a_weak_morphism_off_the_twist():
+    hb2 = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
+    shear = LinearMap.from_columns(((1, 1), (0, 1)))  # e1 -> e1 + e2, e2 -> e2
+    assert is_weak_morphism(shear, hb2, hb2)
+    assert not is_morphism(shear, hb2, hb2)
+    failing = [(kind, idx) for kind, idx, r in morphism_residuals(shear, hb2, hb2) if not r.is_zero()]
+    assert failing == [("twist", (1,))]
 
 
 def test_is_multiplicative_with_identity_twist():

@@ -92,6 +92,16 @@ def test_check_bad_document(tmp_path, capsys):
     assert "undeclared symbol 'c'" in capsys.readouterr().err
 
 
+def test_oversized_dim_fails_fast(tmp_path, capsys):
+    path = _write(tmp_path, "huge.alg", "dim 100000\nbasis e1\n")
+    start = time.perf_counter()
+    assert main(["check", path, "--suite", "bol"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dim may not exceed 32 (line 1, column 5)\n"
+
+
 # --- constructions -----------------------------------------------------------
 
 
@@ -143,14 +153,14 @@ def test_derive_result_too_long_to_print(tmp_path, capsys):
 
 def test_seq_command(tmp_path, capsys, hb2_file):
     path, alg = hb2_file
-    assert main(["seq", str(path), "--n", "2"]) == 0
+    assert main(["twist", str(path), "--n", "2"]) == 0
     assert capsys.readouterr().out == emit_algebra(self_twist(alg, alg.twist, 2))
 
 
 def test_twist_and_seq_order_zero_print_the_input(tmp_path, capsys, hb2_file):
     path, alg = hb2_file
     map_path = _write(tmp_path, "alpha.map", emit_map(alg.twist, alg.basis))
-    for argv in (["twist", str(path), "--map", map_path, "--n", "0"], ["seq", str(path), "--n", "0"]):
+    for argv in (["twist", str(path), "--map", map_path, "--n", "0"], ["twist", str(path), "--n", "0"]):
         assert main(argv) == 0
         assert capsys.readouterr().out == path.read_text(encoding="utf-8")
 
@@ -159,7 +169,7 @@ def test_twist_and_seq_order_zero_print_the_input(tmp_path, capsys, hb2_file):
     "argv, code, message",
     [
         (["twist", "hb2.alg", "--map", "alpha.map", "--n", "100000000"], 3, "exponent limit 131072"),
-        (["seq", "hb2.alg", "--n", "100000000"], 3, "exponent limit 131072"),
+        (["twist", "hb2.alg", "--n", "100000000"], 3, "exponent limit 131072"),
         (["check", "hb2.alg", "--suite", "hom_bol", "--twist-exp", "100000000"], 3, "exponent limit 131072"),
         (["check", "hb2.alg", "--identity", "big.ids"], 3, "exponent limit 131072"),
         (["check", "pow.alg", "--suite", "bol"], 2, "limit for integers (line 3, column 18)"),

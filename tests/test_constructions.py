@@ -205,7 +205,7 @@ def test_self_twist_along_a_foreign_automorphism_stays_hom_bol():
     P = LinearMap.from_columns(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
     for n in range(3):
         assert check_suite(self_twist(bol, P, n), "hom_bol").passed
-        unsound = _recompose(bol, P, n, 2 * n, n + 1)
+        unsound = _recompose(bol, P, n, 2 * n).replace(twist=P.power(n + 1))
         failing = {name for name, r in check_suite(unsound, "hom_bol").results if r is not None}
         assert "twisted_binary_derivation" in failing
 
@@ -244,6 +244,15 @@ def test_malcev_to_bol_preconditions():
         malcev_to_bol(get_twisted("HB_A2"))
     with pytest.raises(PreconditionError, match="ternary tensor"):
         malcev_to_bol(get("A1"))
+
+
+def test_malcev_to_bol_refuses_a_non_endomorphism():
+    scale = LinearMap.from_columns(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+    with pytest.raises(PreconditionError) as info:
+        malcev_to_bol(_skew_lie(3, CROSS), scale)
+    assert str(info.value) == (
+        "malcev_to_bol: map is not an endomorphism; binary product at (e1, e2) differs by (0, 0, -1)"
+    )
 
 
 # --- hom_jacobian ------------------------------------------------------------

@@ -73,7 +73,7 @@ def old_malcev_ternary(alg):
         for j in range(n):
             row = []
             for k in range(n):
-                x, y, z = (alg.basis_vector(t) for t in (i, j, k))
+                x, y, z = (Vector.basis(t, n) for t in (i, j, k))
                 value = (
                     alg.eval_binary(alg.eval_binary(x, y), z).scale(2)
                     - alg.eval_binary(alg.eval_binary(y, z), x)
@@ -87,7 +87,7 @@ def old_malcev_ternary(alg):
 
 def old_hom_jacobian(alg):
     n = alg.dim
-    basis = [alg.basis_vector(i) for i in range(n)]
+    basis = [Vector.basis(i, n) for i in range(n)]
     twisted = [alg.twist.apply(v) for v in basis]
 
     def jac(i, j, k):
@@ -104,12 +104,22 @@ def old_residuals(theta, src, dst):
     images = [theta.column(j) for j in range(n)]
     for i in range(n):
         for j in range(n):
-            yield "binary", (i, j), theta.apply(src.binary_value(i, j)) - dst.eval_binary(images[i], images[j])
+            yield "binary", (i, j), theta.apply(Vector(src.binary[i][j])) - dst.eval_binary(images[i], images[j])
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                lhs = theta.apply(src.ternary_value(i, j, k))
+                lhs = theta.apply(Vector(src.ternary[i][j][k]))
                 yield "ternary", (i, j, k), lhs - dst.eval_ternary(images[i], images[j], images[k])
+
+
+def old_twist_rows(theta, src, dst):
+    """The twist block of generate_constraints before morphism_residuals
+    carried it, with src and dst for the one algebra it read."""
+    n = src.dim
+    lhs = theta.compose(src.twist)
+    rhs = dst.twist.compose(theta)
+    for i in range(n):
+        yield "twist", (i,), Vector(lhs.rows[i]) - Vector(rhs.rows[i])
 
 
 def old_first_failure(theta, src, dst):
@@ -168,7 +178,7 @@ def test_tabulate_shapes_and_twist_exponent():
     node = parse_identity("A(x) = 0").lhs
     assert tabulate(node, alg, ("x",)) == tuple(alg.twist.column(i) for i in range(3))
     assert tabulate(node, alg, ("x",), twist_exponent=2) == tuple(alg.twist.power(2).column(i) for i in range(3))
-    assert tabulate(parse_identity("x*y = 0").lhs, alg, ("y", "x"))[2][0] == alg.binary_value(0, 2)
+    assert tabulate(parse_identity("x*y = 0").lhs, alg, ("y", "x"))[2][0] == Vector(alg.binary[0][2])
     assert tabulate(parse_identity("0 = 0").lhs, alg, ()) == Vector.zero(3)
 
 
@@ -203,7 +213,10 @@ def test_morphism_residuals_match_the_old_loops(dim, seed):
     rng = random.Random(seed)
     src, dst = _random_algebra(rng, dim), _random_algebra(rng, dim)
     theta = LinearMap(_matrix(rng, dim))
-    assert list(morphism_residuals(theta, src, dst)) == list(old_residuals(theta, src, dst))
+    rows = list(morphism_residuals(theta, src, dst))
+    products = [r for r in rows if r[0] != "twist"]
+    assert products == list(old_residuals(theta, src, dst))
+    assert rows[len(products):] == list(old_twist_rows(theta, src, dst))
     assert first_weak_morphism_failure(theta, src, dst) == old_first_failure(theta, src, dst)
 
 
@@ -281,13 +294,13 @@ def old_emit_algebra(alg):
     n = alg.dim
     for i in range(n):
         for j in range(n):
-            cell = alg.binary_value(i, j)
+            cell = Vector(alg.binary[i][j])
             if not cell.is_zero():
                 lines.append(f"binary {alg.basis[i]} {alg.basis[j]} = {format_vector(cell, alg.basis)}")
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                cell = alg.ternary_value(i, j, k)
+                cell = Vector(alg.ternary[i][j][k])
                 if not cell.is_zero():
                     lines.append(
                         f"ternary {alg.basis[i]} {alg.basis[j]} {alg.basis[k]} = "

@@ -103,8 +103,8 @@ def test_products_match_dense_reference(dim, seed):
             assert alg.eval_ternary(Vector(v), Vector(u), Vector(v)).coords == dense_ternary(ternary, v, u, v)
     for i in range(dim):
         for j in range(dim):
-            assert alg.binary_value(i, j).coords == binary[i][j]
-            assert alg.ternary_value(i, j, (i + j) % dim).coords == ternary[i][j][(i + j) % dim]
+            assert alg.binary[i][j] == binary[i][j]
+            assert alg.ternary[i][j][(i + j) % dim] == ternary[i][j][(i + j) % dim]
 
 
 @pytest.mark.parametrize("dim, seed", CASES)

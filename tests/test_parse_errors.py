@@ -17,7 +17,7 @@ import pytest
 from hombol.errors import MultilinearityError, ParseError
 from hombol.identities import parse_identity, parse_suite
 from hombol.scalars import parse_scalar
-from hombol.serialization import parse_algebra, parse_constraints, parse_map
+from hombol.serialization import DIM_LIMIT, parse_algebra, parse_constraints, parse_map
 
 H = "dim 2\nbasis e1 e2\n"
 
@@ -151,6 +151,9 @@ CASES = [
     ('constraints', 'unknowns a\n1/0*a', ParseError, 'zero denominator (line 2, column 3)'),
     ('constraints', 'unknowns a\n1 $', ParseError, "unexpected character '$' (line 2, column 3)"),
     ('constraints', 'unknowns a\nparams p\np*a^', ParseError, 'expected an integer exponent (line 3, column 5)'),
+    # appended, so that the ids of the rows above keep their numbers
+    ('algebra', 'dim 33', ParseError, 'dim may not exceed 32 (line 1, column 5)'),
+    ('algebra', 'dim 100000', ParseError, 'dim may not exceed 32 (line 1, column 5)'),
 ]
 
 
@@ -162,6 +165,11 @@ def test_error_text(reader, text, error, message):
         READERS[reader](text)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_the_largest_dim_parses():
+    labels = " ".join(f"e{i + 1}" for i in range(DIM_LIMIT))
+    assert parse_algebra(f"dim {DIM_LIMIT}\nbasis {labels}\n").dim == DIM_LIMIT == 32
 
 
 def test_every_reader_is_covered():
