@@ -435,7 +435,7 @@ def first_weak_morphism_failure(theta, src, dst):
     Returns None when theta is a weak morphism, else the first nonzero
     product entry of ``morphism_residuals``; the twist rows are not read.
     """
-    products = itertools.takewhile(lambda r: r[0] != "twist", morphism_residuals(theta, src, dst))
+    products = itertools.islice(morphism_residuals(theta, src, dst), src.dim**2 + src.dim**3)
     return next((r for r in products if not r[2].is_zero()), None)
 
 

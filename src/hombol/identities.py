@@ -26,13 +26,15 @@ parameters in the structure constants, Pass means identically zero
 polynomials.  A suite may fix a twist exponent e, reinterpreting A as the
 e-th power of the ambient twist.
 
-One memoizing evaluator does all evaluation: ``check_identity`` runs it over
-basis tuples, ``evaluate`` on the caller's vectors, and ``tabulate`` returns
-its value table over basis tuples (the constructions build tensors with it).
+One evaluator does all evaluation: each node evaluates once to a sparse table
+of its nonzero values on basis tuples.  ``check_identity`` tabulates the sides
+on blocks of tuples, ``tabulate`` densifies a table (the constructions build
+tensors with it), and ``evaluate`` uses the caller's vectors as the leaves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -309,23 +311,22 @@ def parse_suite(text, name="custom"):
 def _appearance_order(node):
     if isinstance(node, Var):
         yield node.name
-    elif isinstance(node, MapApp):
-        yield from _appearance_order(node.arg)
-    elif isinstance(node, ScalarMul):
-        yield from _appearance_order(node.arg)
-    elif isinstance(node, Binary):
-        yield from _appearance_order(node.left)
-        yield from _appearance_order(node.right)
-    elif isinstance(node, Ternary):
-        yield from _appearance_order(node.first)
-        yield from _appearance_order(node.second)
-        yield from _appearance_order(node.third)
-    elif isinstance(node, Sum):
-        for t in node.terms:
-            yield from _appearance_order(t)
     elif isinstance(node, CyclicSum):
         yield from node.names
-        yield from _appearance_order(node.body)
+    for child in _children(node):
+        yield from _appearance_order(child)
+
+
+def _children(node):
+    if isinstance(node, (MapApp, ScalarMul)):
+        return (node.arg,)
+    if isinstance(node, Binary):
+        return (node.left, node.right)
+    if isinstance(node, Ternary):
+        return (node.first, node.second, node.third)
+    if isinstance(node, CyclicSum):
+        return (node.body,)
+    return node.terms if isinstance(node, Sum) else ()
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +375,8 @@ def _varcounts(node):
     if isinstance(node, (MapApp, ScalarMul)):
         return _varcounts(node.arg)
     if isinstance(node, (Binary, Ternary)):
-        parts = (node.left, node.right) if isinstance(node, Binary) else (node.first, node.second, node.third)
         total = {}
-        for part in parts:
+        for part in _children(node):
             counts = _varcounts(part)
             if counts is None:
                 return None  # a zero operand makes the whole product zero
@@ -439,94 +439,87 @@ def _validate_multilinear(ident):
 # evaluation
 
 
-class _Evaluator:
-    """The one evaluator of identity nodes over an algebra.
+class _Tables:
+    """The one evaluator of identity nodes over an algebra.  A node's table
+    maps the leaf indices of its free variables, in order of appearance, to
+    its nonzero value there; ``dom`` maps each variable to the indices it
+    ranges over, and tables are memoized on the node and those domains."""
 
-    env maps variable name -> index into ``leaves``, the vectors the
-    variables stand for: the basis by default.  A subexpression's value is
-    memoized on the indices of its own free variables, which makes the
-    five-variable identities cheap under full enumeration, and twist powers
-    are computed once.
-    """
-
-    def __init__(self, alg, twist_exponent=1, leaves=None):
+    def __init__(self, alg, twist_exponent, leaves=None):
         if twist_exponent < 0:
             raise ValueError("twist exponent must be nonnegative")
         self.alg = alg
-        self.exponent = twist_exponent
         self.leaves = [Vector.basis(i, alg.dim) for i in range(alg.dim)] if leaves is None else leaves
-        self._powers = {}
-        self._memo = {}
+        self.map_power = functools.cache(lambda k: alg.twist.power(twist_exponent * k))
+        self.memo = {}
 
-    def map_power(self, k):
-        m = self._powers.get(k)
-        if m is None:
-            m = self.alg.twist.power(self.exponent * k)
-            self._powers[k] = m
-        return m
-
-    def node_memo(self, node):
-        """(key getter, memo) for a node: the getter reads the indices of the
-        node's free variables from an env, the memo maps them to values."""
+    def table(self, node, dom):
+        """(free variables, table) of a node."""
         names = tuple(dict.fromkeys(_appearance_order(node)))
-        got = (operator.itemgetter(*names) if names else _no_vars, {})
-        self._memo[id(node)] = got
-        return got
+        key = (node, tuple(dom[n] for n in names))
+        if key not in self.memo:
+            self.memo[key] = self._tabulate(node, names, dom)
+        return names, self.memo[key]
 
-    def eval(self, node, env):
+    def _tabulate(self, node, names, dom):
         if isinstance(node, Var):
-            return self.leaves[env[node.name]]
-        key_of, memo = self._memo.get(id(node)) or self.node_memo(node)
-        key = key_of(env)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        if isinstance(node, MapApp):
-            value = self.map_power(node.power).apply(self.eval(node.arg, env))
-        elif isinstance(node, Binary):
-            value = self.alg.eval_binary(self.eval(node.left, env), self.eval(node.right, env))
-        elif isinstance(node, Ternary):
-            value = self.alg.eval_ternary(
-                self.eval(node.first, env), self.eval(node.second, env), self.eval(node.third, env)
-            )
-        elif isinstance(node, ScalarMul):
-            value = self.eval(node.arg, env).scale(node.coeff)
-        elif isinstance(node, Sum):
-            value = Vector.zero(self.alg.dim)
-            for t in node.terms:
-                value = value + self.eval(t, env)
-        elif isinstance(node, CyclicSum):
-            a, b, c = node.names
-            rotations = (
-                env,
-                {**env, a: env[b], b: env[c], c: env[a]},
-                {**env, a: env[c], b: env[a], c: env[b]},
-            )
-            value = Vector.zero(self.alg.dim)
-            for rotated in rotations:
-                value = value + self.eval(node.body, rotated)
+            out = {(i,): self.leaves[i] for i in dom[node.name]}
+        elif isinstance(node, (MapApp, ScalarMul)):
+            f = self.map_power(node.power).apply if isinstance(node, MapApp) else lambda v: v.scale(node.coeff)
+            out = {key: f(v) for key, v in self.table(node.arg, dom)[1].items()}
+        elif isinstance(node, (Binary, Ternary)):
+            parts = [self.table(part, dom) for part in _children(node)]
+            mul = self.alg.eval_binary if isinstance(node, Binary) else self.alg.eval_ternary
+            rows = [((), ())]  # (joined key, values) over all operands but the last
+            for _, t in parts[:-1]:
+                rows = [(key + k, values + (v,)) for key, values in rows for k, v in t.items()]
+            out = {key + k: mul(*values, v) for key, values in rows for k, v in parts[-1][1].items()}
+            out = _rekey(sum((p for p, _ in parts), ()), out, names, dom)
         else:
-            raise TypeError(f"not an identity node: {node!r}")
-        memo[key] = value
-        return value
+            if isinstance(node, Sum):
+                terms = [(term, {}) for term in node.terms]
+            elif isinstance(node, CyclicSum):
+                a, b, c = node.names
+                # in each rotation the body's variable t stands for the outer turn(t)
+                terms = [(node.body, turn) for turn in ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b})]
+            else:
+                raise TypeError(f"not an identity node: {node!r}")
+            out = {}
+            for term, turn in terms:
+                term_names, table = self.table(term, {**dom, **{t: dom[u] for t, u in turn.items()}})
+                for key, v in _rekey(tuple(turn.get(n, n) for n in term_names), table, names, dom).items():
+                    out[key] = out[key] + v if key in out else v
+        return {key: v for key, v in out.items() if v._support()}
 
 
-def _no_vars(env):
-    return ()
+def _rekey(src, table, dst, dom):
+    """A table over the variables ``src`` re-keyed over ``dst``, which holds
+    them all.  A variable missing from ``src`` takes every index of its
+    domain; one that ``src`` repeats (only outside a multilinear identity)
+    keeps the keys where its repeats agree."""
+    full = src + tuple(n for n in dst if n not in src)
+    pos = [full.index(n) for n in dst]
+    pick = operator.itemgetter(*pos) if len(pos) > 1 else lambda key: tuple(key[p] for p in pos)
+    twins = [(full.index(n), p) for p, n in enumerate(full) if full.index(n) != p]
+    fills = list(itertools.product(*(dom[n] for n in full[len(src):])))
+    agree = (key for key in table if all(key[p] == key[q] for p, q in twins)) if twins else table
+    return {pick(key + fill): table[key] for key in agree for fill in fills}
 
 
 def evaluate(node, alg, env, twist_exponent=1):
     """Evaluate a node on arbitrary vectors; env maps variable name -> Vector."""
-    ev = _Evaluator(alg, twist_exponent, list(env.values()))
-    return ev.eval(node, {name: i for i, name in enumerate(env)})
+    tables = _Tables(alg, twist_exponent, list(env.values()))
+    _, table = tables.table(node, {name: (r,) for r, name in enumerate(env)})
+    return next(iter(table.values()), Vector.zero(alg.dim))
 
 
 def tabulate(node, alg, variables, twist_exponent=1):
     """The values of a node on every assignment of basis vectors to
     ``variables``: nested tuples of Vectors, indexed [i][j]... in the order
     of ``variables``."""
-    ev = _Evaluator(alg, twist_exponent)
-    return tensor(alg.dim, len(variables), lambda idx: ev.eval(node, dict(zip(variables, idx))))
+    dom = dict.fromkeys(variables, range(alg.dim))
+    table = _rekey(*_Tables(alg, twist_exponent).table(node, dom), tuple(variables), dom)
+    return tensor(alg.dim, len(variables), lambda idx: table.get(idx, Vector.zero(alg.dim)))
 
 
 def check_identity(alg, identity, twist_exponent=1):
@@ -536,15 +529,21 @@ def check_identity(alg, identity, twist_exponent=1):
     smallest failing index tuple.  With symbolic structure constants Pass
     means the residual is the zero polynomial at every tuple.
     """
-    ev = _Evaluator(alg, twist_exponent)
     names = identity.variables
-    for indices in itertools.product(range(alg.dim), repeat=len(names)):
-        env = dict(zip(names, indices))
-        residual = ev.eval(identity.lhs, env) - ev.eval(identity.rhs, env)
-        if not residual.is_zero():
-            return Counterexample(
-                identity=identity.name, variables=names, indices=indices, residual=residual
-            )
+    tables = _Tables(alg, twist_exponent)
+    zero = Vector.zero(alg.dim)
+    # pin leading variables to 0 for nested blocks that grow dim-fold from the
+    # first tuple, so that a failure there is found early, then pin the first
+    # variable to each index in turn; a tuple may be checked twice
+    for prefix in [(0,) * m for m in range(len(names), 1, -1)] + [(i,) for i in range(alg.dim)]:
+        dom = {**dict.fromkeys(names, range(alg.dim)), **{n: range(i, i + 1) for n, i in zip(names, prefix)}}
+        lhs, rhs = (_rekey(*tables.table(side, dom), names, dom) for side in (identity.lhs, identity.rhs))
+        for key in sorted(lhs.keys() | rhs.keys()):
+            residual = lhs.get(key, zero) - rhs.get(key, zero)
+            if not residual.is_zero():
+                return Counterexample(identity=identity.name, variables=names, indices=key, residual=residual)
+        if len(prefix) == 1:  # keep the tables made with no variable pinned
+            tables.memo = {e: t for e, t in tables.memo.items() if all(len(d) == alg.dim for d in e[1])}
     return None
 
 

@@ -181,6 +181,21 @@ def test_is_multiplicative_with_identity_twist():
     assert get("A1").is_multiplicative()
 
 
+def test_weak_checks_never_compose_the_twist_rows(monkeypatch):
+    # a passing weak check stops after the product rows, so it never builds
+    # theta.alpha or alpha.theta for the twist rows that follow them
+    a1, hb2 = get("A1"), get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
+    calls = []
+    compose = LinearMap.compose
+    monkeypatch.setattr(LinearMap, "compose", lambda self, other: calls.append(1) or compose(self, other))
+    assert a1.is_multiplicative()
+    assert is_weak_morphism(hb2.twist, hb2, hb2)
+    assert first_weak_morphism_failure(LinearMap.identity(2), a1, a1) is None
+    assert calls == []
+    assert is_morphism(hb2.twist, hb2, hb2)  # the full check does read them
+    assert len(calls) == 2
+
+
 def test_is_multiplicative_shear_scale_on_raw_tensors():
     # raw A2 tensors with the shear-and-scale twist attached, numeric b not in
     # {0, 1}: both sides of the ternary row expand to lambda*b*e2, because the
