@@ -11,7 +11,7 @@ catalog of two-dimensional examples with cross-checked closed forms.
 """
 
 from .algebra import HomAlgebra, LinearMap, Vector, is_morphism, is_weak_morphism
-from .catalog import DiscrepancyReport, cross_check, get, get_twisted
+from .catalog import DiscrepancyReport, cross_check, get
 from .constructions import (
     DERIVED_ORDER_LIMIT,
     hom_jacobian,
@@ -80,7 +80,6 @@ __all__ = [
     "emit_map",
     "generate_constraints",
     "get",
-    "get_twisted",
     "grid_search",
     "hom_jacobian",
     "is_morphism",

@@ -244,9 +244,6 @@ class LinearMap:
     def is_zero(self):
         return all(c.is_zero() for row in self.rows for c in row)
 
-    def commutes_with(self, other):
-        return self.compose(other) == other.compose(self)
-
     def variables(self):
         names = set()
         for row in self.rows:

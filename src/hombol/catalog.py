@@ -24,8 +24,7 @@ constructor output is always the shipped value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, tensor
 from .constructions import nth_derived, yau_twist
@@ -36,12 +35,9 @@ __all__ = [
     "CatalogEntry",
     "DiscrepancyReport",
     "DiscrepancyRow",
-    "build",
     "cross_check",
-    "describe",
     "entries",
     "get",
-    "get_twisted",
     "names",
 ]
 
@@ -70,9 +66,10 @@ def _vec(c1, c2):
     return Vector((c1, c2))
 
 
-def _bol(v12, t121, t122):
-    """Two-dimensional Bol algebra from the three defining cells, skew-completed."""
-    defining = {(0, 1): v12, (0, 1, 0): t121, (0, 1, 1): t122}
+def _bol(t121, t122):
+    """Two-dimensional Bol algebra with the shared binary product e1*e2 = -e2
+    and the two defining ternary cells, skew-completed."""
+    defining = {(0, 1): _vec(ZERO, -ONE), (0, 1, 0): t121, (0, 1, 1): t122}
     cells = {**defining, **{(1, 0) + idx[2:]: -v for idx, v in defining.items()}}
     zero = Vector.zero(2)
     products = {kind: tensor(2, arity, lambda idx: cells.get(idx, zero).coords) for kind, arity in PRODUCTS}
@@ -80,61 +77,9 @@ def _bol(v12, t121, t122):
     return HomAlgebra(dim=2, basis=_BASIS, params=params, twist=LinearMap.identity(2), **products)
 
 
-def _build_a1():
-    return _bol(_vec(ZERO, -ONE), _vec(ONE, ZERO), _vec(ZERO, -ONE))
-
-
-def _build_a2(lam=None):
-    lam = _scalar_or(lam, "lambda")
-    return _bol(_vec(ZERO, -ONE), _vec(ZERO, lam), _vec(ZERO, ZERO))
-
-
-def _build_a3(lam=None, sign=None):
-    lam = _scalar_or(lam, "lambda")
-    s = _coerce_sign(sign, "A3")
-    return _bol(_vec(ZERO, -ONE), _vec(ZERO, lam), _vec(s, ZERO))
-
-
 def _beta_shear_scale(a, b):
     # columns are images of e1, e2
     return LinearMap.from_columns(((ONE, a), (ZERO, b)))
-
-
-def get(name, lam=None, sign=None):
-    """Build one of the untwisted entries A1, A2, A3.
-
-    lam left as None stays the symbolic parameter ``lambda``; A3 requires an
-    explicit sign ('+' or '-').
-    """
-    if name == "A1":
-        return _build_a1()
-    if name == "A2":
-        return _build_a2(lam)
-    if name == "A3":
-        return _build_a3(lam, sign)
-    raise ValueError(f"unknown catalog name {name!r}; untwisted entries are A1, A2, A3")
-
-
-def get_twisted(name, lam=None, a=None, b=None, sign=None):
-    """Build one of the twisted entries HB_A2, HB_A3.
-
-    Unbound parameters stay symbolic.  HB_A3's twisting family preserves the
-    binary product but scales the constant [e1,e2,e2] by b^2, so it is an
-    endomorphism only at b = +1 or -1; the entry is built with the
-    endomorphism check disabled so the axiom suites and cross_check can
-    surface the consequences for free b.
-    """
-    if name == "HB_A2":
-        base = _build_a2(lam)
-        beta = _beta_shear_scale(_scalar_or(a, "a"), _scalar_or(b, "b"))
-        return yau_twist(base, beta)
-    if name == "HB_A3":
-        base = _build_a3(lam, sign)
-        beta = _beta_shear_scale(ZERO, _scalar_or(b, "b"))
-        return yau_twist(base, beta, check=False)
-    raise ValueError(
-        f"unknown catalog name {name!r}; twisted entries are HB_A2, HB_A3"
-    )
 
 
 @dataclass(frozen=True)
@@ -143,6 +88,7 @@ class CatalogEntry:
     parameters: tuple
     required: tuple
     description: str
+    build: object = field(repr=False, compare=False)  # (lam, a, b, sign) -> HomAlgebra
 
 
 _ENTRIES = (
@@ -152,35 +98,48 @@ _ENTRIES = (
         (),
         "rigid type: [e1,e2,e1] = e1, [e1,e2,e2] = -e2; "
         "its only self-morphisms are 0 and the identity",
+        lambda lam, a, b, sign: _bol(_vec(ONE, ZERO), _vec(ZERO, -ONE)),
     ),
     CatalogEntry(
         "A2",
         ("lambda",),
         (),
         "family with [e1,e2,e1] = lambda*e2 and [e1,e2,e2] = 0",
+        lambda lam, a, b, sign: _bol(_vec(ZERO, _scalar_or(lam, "lambda")), Vector.zero(2)),
     ),
     CatalogEntry(
         "A3",
         ("lambda", "sign"),
         ("sign",),
         "family with [e1,e2,e1] = lambda*e2 and [e1,e2,e2] = sign*e1",
+        lambda lam, a, b, sign: _bol(
+            _vec(ZERO, _scalar_or(lam, "lambda")), _vec(_coerce_sign(sign, "A3"), ZERO)
+        ),
     ),
     CatalogEntry(
         "HB_A2",
         ("lambda", "a", "b"),
         (),
         "A2 twisted along beta(e1) = e1 + a*e2, beta(e2) = b*e2",
+        lambda lam, a, b, sign: yau_twist(
+            get("A2", lam), _beta_shear_scale(_scalar_or(a, "a"), _scalar_or(b, "b"))
+        ),
     ),
+    # HB_A3's twisting family preserves the binary product but scales the
+    # constant [e1,e2,e2] by b^2, so it is an endomorphism only at b = +1 or
+    # -1; the entry is built with the endomorphism check disabled so the
+    # axiom suites and cross_check can surface the consequences for free b.
     CatalogEntry(
         "HB_A3",
         ("lambda", "b", "sign"),
         ("sign",),
         "A3 twisted along beta(e1) = e1, beta(e2) = b*e2 "
         "(an endomorphism only at b = +1 or -1; built unchecked)",
+        lambda lam, a, b, sign: yau_twist(
+            get("A3", lam, sign=sign), _beta_shear_scale(ZERO, _scalar_or(b, "b")), check=False
+        ),
     ),
 )
-
-_BY_NAME = {entry.name: entry for entry in _ENTRIES}
 
 
 def names():
@@ -191,19 +150,16 @@ def entries():
     return _ENTRIES
 
 
-def describe(name):
-    entry = _BY_NAME.get(name)
-    if entry is None:
-        raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(names())}")
-    return entry.description
+def get(name, lam=None, a=None, b=None, sign=None):
+    """Build the named entry.
 
-
-def build(name, lam=None, a=None, b=None, sign=None):
-    """Uniform builder over all five entry names (CLI entry point)."""
-    if name in ("A1", "A2", "A3"):
-        return get(name, lam=lam, sign=sign)
-    if name in ("HB_A2", "HB_A3"):
-        return get_twisted(name, lam=lam, a=a, b=b, sign=sign)
+    A parameter left as None stays symbolic (``lambda``, ``a``, ``b``); a
+    parameter the entry does not have is ignored.  A3 and HB_A3 require an
+    explicit sign ('+' or '-').
+    """
+    for entry in _ENTRIES:
+        if entry.name == name:
+            return entry.build(lam, a, b, sign)
     raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(names())}")
 
 
@@ -241,15 +197,13 @@ def _geometric(b, count):
 def _quoted_rows(name, n, lam, a, b, sign):
     """The closed forms the entry is quoted with; n=None means the base form."""
     lam = _scalar_or(lam, "lambda")
-    zero = Vector.zero(2)
     if name in ("A1", "A2", "A3"):
         # untwisted entries are quoted as fixed points of the derived sequence
-        alg = build(name, lam=lam, sign=sign)
-        return _constructed_rows(alg)
+        return _constructed_rows(get(name, lam=lam, sign=sign))
     a = _scalar_or(a, "a") if name == "HB_A2" else ZERO
     b = _scalar_or(b, "b")
     if name == "HB_A2":
-        t122 = zero
+        t122 = Vector.zero(2)
     else:
         s = _coerce_sign(sign, name)
         t122 = _vec(-s, ZERO)  # quoted with the opposite sign of the base entry
@@ -316,11 +270,9 @@ def cross_check(name, n, lam=None, a=None, b=None, sign="+"):
     disagreement between the base closed form and the derived closed form at
     order zero shows up as two rows with different verdicts.
     """
-    if name not in _BY_NAME:
-        raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(names())}")
+    alg = get(name, lam=lam, a=a, b=b, sign=sign)
     if n < 0:
         raise ValueError("derived order must be nonnegative")
-    alg = build(name, lam=lam, a=a, b=b, sign=sign)
     derived = nth_derived(alg, n)
     rows = []
     if n == 0:

@@ -118,7 +118,7 @@ def _cmd_catalog(args):
         return 0
     if not args.name:
         raise ValueError("catalog emit needs an entry name")
-    alg = catalog.build(args.name, lam=args.lam, a=args.a, b=args.b, sign=args.sign)
+    alg = catalog.get(args.name, lam=args.lam, a=args.a, b=args.b, sign=args.sign)
     print(emit_algebra(alg), end="")
     return 0
 

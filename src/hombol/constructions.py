@@ -48,16 +48,14 @@ def _require_endomorphism(beta, alg, who):
         )
 
 
-def _recompose(algebra, base, p, q, *, add_params=False):
-    """The algebra with its ternary product composed with base^q, its binary
-    product with base^p, and the twist base^p . alpha.
-
-    The ternary power is made and dropped before the binary one, so only
-    one large symbolic power is alive at once.  ``add_params`` adds base's
-    parameters to the algebra's.
-    """
-    ternary = compose_tensor(base.power(q), algebra.ternary, 3)
+def _recompose(algebra, base, p, *, add_params=False):
+    """The algebra with its binary product composed with P = base^p, its
+    ternary product with P^2, and the twist P . alpha; ``add_params`` adds
+    base's parameters to the algebra's."""
+    if 2 * p > POWER_LIMIT:
+        raise ExponentLimitError(f"a map power exceeds the exponent limit {POWER_LIMIT}")
     power = base.power(p)
+    ternary = compose_tensor(power.compose(power), algebra.ternary, 3)
     binary = compose_tensor(power, algebra.binary, 2)
     twist = power.compose(algebra.twist)
     params = algebra.params | base.variables() if add_params else algebra.params
@@ -76,7 +74,7 @@ def yau_twist(algebra, beta, *, check=True):
         raise PreconditionError("yau_twist: the algebra must carry the identity twist")
     if check:
         _require_endomorphism(beta, algebra, "yau_twist")
-    return _recompose(algebra, beta, 1, 2, add_params=True)
+    return _recompose(algebra, beta, 1, add_params=True)
 
 
 def self_twist(algebra, beta, n):
@@ -89,7 +87,7 @@ def self_twist(algebra, beta, n):
     if not isinstance(n, int) or n < 0:
         raise PreconditionError("self_twist: n must be a nonnegative integer")
     _require_endomorphism(beta, algebra, "self_twist")
-    return _recompose(algebra, beta, n, 2 * n, add_params=True)
+    return _recompose(algebra, beta, n, add_params=True)
 
 
 def nth_derived(algebra, n):
@@ -102,7 +100,7 @@ def nth_derived(algebra, n):
             f"nth_derived: order {n} exceeds the exponent limit {DERIVED_ORDER_LIMIT}; "
             f"twist powers would reach 2^{n + 1}"
         )
-    return _recompose(algebra, algebra.twist, 2**n - 1, 2 ** (n + 1) - 2)
+    return _recompose(algebra, algebra.twist, 2**n - 1)
 
 
 # the ternary product a Malcev algebra induces, and the twisted Jacobian
@@ -132,7 +130,7 @@ def malcev_to_bol(algebra, beta=None):
 
     table = tabulate(_MALCEV_BRACKET.lhs, algebra, _MALCEV_BRACKET.variables)
     ternary = tensor(algebra.dim, 3, lambda idx: cell_at(table, idx).coords)
-    return _recompose(algebra.replace(ternary=ternary), beta, 1, 2, add_params=True)
+    return _recompose(algebra.replace(ternary=ternary), beta, 1, add_params=True)
 
 
 def hom_jacobian(algebra):

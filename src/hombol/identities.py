@@ -134,12 +134,12 @@ class Counterexample:
     indices: tuple
     residual: Vector
 
-    def describe(self, basis=None):
-        if basis is None:
-            assign = ", ".join(f"{v}={i}" for v, i in zip(self.variables, self.indices))
-        else:
-            assign = ", ".join(f"{v}={basis[i]}" for v, i in zip(self.variables, self.indices))
-        return f"{self.identity} fails at ({assign})"
+    def assignment(self, basis):
+        """The failing basis tuple as 'x=e1, y=e2'."""
+        return ", ".join(f"{v}={basis[i]}" for v, i in zip(self.variables, self.indices))
+
+    def describe(self, basis):
+        return f"{self.identity} fails at ({self.assignment(basis)})"
 
 
 @dataclass(frozen=True)

@@ -60,18 +60,14 @@ def format_vector(v, labels):
     )
 
 
-def format_suite_report(report, labels=None):
+def format_suite_report(report, labels):
     lines = [f"suite {report.suite} (twist exponent {report.twist_exponent})"]
     for name, failure in report.results:
         if failure is None:
             lines.append(f"  {name}: pass")
         else:
-            if labels is None:
-                assign = ", ".join(f"{v}=#{i}" for v, i in zip(failure.variables, failure.indices))
-            else:
-                assign = ", ".join(f"{v}={labels[i]}" for v, i in zip(failure.variables, failure.indices))
-            residual = format_vector(failure.residual, labels or tuple(f"#{i}" for i in range(failure.residual.dim)))
-            lines.append(f"  {name}: FAIL at ({assign}), residual {residual}")
+            residual = format_vector(failure.residual, labels)
+            lines.append(f"  {name}: FAIL at ({failure.assignment(labels)}), residual {residual}")
     verdict = "pass" if report.passed else "FAIL"
     lines.append(f"  => {verdict}")
     return "\n".join(lines)

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction as F
 
 from hombol.algebra import HomAlgebra, LinearMap, Vector, zero_tensor
-from hombol.catalog import build, cross_check, get, get_twisted, names
+from hombol.catalog import cross_check, get, names
 from hombol.constructions import hom_jacobian, malcev_to_bol, nth_derived, self_twist, yau_twist
 from hombol.errors import PreconditionError
 from hombol.identities import SUITES, check_identity, check_suite, evaluate
@@ -44,8 +44,8 @@ def _all_catalog():
         ("A2", get("A2")),
         ("A3+", get("A3", sign="+")),
         ("A3-", get("A3", sign="-")),
-        ("HB_A2", get_twisted("HB_A2")),
-        ("HB_A3+", get_twisted("HB_A3", sign="+")),
+        ("HB_A2", get("HB_A2")),
+        ("HB_A3+", get("HB_A3", sign="+")),
     ]
 
 
@@ -110,8 +110,8 @@ def test_criterion_02_yau_twist_closure():
 
 def test_criterion_03_derived_algebras_stay_hom_bol():
     failures = []
-    passers = [("HB_A2", get_twisted("HB_A2"))] + [
-        (f"HB_A3{sign} b={b}", get_twisted("HB_A3", b=F(b), sign=sign))
+    passers = [("HB_A2", get("HB_A2"))] + [
+        (f"HB_A3{sign} b={b}", get("HB_A3", b=F(b), sign=sign))
         for sign in ("+", "-")
         for b in (1, -1)
     ]
@@ -125,7 +125,7 @@ def test_criterion_03_derived_algebras_stay_hom_bol():
 
     # at a free b the derived twist is diag(1, b^(2^n)), so only its
     # compatibility with [e1,e2,e2] = e1 can fail, by (1 - b^(2^(n+1)))*e1
-    free = get_twisted("HB_A3", sign="+")
+    free = get("HB_A3", sign="+")
     b = Scalar.parameter("b")
     for n in range(5):
         results = dict(check_suite(nth_derived(free, n), "hom_bol").results)
@@ -322,7 +322,7 @@ def test_criterion_07_identity_twist_reduction_and_triple_systems():
         ("A1", get("A1")),
         ("A2 lam=2", get("A2", lam=F(2))),
         ("A3+ lam=1", get("A3", lam=F(1), sign="+")),
-        ("HB_A2 a=1 b=2", get_twisted("HB_A2", lam=F(1), a=F(1), b=F(2))),
+        ("HB_A2 a=1 b=2", get("HB_A2", lam=F(1), a=F(1), b=F(2))),
         (
             "malcev diag",
             malcev_to_bol(
@@ -392,8 +392,8 @@ def test_criterion_09_randomized_evaluation_and_tamper_detection():
     rng = random.Random(977)
     samples = [
         ("bol", get("A3", lam=F(2), sign="-")),
-        ("hom_bol", get_twisted("HB_A2", lam=F(1), a=F(1), b=F(2))),
-        ("hom_akivis", get_twisted("HB_A2", lam=F(3), a=F(0), b=F(-2))),
+        ("hom_bol", get("HB_A2", lam=F(1), a=F(1), b=F(2))),
+        ("hom_akivis", get("HB_A2", lam=F(3), a=F(0), b=F(-2))),
         ("hom_lie", get("A1")),
         ("malcev", parse_algebra(CROSS_LIE_DOC)),
         ("hom_alt", get("A1")),
@@ -438,9 +438,9 @@ def test_criterion_10_serialization_round_trip():
     failures = []
     samples = []
     for name in names():
-        alg = build(name, sign="+") if name in ("A3", "HB_A3") else build(name)
+        alg = get(name, sign="+") if name in ("A3", "HB_A3") else get(name)
         samples.append((name, alg))
-    hb2 = get_twisted("HB_A2")
+    hb2 = get("HB_A2")
     lie = parse_algebra(CROSS_LIE_DOC)
     samples += [
         ("derived HB_A2 n=2", nth_derived(hb2, 2)),

@@ -2,15 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.catalog import (
-    build,
-    cross_check,
-    describe,
-    entries,
-    get,
-    get_twisted,
-    names,
-)
+from hombol.algebra import LinearMap
+from hombol.catalog import cross_check, entries, get, names
+from hombol.constructions import yau_twist
 from hombol.identities import check_suite
 
 
@@ -20,8 +14,9 @@ def test_catalog_names():
 
 
 def test_describe_mentions_the_morphism_structure():
-    assert describe("A1").startswith("rigid type")
-    assert "lambda" in describe("A2") or "families" in describe("A2")
+    descriptions = {e.name: e.description for e in entries()}
+    assert descriptions["A1"].startswith("rigid type")
+    assert "lambda" in descriptions["A2"] or "families" in descriptions["A2"]
 
 
 def test_entry_parameter_metadata():
@@ -50,15 +45,15 @@ def test_a1_structure_constants():
 
 
 def test_twisted_entry_with_trivial_parameters_is_the_base():
-    assert get_twisted("HB_A2", a=F(0), b=F(1)) == get("A2")
+    assert get("HB_A2", a=F(0), b=F(1)) == get("A2")
 
 
 def test_twisted_a2_satisfies_hom_bol_symbolically():
-    assert check_suite(get_twisted("HB_A2"), "hom_bol").passed
+    assert check_suite(get("HB_A2"), "hom_bol").passed
 
 
 def test_twisted_a3_fails_only_ternary_compatibility():
-    report = check_suite(get_twisted("HB_A3", sign="+"), "hom_bol")
+    report = check_suite(get("HB_A3", sign="+"), "hom_bol")
     verdicts = dict(report.results)
     failing = {name for name, ce in verdicts.items() if ce is not None}
     assert failing == {"twist_respects_ternary"}
@@ -70,18 +65,26 @@ def test_twisted_a3_fails_only_ternary_compatibility():
 def test_entry_name_errors():
     with pytest.raises(ValueError, match="needs sign"):
         get("A3")
-    with pytest.raises(ValueError, match="unknown catalog name"):
+    with pytest.raises(ValueError, match="^unknown catalog name 'BOGUS'; known: A1, A2, A3, HB_A2, HB_A3$"):
         get("BOGUS")
-    with pytest.raises(ValueError, match="unknown catalog name"):
-        get_twisted("A1")
     with pytest.raises(ValueError, match="unknown catalog name"):
         cross_check("BOGUS", 1)
 
 
 def test_build_dispatches_by_name():
-    assert build("A1") == get("A1")
-    assert build("A3", lam=F(2), sign="-") == get("A3", lam=F(2), sign="-")
-    assert build("HB_A2", a=F(1), b=F(2)) == get_twisted("HB_A2", a=F(1), b=F(2))
+    for entry in entries():
+        alg = get(entry.name, sign="+")
+        assert alg == entry.build(None, None, None, "+")
+        # every parameter but the sign stays symbolic when left unbound
+        assert alg.params == set(entry.parameters) - {"sign"}
+    assert get("A3", lam=F(2), sign="-") != get("A3", lam=F(2), sign="+")
+    # the twisted entries are the Yau twists of A2 and A3 along their maps
+    shear_scale = LinearMap.from_columns(((1, F(1)), (0, F(2))))
+    assert get("HB_A2", lam=F(3), a=F(1), b=F(2)) == yau_twist(get("A2", lam=F(3)), shear_scale)
+    scale = LinearMap.from_columns(((1, 0), (0, F(2))))
+    assert get("HB_A3", lam=F(3), b=F(2), sign="-") == yau_twist(
+        get("A3", lam=F(3), sign="-"), scale, check=False
+    )
 
 
 # --- cross-check reports ------------------------------------------------------

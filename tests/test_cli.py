@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.catalog import cross_check, get, get_twisted
+from hombol.catalog import cross_check, get
 from hombol.cli import main
 from hombol.constructions import malcev_to_bol, nth_derived, self_twist
 from hombol.morphisms import generate_constraints
@@ -22,7 +22,7 @@ NOT_MALCEV_DOC = (
 
 @pytest.fixture()
 def hb2_file(tmp_path):
-    alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
+    alg = get("HB_A2", lam=F(1), a=F(0), b=F(2))
     path = tmp_path / "hb2.alg"
     path.write_text(emit_algebra(alg), encoding="utf-8")
     return path, alg
@@ -47,7 +47,7 @@ def test_check_suite_pass(tmp_path, capsys):
 
 def test_check_suite_failure_prints_counterexample(tmp_path, capsys):
     path = _write(
-        tmp_path, "hb3.alg", emit_algebra(get_twisted("HB_A3", sign="+"))
+        tmp_path, "hb3.alg", emit_algebra(get("HB_A3", sign="+"))
     )
     assert main(["check", path, "--suite", "hom_bol"]) == 1
     out = capsys.readouterr().out
@@ -141,7 +141,7 @@ def test_derive_result_too_long_to_print(tmp_path, capsys):
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if not 0 < limit < 7818:
         pytest.skip("needs Python's default limit on printing long integers")
-    path = _write(tmp_path, "hb2.alg", emit_algebra(get_twisted("HB_A2", b=F(3, 2))))
+    path = _write(tmp_path, "hb2.alg", emit_algebra(get("HB_A2", b=F(3, 2))))
     assert main(["derive", path, "--n", "14"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -180,7 +180,7 @@ def test_oversized_exponents_fail_fast(tmp_path, monkeypatch, capsys, argv, code
     """Every map power passes one exponent cap, and a numeric power in a
     document is refused before it is computed."""
     monkeypatch.chdir(tmp_path)
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     _write(tmp_path, "hb2.alg", emit_algebra(alg))
     _write(tmp_path, "alpha.map", emit_map(alg.twist, alg.basis))
     _write(tmp_path, "big.ids", "big : A^1000000000(x) = x\n")

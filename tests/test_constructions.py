@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol.algebra import POWER_LIMIT, HomAlgebra, LinearMap, Vector, zero_tensor
-from hombol.catalog import get, get_twisted
+from hombol.catalog import get
 from hombol.constructions import (
     DERIVED_ORDER_LIMIT,
     _recompose,
@@ -45,13 +45,13 @@ def test_yau_twist_reproduces_the_twisted_catalog_entry():
         ((Scalar.rational(1), Scalar.parameter("a")), (0, Scalar.parameter("b")))
     )
     twisted = yau_twist(get("A2"), beta)
-    assert twisted == get_twisted("HB_A2")
+    assert twisted == get("HB_A2")
     assert twisted.twist == beta
 
 
 def test_yau_twist_requires_identity_twist():
     with pytest.raises(PreconditionError, match="identity twist"):
-        yau_twist(get_twisted("HB_A2"), LinearMap.identity(2))
+        yau_twist(get("HB_A2"), LinearMap.identity(2))
 
 
 def test_yau_twist_rejects_non_endomorphisms():
@@ -66,7 +66,7 @@ def test_yau_twist_rejects_non_endomorphisms():
 
 
 def test_self_twist_composes_powers_of_the_morphism():
-    alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
+    alg = get("HB_A2", lam=F(1), a=F(0), b=F(2))
     once = self_twist(alg, alg.twist, 1)
     assert once.eval_binary(Vector.basis(0, 2), Vector.basis(1, 2)) == Vector((0, -4))
     assert once.eval_ternary(*(Vector.basis(i, 2) for i in (0, 1, 0))) == Vector((0, 16))
@@ -79,7 +79,7 @@ def test_self_twist_composes_powers_of_the_morphism():
 
 
 def test_self_twist_needs_positive_order_and_commuting_map():
-    alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
+    alg = get("HB_A2", lam=F(1), a=F(0), b=F(2))
     with pytest.raises(PreconditionError, match="nonnegative"):
         self_twist(alg, alg.twist, -1)
     shear = LinearMap.from_columns(((1, 1), (0, 1)))  # endomorphism, does not commute
@@ -88,7 +88,7 @@ def test_self_twist_needs_positive_order_and_commuting_map():
 
 
 def test_self_twist_output_stays_hom_bol():
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     assert check_suite(self_twist(alg, alg.twist, 1), "hom_bol").passed
 
 
@@ -96,12 +96,12 @@ def test_self_twist_output_stays_hom_bol():
 
 
 def test_derived_order_zero_is_the_algebra_itself():
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     assert nth_derived(alg, 0) == alg
 
 
 def test_first_derived_tensors_match_hand_expansion():
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     d1 = nth_derived(alg, 1)
     e1, e2 = Vector.basis(0, 2), Vector.basis(1, 2)
     names = {"a", "b", "lambda"}
@@ -121,18 +121,18 @@ def test_first_derived_tensors_match_hand_expansion():
 
 
 def test_derived_recursion_one_step():
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     assert nth_derived(alg, 2) == nth_derived(nth_derived(alg, 1), 1)
 
 
 def test_derived_preserves_hom_bol():
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     for n in (1, 2):
         assert check_suite(nth_derived(alg, n), "hom_bol").passed
 
 
 def test_derived_binary_only_strips_the_ternary():
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     d1 = nth_derived(alg.replace(ternary=None), 1)
     assert d1.ternary == zero_tensor(2, 3)
     e1, e2 = Vector.basis(0, 2), Vector.basis(1, 2)
@@ -149,13 +149,29 @@ def test_derived_order_limit():
         nth_derived(alg, -1)
 
 
-def test_derived_powers_stay_under_the_map_power_limit():
+def test_derived_powers_stay_under_the_map_power_limit(monkeypatch):
     assert 2 ** (DERIVED_ORDER_LIMIT + 1) - 2 <= POWER_LIMIT
-    alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(-1))
+    alg = get("HB_A2", lam=F(1), a=F(0), b=F(-1))
     top = nth_derived(alg, DERIVED_ORDER_LIMIT)  # twist powers up to 2^17 - 2
     assert top.twist.is_identity() and top.ternary == alg.ternary
+    # each construction makes one map power P = base^p and squares it for the
+    # ternary product, so an exponent 2p over the limit is refused up front
+    exponents = []
+    power = LinearMap.power
+    monkeypatch.setattr(LinearMap, "power", lambda m, k: exponents.append(k) or power(m, k))
     with pytest.raises(ExponentLimitError, match="exponent limit"):
         self_twist(alg, alg.twist, POWER_LIMIT // 2 + 1)  # ternary power POWER_LIMIT + 2
+    assert exponents == []
+    hb2 = get("HB_A2")
+    for build, p in (
+        (lambda: nth_derived(hb2, 3), 7),
+        (lambda: self_twist(hb2, hb2.twist, 2), 2),
+        (lambda: yau_twist(get("A2"), hb2.twist), 1),
+        (lambda: malcev_to_bol(_skew_lie(3, CROSS)), 1),
+    ):
+        exponents.clear()
+        build()
+        assert exponents == [p]
 
 
 # --- the twisting sequence: self_twist along the algebra's own twist ----------
@@ -176,7 +192,7 @@ def test_sequence_member_zero_keeps_tensors_and_installs_the_map():
 
 
 def test_sequence_member_scales_like_hand_expansion():
-    alg = get_twisted("HB_A2")
+    alg = get("HB_A2")
     member = self_twist(alg, alg.twist, 2)
     e1, e2 = Vector.basis(0, 2), Vector.basis(1, 2)
     names = {"a", "b", "lambda"}
@@ -191,7 +207,7 @@ def test_sequence_member_scales_like_hand_expansion():
 
 
 def test_sequence_member_rejects_non_commuting_maps():
-    alg = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
+    alg = get("HB_A2", lam=F(1), a=F(0), b=F(2))
     shear = LinearMap.from_columns(((1, 1), (0, 1)))
     with pytest.raises(PreconditionError, match="commute"):
         self_twist(alg, shear, 1)
@@ -205,7 +221,7 @@ def test_self_twist_along_a_foreign_automorphism_stays_hom_bol():
     P = LinearMap.from_columns(((0, 1, 0), (0, 0, 1), (1, 0, 0)))
     for n in range(3):
         assert check_suite(self_twist(bol, P, n), "hom_bol").passed
-        unsound = _recompose(bol, P, n, 2 * n).replace(twist=P.power(n + 1))
+        unsound = _recompose(bol, P, n).replace(twist=P.power(n + 1))
         failing = {name for name, r in check_suite(unsound, "hom_bol").results if r is not None}
         assert "twisted_binary_derivation" in failing
 
@@ -241,7 +257,7 @@ def test_malcev_to_bol_preconditions():
     with pytest.raises(PreconditionError, match="not Malcev"):
         malcev_to_bol(not_malcev)
     with pytest.raises(PreconditionError, match="identity twist"):
-        malcev_to_bol(get_twisted("HB_A2"))
+        malcev_to_bol(get("HB_A2"))
     with pytest.raises(PreconditionError, match="ternary tensor"):
         malcev_to_bol(get("A1"))
 

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol.algebra import HomAlgebra, LinearMap
-from hombol.catalog import get, get_twisted
+from hombol.catalog import get
 from hombol.morphisms import DEFAULT_GRID, ConstraintSystem, generate_constraints, grid_search, unknown_names
 from hombol.scalars import ZERO, Scalar, parse_scalar
 from hombol.serialization import parse_algebra
@@ -138,13 +138,13 @@ def test_zero_algebra_every_point_solves_in_order():
 
 @pytest.mark.parametrize("b", (F(2), F(-1), F(1, 2)))
 def test_twisted_algebra_adds_intertwining_equations(b):
-    system = generate_constraints(get_twisted("HB_A2", lam=F(1), a=F(0), b=b))
+    system = generate_constraints(get("HB_A2", lam=F(1), a=F(0), b=b))
     found = _same(system, DEFAULT_GRID)
     assert len(found) >= 2  # the zero map and the identity at least
 
 
 def test_twisted_algebra_with_symbolic_parameters_bound_at_search():
-    system = generate_constraints(get_twisted("HB_A3", sign="+"))
+    system = generate_constraints(get("HB_A3", sign="+"))
     assert system.params >= {"lambda", "b"}
     bindings = {name: value for name, value in zip(sorted(system.params), (F(1), F(-1), F(1, 2)))}
     _same(system, DEFAULT_GRID, bindings)

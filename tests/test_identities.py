@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol.algebra import LinearMap, Vector, zero_tensor
-from hombol.catalog import get, get_twisted
+from hombol.catalog import get
 from hombol.errors import MultilinearityError, ParseError
 from hombol.identities import (
     SUITES,
@@ -43,7 +43,7 @@ def test_rational_prefix_with_and_without_star():
 
 def test_twist_power_sugar():
     ident = parse_identity("A^2(x) = A(A(x))")
-    assert check_identity(get_twisted("HB_A2"), ident) is None
+    assert check_identity(get("HB_A2"), ident) is None
 
 
 def test_cyclic_sum_parse_and_format():
@@ -97,7 +97,7 @@ def test_evaluate_matches_hand_expansion():
 
 
 def test_evaluate_applies_twist_exponent():
-    hb2 = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(3))
+    hb2 = get("HB_A2", lam=F(1), a=F(0), b=F(3))
     env = {"x": Vector((0, 1))}
     node = parse_identity("A(x) = 0").lhs
     assert evaluate(node, hb2, env) == Vector((0, 3))
@@ -156,7 +156,7 @@ def test_twist_exponent_changes_the_verdict():
 
 
 def test_ternary_part_of_twisted_entry_is_triple_system_for_squared_twist():
-    stripped = get_twisted("HB_A3", lam=F(1), b=F(2), sign="+").replace(
+    stripped = get("HB_A3", lam=F(1), b=F(2), sign="+").replace(
         binary=zero_tensor(2, 2)
     )
     assert check_suite(stripped, "hom_lie_triple", twist_exponent=2).passed

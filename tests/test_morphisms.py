@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol.algebra import LinearMap, Vector
-from hombol.catalog import get, get_twisted
+from hombol.catalog import get
 from hombol.errors import PreconditionError
 from hombol.morphisms import (
     DEFAULT_GRID,
@@ -57,7 +57,7 @@ def test_parameter_name_clash_is_rejected():
 
 
 def test_twisted_algebra_adds_intertwining_equations():
-    hb2 = get_twisted("HB_A2", lam=F(1), a=F(0), b=F(2))
+    hb2 = get("HB_A2", lam=F(1), a=F(0), b=F(2))
     system = generate_constraints(hb2)
     assert len(system.equations) == 12  # morphism equations plus intertwining
     assert verify_candidate(system, LinearMap.identity(2)) is None

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol.algebra import LinearMap, Vector
-from hombol.catalog import build, get, get_twisted, names
+from hombol.catalog import get, names
 from hombol.constructions import malcev_to_bol, nth_derived, self_twist
 from hombol.errors import ParseError
 from hombol.morphisms import generate_constraints
@@ -49,12 +49,12 @@ def test_format_vector():
 
 
 def test_emit_twisted_catalog_entry_exact_text():
-    assert emit_algebra(get_twisted("HB_A2")) == HB_A2_TEXT
+    assert emit_algebra(get("HB_A2")) == HB_A2_TEXT
 
 
 def test_round_trip_all_catalog_entries():
     for name in names():
-        alg = build(name, sign="+") if name in ("A3", "HB_A3") else build(name)
+        alg = get(name, sign="+") if name in ("A3", "HB_A3") else get(name)
         text = emit_algebra(alg)
         back = parse_algebra(text)
         assert back == alg
@@ -68,8 +68,8 @@ def test_round_trip_constructed_algebras():
         "binary e1 e2 = e3\nbinary e2 e3 = e1\nbinary e3 e1 = e2\n"
     )
     samples = [
-        nth_derived(get_twisted("HB_A2"), 2),
-        self_twist(get_twisted("HB_A2"), get_twisted("HB_A2").twist, 1),
+        nth_derived(get("HB_A2"), 2),
+        self_twist(get("HB_A2"), get("HB_A2").twist, 1),
         malcev_to_bol(parse_algebra(lie_doc)),
     ]
     for alg in samples:
@@ -142,7 +142,7 @@ def test_algebra_document_errors(doc, message):
 
 
 def test_map_round_trip():
-    twist = get_twisted("HB_A2").twist
+    twist = get("HB_A2").twist
     text = emit_map(twist, ("e1", "e2"))
     assert text == (
         "dim 2\nparams a b\nbasis e1 e2\nalpha e1 = e1 + a*e2\nalpha e2 = b*e2\n"

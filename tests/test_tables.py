@@ -27,7 +27,7 @@ from test_round_trip import _algebra
 
 from hombol import identities as new
 from hombol.algebra import HomAlgebra, LinearMap, Vector, tensor, zero_tensor
-from hombol.catalog import get, get_twisted
+from hombol.catalog import get
 from hombol.constructions import malcev_to_bol, nth_derived
 from hombol.identities import (
     SUITES,
@@ -218,9 +218,9 @@ def catalog():
         ("A3+", get("A3", sign="+")),
         ("A3-", get("A3", sign="-")),
     ]
-    for name, alg in (("HB_A2", get_twisted("HB_A2")), ("HB_A3", get_twisted("HB_A3", sign="+"))):
+    for name, alg in (("HB_A2", get("HB_A2")), ("HB_A3", get("HB_A3", sign="+"))):
         out += [(f"{name} derived {n}", nth_derived(alg, n)) for n in range(4)]
-    out += [("HB_A2 at b=2", get_twisted("HB_A2", lam=F(1), a=F(1), b=F(2)))]
+    out += [("HB_A2 at b=2", get("HB_A2", lam=F(1), a=F(1), b=F(2)))]
     return out
 
 
