@@ -82,6 +82,36 @@ def _beta_shear_scale(a, b):
     return LinearMap.from_columns(((ONE, a), (ZERO, b)))
 
 
+def _a2(lam, a, b, sign):
+    return _bol(_vec(ZERO, lam), Vector.zero(2))
+
+
+def _a3(lam, a, b, sign):
+    return _bol(_vec(ZERO, lam), _vec(sign, ZERO))
+
+
+def _geometric(b, n):
+    """1 + b + ... + b^(2^n - 1), as the product of 1 + b^(2^i) for i < n."""
+    total = ONE
+    for i in range(n):
+        total = total * (ONE + b ** (2**i))
+    return total
+
+
+def _twisted_forms(n, lam, a, b, t122):
+    """The closed forms a twisted entry is quoted with; n=None means the base form."""
+    if n is None:
+        return (_vec(ZERO, -b), _vec(ZERO, lam * b), t122, _vec(ONE, a), _vec(ZERO, b))
+    count = 2**n
+    return (
+        _vec(ZERO, -(b ** (count - 1))),
+        _vec(ZERO, lam * b ** (2 * count - 1)),
+        t122,
+        _vec(ONE, a * _geometric(b, n)),
+        _vec(ZERO, b**count),
+    )
+
+
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
@@ -89,6 +119,9 @@ class CatalogEntry:
     required: tuple
     description: str
     build: object = field(repr=False, compare=False)  # (lam, a, b, sign) -> HomAlgebra
+    # (n, lam, a, b, sign) -> the quoted rows, n=None for the base form; None
+    # quotes an untwisted entry as a fixed point of its derived sequence
+    quoted: object = field(default=None, repr=False, compare=False)
 
 
 _ENTRIES = (
@@ -105,39 +138,36 @@ _ENTRIES = (
         ("lambda",),
         (),
         "family with [e1,e2,e1] = lambda*e2 and [e1,e2,e2] = 0",
-        lambda lam, a, b, sign: _bol(_vec(ZERO, _scalar_or(lam, "lambda")), Vector.zero(2)),
+        _a2,
     ),
     CatalogEntry(
         "A3",
         ("lambda", "sign"),
         ("sign",),
         "family with [e1,e2,e1] = lambda*e2 and [e1,e2,e2] = sign*e1",
-        lambda lam, a, b, sign: _bol(
-            _vec(ZERO, _scalar_or(lam, "lambda")), _vec(_coerce_sign(sign, "A3"), ZERO)
-        ),
+        _a3,
     ),
     CatalogEntry(
         "HB_A2",
         ("lambda", "a", "b"),
         (),
         "A2 twisted along beta(e1) = e1 + a*e2, beta(e2) = b*e2",
-        lambda lam, a, b, sign: yau_twist(
-            get("A2", lam), _beta_shear_scale(_scalar_or(a, "a"), _scalar_or(b, "b"))
-        ),
+        lambda lam, a, b, sign: yau_twist(_a2(lam, a, b, sign), _beta_shear_scale(a, b)),
+        lambda n, lam, a, b, sign: _twisted_forms(n, lam, a, b, Vector.zero(2)),
     ),
     # HB_A3's twisting family preserves the binary product but scales the
     # constant [e1,e2,e2] by b^2, so it is an endomorphism only at b = +1 or
     # -1; the entry is built with the endomorphism check disabled so the
     # axiom suites and cross_check can surface the consequences for free b.
+    # Its [e1,e2,e2] is quoted with the opposite sign of the base entry.
     CatalogEntry(
         "HB_A3",
         ("lambda", "b", "sign"),
         ("sign",),
         "A3 twisted along beta(e1) = e1, beta(e2) = b*e2 "
         "(an endomorphism only at b = +1 or -1; built unchecked)",
-        lambda lam, a, b, sign: yau_twist(
-            get("A3", lam, sign=sign), _beta_shear_scale(ZERO, _scalar_or(b, "b")), check=False
-        ),
+        lambda lam, a, b, sign: yau_twist(_a3(lam, a, b, sign), _beta_shear_scale(ZERO, b), check=False),
+        lambda n, lam, a, b, sign: _twisted_forms(n, lam, ZERO, b, _vec(-sign, ZERO)),
     ),
 )
 
@@ -150,6 +180,18 @@ def entries():
     return _ENTRIES
 
 
+def _read(name, lam, a, b, sign):
+    """The named row and its builder's arguments: the row's own parameters
+    among lam, a and b as Scalars (None stays symbolic), the sign as +1 or -1
+    for a row that requires one, and None for every other argument."""
+    for entry in _ENTRIES:
+        if entry.name == name:
+            values = {"lambda": lam, "a": a, "b": b}
+            scalars = [_scalar_or(v, p) if p in entry.parameters else None for p, v in values.items()]
+            return entry, (*scalars, _coerce_sign(sign, name) if "sign" in entry.required else None)
+    raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(names())}")
+
+
 def get(name, lam=None, a=None, b=None, sign=None):
     """Build the named entry.
 
@@ -157,14 +199,12 @@ def get(name, lam=None, a=None, b=None, sign=None):
     parameter the entry does not have is ignored.  A3 and HB_A3 require an
     explicit sign ('+' or '-').
     """
-    for entry in _ENTRIES:
-        if entry.name == name:
-            return entry.build(lam, a, b, sign)
-    raise ValueError(f"unknown catalog name {name!r}; known: {', '.join(names())}")
+    entry, params = _read(name, lam, a, b, sign)
+    return entry.build(*params)
 
 
 # ---------------------------------------------------------------------------
-# quoted closed forms and the cross-check report
+# the cross-check report
 
 _ROW_LABELS = (
     "binary e1 e2",
@@ -185,46 +225,6 @@ def _constructed_rows(alg):
     )
 
 
-def _geometric(b, count):
-    total = ZERO
-    power = ONE
-    for _ in range(count):
-        total = total + power
-        power = power * b
-    return total
-
-
-def _quoted_rows(name, n, lam, a, b, sign):
-    """The closed forms the entry is quoted with; n=None means the base form."""
-    lam = _scalar_or(lam, "lambda")
-    if name in ("A1", "A2", "A3"):
-        # untwisted entries are quoted as fixed points of the derived sequence
-        return _constructed_rows(get(name, lam=lam, sign=sign))
-    a = _scalar_or(a, "a") if name == "HB_A2" else ZERO
-    b = _scalar_or(b, "b")
-    if name == "HB_A2":
-        t122 = Vector.zero(2)
-    else:
-        s = _coerce_sign(sign, name)
-        t122 = _vec(-s, ZERO)  # quoted with the opposite sign of the base entry
-    if n is None:
-        return (
-            _vec(ZERO, -b),
-            _vec(ZERO, lam * b),
-            t122,
-            _vec(ONE, a),
-            _vec(ZERO, b),
-        )
-    count = 2 ** n
-    return (
-        _vec(ZERO, -(b ** (count - 1))),
-        _vec(ZERO, lam * b ** (2 * count - 1)),
-        t122,
-        _vec(ONE, a * _geometric(b, count)),
-        _vec(ZERO, b ** count),
-    )
-
-
 @dataclass(frozen=True)
 class DiscrepancyRow:
     label: str
@@ -236,11 +236,11 @@ class DiscrepancyRow:
     def match(self):
         return self.quoted == self.constructed
 
-    def format(self, basis=_BASIS):
+    def format(self):
         verdict = "match" if self.match else "MISMATCH"
         return (
-            f"{self.label} [{self.source}]: quoted {format_vector(self.quoted, basis)}"
-            f" | constructed {format_vector(self.constructed, basis)} -> {verdict}"
+            f"{self.label} [{self.source}]: quoted {format_vector(self.quoted, _BASIS)}"
+            f" | constructed {format_vector(self.constructed, _BASIS)} -> {verdict}"
         )
 
 
@@ -270,23 +270,17 @@ def cross_check(name, n, lam=None, a=None, b=None, sign="+"):
     disagreement between the base closed form and the derived closed form at
     order zero shows up as two rows with different verdicts.
     """
-    alg = get(name, lam=lam, a=a, b=b, sign=sign)
+    entry, params = _read(name, lam, a, b, sign)
+    alg = entry.build(*params)
     if n < 0:
         raise ValueError("derived order must be nonnegative")
     derived = nth_derived(alg, n)
-    rows = []
-    if n == 0:
-        quoted = _quoted_rows(name, None, lam, a, b, sign)
-        built = _constructed_rows(alg)
-        rows.extend(
-            DiscrepancyRow(label, "quoted base form", q, c)
-            for label, q, c in zip(_ROW_LABELS, quoted, built)
-        )
-    quoted = _quoted_rows(name, n, lam, a, b, sign)
-    built = _constructed_rows(derived)
-    source = f"quoted derived form, order {n}"
-    rows.extend(
-        DiscrepancyRow(label, source, q, c)
-        for label, q, c in zip(_ROW_LABELS, quoted, built)
-    )
-    return DiscrepancyReport(entry=name, order=n, rows=tuple(rows))
+
+    def rows(source, order, built):
+        quoted = _constructed_rows(alg) if entry.quoted is None else entry.quoted(order, *params)
+        pairs = zip(_ROW_LABELS, quoted, _constructed_rows(built))
+        return [DiscrepancyRow(label, source, q, c) for label, q, c in pairs]
+
+    base = rows("quoted base form", None, alg) if n == 0 else []
+    derived_rows = rows(f"quoted derived form, order {n}", n, derived)
+    return DiscrepancyReport(entry=name, order=n, rows=tuple(base + derived_rows))

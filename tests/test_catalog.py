@@ -2,10 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from hombol import catalog
 from hombol.algebra import LinearMap
 from hombol.catalog import cross_check, entries, get, names
 from hombol.constructions import yau_twist
 from hombol.identities import check_suite
+from hombol.scalars import ONE, ZERO, Scalar
 
 
 def test_catalog_names():
@@ -63,18 +65,27 @@ def test_twisted_a3_fails_only_ternary_compatibility():
 
 
 def test_entry_name_errors():
-    with pytest.raises(ValueError, match="needs sign"):
-        get("A3")
+    # the message names the entry asked for, also when it is built from another
+    for name in ("A3", "HB_A3"):
+        with pytest.raises(ValueError, match=f"^{name} needs sign '\\+' or '-'$"):
+            get(name)
     with pytest.raises(ValueError, match="^unknown catalog name 'BOGUS'; known: A1, A2, A3, HB_A2, HB_A3$"):
         get("BOGUS")
     with pytest.raises(ValueError, match="unknown catalog name"):
         cross_check("BOGUS", 1)
 
 
+def test_parameters_an_entry_does_not_have_are_ignored():
+    assert get("A1", lam="junk", a=object()) == get("A1")
+    assert get("HB_A3", a=object(), sign="+") == get("HB_A3", sign="+")
+    assert cross_check("HB_A3", 1, a=object()).format() == cross_check("HB_A3", 1).format()
+
+
 def test_build_dispatches_by_name():
     for entry in entries():
         alg = get(entry.name, sign="+")
-        assert alg == entry.build(None, None, None, "+")
+        params = (Scalar.parameter("lambda"), Scalar.parameter("a"), Scalar.parameter("b"), ONE)
+        assert alg == entry.build(*params)
         # every parameter but the sign stays symbolic when left unbound
         assert alg.params == set(entry.parameters) - {"sign"}
     assert get("A3", lam=F(2), sign="-") != get("A3", lam=F(2), sign="+")
@@ -142,6 +153,42 @@ def test_cross_check_a3_also_flags_the_sign():
         "  ternary e1 e2 e2 [quoted derived form, order 2]: quoted -e1 "
         "| constructed e1 -> MISMATCH" in report.format()
     )
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_cross_check_builds_the_entry_once(monkeypatch, n):
+    calls = []
+    bol = catalog._bol
+
+    def counting_bol(*cells):
+        calls.append(cells)
+        return bol(*cells)
+
+    monkeypatch.setattr(catalog, "_bol", counting_bol)
+    for name in ("A1", "A2", "A3"):
+        calls.clear()
+        cross_check(name, n, sign="+")
+        assert len(calls) == 1, name
+
+
+@pytest.mark.parametrize(
+    "b", [Scalar.parameter("b"), Scalar.parameter("b") + ONE, F(7, 5), F(-1), F(1), F(0)], ids=str
+)
+def test_quoted_twist_sum_is_the_running_sum(b):
+    b = Scalar.rational(b) if isinstance(b, F) else b
+    for n in range(7):
+        total, power = ZERO, ONE
+        for _ in range(2**n):
+            total, power = total + power, power * b
+        assert catalog._geometric(b, n) == total, n
+
+
+def test_cross_check_high_order_with_a_bound_scale():
+    # 2^14 terms of the quoted twist sum at a non-unit rational b
+    report = cross_check("HB_A2", 14, b=F(7, 5))
+    assert {row.label for row in report.mismatches} == {"binary e1 e2", "ternary e1 e2 e1"}
+    matching = {row.label for row in report.rows if row.match}
+    assert {"alpha e1", "alpha e2"} <= matching
 
 
 def test_cross_check_untwisted_entries_are_clean():

@@ -324,9 +324,11 @@ def test_catalog_emit_needs_name(capsys):
 
 
 def test_catalog_emit_sign_errors(capsys):
-    assert main(["catalog", "emit", "A3"]) == 2
-    assert "needs sign" in capsys.readouterr().err
-    capsys.readouterr()
+    for name in ("A3", "HB_A3"):
+        assert main(["catalog", "emit", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {name} needs sign '+' or '-'\n"
     assert main(["catalog", "emit", "A3", "--sign", "-"]) == 0
 
 
