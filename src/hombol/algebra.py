@@ -9,9 +9,10 @@ is exact and symbolic parameters ride along for free.
 A structure tensor of arity r (2 for the binary product, 3 for the ternary
 one) is a dense nested tuple indexed t[i1]...[ir]; ``tensor``, ``cell_at`` and
 ``HomAlgebra.cells`` build, read and walk both arities alike.  The kernels stay
-written per arity: they loop over a private index of the nonzero entries and
-build vectors through the trusted ``Vector._of``, which skips the coercion the
-public constructor does.
+written per arity: they loop over a private index of the nonzero entries, which
+marks the entries equal to 1 or -1 so that a unit costs no product, and build
+vectors through the trusted ``Vector._of``, which skips the coercion the
+public constructor does and takes the result's support from the kernel.
 """
 
 from __future__ import annotations
@@ -60,14 +61,33 @@ def _as_coords(seq, dim):
 
 
 def _nonzero(coords):
-    """The (index, entry) pairs of the nonzero entries of a Scalar tuple."""
-    return [(k, c) for k, c in enumerate(coords) if not c.is_zero()]
+    """The (index, entry, unit) triples of the nonzero entries of a Scalar
+    sequence; unit is 1 or -1 when the entry is that constant, else 0.  The
+    ZERO singleton, which fills every coordinate a kernel did not write, is
+    passed over without a call."""
+    return [(k, c, c._unit()) for k, c in enumerate(coords) if c is not ZERO and not c.is_zero()]
+
+
+def _times(a, ua, b, ub):
+    """a * b, where ua is 1 or -1 when a is known to be that constant, else
+    0, and ub likewise: a known unit side makes the product the other side or
+    its negation, without a call into Scalar.__mul__."""
+    if ua:
+        return b if ua > 0 else -b
+    if ub:
+        return a if ub > 0 else -a
+    return a * b
 
 
 def _accumulate(out, k, term):
-    """out[k] += term, without the addition while out[k] is still zero."""
+    """out[k] += term, without the addition while out[k] is the ZERO singleton."""
     acc = out[k]
-    out[k] = term if acc.is_zero() else acc + term
+    out[k] = term if acc is ZERO else acc + term
+
+
+def _written(out):
+    """A kernel's result from its list of coordinates, handed its support."""
+    return Vector._of(tuple(out), _nonzero(out))
 
 
 class Vector:
@@ -80,15 +100,17 @@ class Vector:
         self._nz = None
 
     @classmethod
-    def _of(cls, coords):
-        """Trusted constructor: ``coords`` is a tuple of Scalars already."""
+    def _of(cls, coords, nz=None):
+        """Trusted constructor: ``coords`` is a tuple of Scalars already, and
+        ``nz``, when given, is ``_nonzero(coords)``."""
         v = cls.__new__(cls)
         v.coords = coords
-        v._nz = None
+        v._nz = nz
         return v
 
     def _support(self):
-        """The (index, coordinate) pairs of the nonzero coordinates, cached."""
+        """The (index, coordinate, unit) triples of the nonzero coordinates
+        (see _nonzero), cached."""
         nz = self._nz
         if nz is None:
             nz = self._nz = _nonzero(self.coords)
@@ -111,10 +133,11 @@ class Vector:
 
     def scale(self, s):
         s = _as_scalar(s)
-        out = list(self.coords)
-        for k, c in self._support():
-            out[k] = c * s
-        return Vector._of(tuple(out))
+        u = s._unit()
+        out = [ZERO] * self.dim
+        for k, c, uc in self._support():
+            out[k] = _times(c, uc, s, u)
+        return _written(out)
 
     def __add__(self, other):
         if not isinstance(other, Vector):
@@ -122,7 +145,7 @@ class Vector:
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch("vector dimensions differ")
         out = list(self.coords)
-        for k, b in other._support():
+        for k, b, _ in other._support():
             _accumulate(out, k, b)
         return Vector._of(tuple(out))
 
@@ -132,7 +155,7 @@ class Vector:
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch("vector dimensions differ")
         out = list(self.coords)
-        for k, b in other._support():
+        for k, b, _ in other._support():
             _accumulate(out, k, -b)
         return Vector._of(tuple(out))
 
@@ -168,16 +191,17 @@ class LinearMap:
         self._set_rows(rows)
 
     @classmethod
-    def _of(cls, rows):
-        """Trusted constructor: ``rows`` is a square tuple of Scalar tuples."""
+    def _of(cls, rows, cols=None):
+        """Trusted constructor: ``rows`` is a square tuple of Scalar tuples,
+        and ``cols``, when given, holds _nonzero of each column."""
         m = cls.__new__(cls)
-        m._set_rows(rows)
+        m._set_rows(rows, cols)
         return m
 
-    def _set_rows(self, rows):
+    def _set_rows(self, rows, cols=None):
         self.rows = rows
-        # nonzero (i, entry) pairs of each column
-        self._cols = tuple(_nonzero(col) for col in zip(*rows))
+        # nonzero (i, entry, unit) triples of each column
+        self._cols = tuple(_nonzero(col) for col in zip(*rows)) if cols is None else cols
 
     @classmethod
     def identity(cls, dim):
@@ -194,7 +218,7 @@ class LinearMap:
         return len(self.rows)
 
     def column(self, j):
-        return Vector._of(tuple(row[j] for row in self.rows))
+        return Vector._of(tuple(row[j] for row in self.rows), self._cols[j])
 
     def apply(self, v):
         if not isinstance(v, Vector):
@@ -202,26 +226,23 @@ class LinearMap:
         if v.dim != self.dim:
             raise DimensionMismatch("map and vector dimensions differ")
         out = [ZERO] * self.dim
-        for vj, col in zip(v.coords, self._cols):
-            if not col or vj.is_zero():
-                continue
-            for i, entry in col:
-                _accumulate(out, i, entry * vj)
-        return Vector._of(tuple(out))
+        for j, vj, uj in v._support():
+            for i, entry, ue in self._cols[j]:
+                _accumulate(out, i, _times(entry, ue, vj, uj))
+        return _written(out)
 
     def compose(self, other):
         """self after other (matrix product self . other)."""
         if not isinstance(other, LinearMap) or other.dim != self.dim:
             raise DimensionMismatch("composed maps must share one dimension")
-        n = self.dim
         cols = []
         for other_col in other._cols:
-            col = [ZERO] * n
-            for k, b in other_col:
-                for i, a in self._cols[k]:
-                    _accumulate(col, i, a * b)
+            col = [ZERO] * self.dim
+            for k, b, ub in other_col:
+                for i, a, ua in self._cols[k]:
+                    _accumulate(col, i, _times(a, ua, b, ub))
             cols.append(col)
-        return LinearMap._of(tuple(zip(*cols)))
+        return LinearMap._of(tuple(zip(*cols)), tuple(_nonzero(col) for col in cols))
 
     def power(self, k):
         if not isinstance(k, int) or k < 0:
@@ -340,16 +361,17 @@ class HomAlgebra:
             raise DimensionMismatch("operands do not match the algebra dimension")
         out = [ZERO] * self.dim
         vs = v._support()
-        for i, ui in u._support():
+        for i, ui, uu in u._support():
             cells = self._binary_nz[i]
-            for j, vj in vs:
+            for j, vj, uv in vs:
                 cell = cells[j]
                 if not cell:
                     continue
-                factor = ui * vj
-                for k, c in cell:
-                    _accumulate(out, k, factor * c)
-        return Vector._of(tuple(out))
+                factor = _times(ui, uu, vj, uv)
+                uf = uu * uv
+                for k, c, uc in cell:
+                    _accumulate(out, k, _times(factor, uf, c, uc))
+        return _written(out)
 
     def eval_ternary(self, u, v, w):
         if u.dim != self.dim or v.dim != self.dim or w.dim != self.dim:
@@ -357,20 +379,22 @@ class HomAlgebra:
         out = [ZERO] * self.dim
         vs = v._support()
         ws = w._support()
-        for i, ui in u._support():
-            for j, vj in vs:
+        for i, ui, uu in u._support():
+            for j, vj, uv in vs:
                 cells = self._ternary_nz[i][j]
-                uv = None
-                for k, wk in ws:
+                uuv = uu * uv
+                pair = None
+                for k, wk, uw in ws:
                     cell = cells[k]
                     if not cell:
                         continue
-                    if uv is None:
-                        uv = ui * vj
-                    factor = uv * wk
-                    for l, c in cell:
-                        _accumulate(out, l, factor * c)
-        return Vector._of(tuple(out))
+                    if pair is None:
+                        pair = _times(ui, uu, vj, uv)
+                    factor = _times(pair, uuv, wk, uw)
+                    uf = uuv * uw
+                    for l, c, uc in cell:
+                        _accumulate(out, l, _times(factor, uf, c, uc))
+        return _written(out)
 
     def is_multiplicative(self):
         """Whether the twist preserves both products (is a weak self-morphism)."""

@@ -1,8 +1,10 @@
 """Exact scalar arithmetic: multivariate polynomials over Q in named parameters.
 
-A scalar is stored in canonical form, a map from monomial to nonzero reduced
-Fraction, with the empty monomial holding the constant term.  Because the form
-is canonical, value equality is representation equality; there is no separate
+A scalar is stored in canonical form, a map from monomial to nonzero
+coefficient, with the empty monomial holding the constant term.  A coefficient
+is an int when its denominator is 1 and a reduced Fraction otherwise, so the
+common integer case never pays for Fraction arithmetic.  Because the form is
+canonical, value equality is representation equality; there is no separate
 normalization step to forget.  Scalars are immutable by convention.
 
 The literal grammar (shared by every file format) is sums of signed terms,
@@ -33,15 +35,49 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 NAME = re.compile(_IDENT + r"\Z")
 
 
+def _canon(q):
+    """A coefficient in canonical form: an int when its denominator is 1,
+    else the reduced Fraction."""
+    if q.__class__ is int:
+        return q
+    return q.numerator if q.denominator == 1 else q
+
+
 def _mono_mul(m, n):
+    """The product of two monomials, merging their sorted factors."""
     if not m:
         return n
     if not n:
         return m
-    acc = dict(m)
-    for name, e in n:
+    out = []
+    i = j = 0
+    while i < len(m) and j < len(n):
+        (a, e), (b, f) = m[i], n[j]
+        if a == b:
+            out.append((a, e + f))
+            i += 1
+            j += 1
+        elif a < b:
+            out.append(m[i])
+            i += 1
+        else:
+            out.append(n[j])
+            j += 1
+    out.extend(m[i:] or n[j:])
+    return tuple(out)
+
+
+def _mono_canon(mono):
+    """A monomial given as (name, exponent) pairs in canonical form: sorted
+    by name, repeated names merged, zero exponents dropped."""
+    acc = {}
+    for name, e in mono:
+        if not isinstance(e, int):
+            raise TypeError(f"exponent of {name!r} must be an int, got {e!r}")
+        if e < 0:
+            raise ValueError(f"exponent of {name!r} must be nonnegative, got {e}")
         acc[name] = acc.get(name, 0) + e
-    return tuple(sorted(acc.items()))
+    return tuple(sorted((name, e) for name, e in acc.items() if e))
 
 
 def _mono_pow(m, k):
@@ -65,26 +101,30 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        pruned = {}
+        """The polynomial sum of ``terms``, a map from monomial, as (name,
+        exponent) pairs, to int or Fraction coefficient."""
+        acc = {}
         if terms:
             for mono, coeff in terms.items():
-                if not isinstance(coeff, Fraction):
-                    coeff = Fraction(coeff)
-                if coeff:
-                    pruned[mono] = coeff
-        self._terms = pruned
+                if not isinstance(coeff, (int, Fraction)):
+                    raise TypeError(f"a scalar coefficient must be an int or a Fraction, got {coeff!r}")
+                mono = _mono_canon(mono)
+                acc[mono] = acc.get(mono, 0) + coeff
+        self._terms = {mono: _canon(c) for mono, c in acc.items() if c}
 
     @classmethod
     def rational(cls, value, den=None):
-        f = Fraction(value) if den is None else Fraction(value, den)
+        if den is not None or not isinstance(value, (int, Fraction)):
+            value = Fraction(value, den)
+        c = _canon(value)
         s = cls.__new__(cls)
-        s._terms = {_EMPTY: f} if f else {}
+        s._terms = {_EMPTY: c} if c else {}
         return s
 
     @classmethod
     def parameter(cls, name):
         s = cls.__new__(cls)
-        s._terms = {((name, 1),): Fraction(1)}
+        s._terms = {((name, 1),): 1}
         return s
 
     @classmethod
@@ -100,6 +140,16 @@ class Scalar:
     def is_zero(self):
         return not self._terms
 
+    def _unit(self):
+        """1 or -1 when the scalar is that constant, else 0."""
+        t = self._terms
+        if len(t) == 1:
+            u = t.get(_EMPTY)
+            # in canonical form a unit coefficient is an int
+            if u.__class__ is int and abs(u) == 1:
+                return u
+        return 0
+
     def is_rational(self):
         return not self._terms or (len(self._terms) == 1 and _EMPTY in self._terms)
 
@@ -108,7 +158,7 @@ class Scalar:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and _EMPTY in self._terms:
-            return self._terms[_EMPTY]
+            return Fraction(self._terms[_EMPTY])
         raise ValueError(f"scalar {self} is not a plain rational")
 
     def variables(self):
@@ -119,7 +169,8 @@ class Scalar:
         return frozenset(names)
 
     def terms(self):
-        """The canonical (monomial, coefficient) pairs in display order."""
+        """The canonical (monomial, coefficient) pairs in display order; a
+        coefficient is an int or a Fraction."""
         return tuple(sorted(self._terms.items(), key=lambda kv: _display_key(kv[0])))
 
     # -- arithmetic ------------------------------------------------------
@@ -138,11 +189,13 @@ class Scalar:
             if c is None:
                 acc[mono] = coeff
             else:
-                c = c + coeff
+                c = _canon(c + coeff)
                 if c:
                     acc[mono] = c
                 else:
                     del acc[mono]
+        if not acc:
+            return ZERO  # the kernels pass over the ZERO singleton without a call
         out = Scalar.__new__(Scalar)
         out._terms = acc
         return out
@@ -150,6 +203,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self._terms:
+            return self
         out = Scalar.__new__(Scalar)
         out._terms = {mono: -coeff for mono, coeff in self._terms.items()}
         return out
@@ -170,17 +225,25 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._terms or not other._terms:
+        a, b = self._terms, other._terms
+        if not a or not b:
             return ZERO
+        # a constant factor 1 or -1 costs no coefficient product
+        u = other._unit()
+        if u:
+            return self if u > 0 else -self
+        u = self._unit()
+        if u:
+            return other if u > 0 else -other
         acc = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
+        for m1, c1 in a.items():
+            for m2, c2 in b.items():
                 mono = _mono_mul(m1, m2)
                 c = acc.get(mono)
                 if c is None:
-                    acc[mono] = c1 * c2
+                    acc[mono] = _canon(c1 * c2)
                 else:
-                    c = c + c1 * c2
+                    c = _canon(c + c1 * c2)
                     if c:
                         acc[mono] = c
                     else:
@@ -198,7 +261,7 @@ class Scalar:
             # single-term fast path keeps b^(2^n) cheap
             (mono, coeff), = self._terms.items()
             out = Scalar.__new__(Scalar)
-            out._terms = {_mono_pow(mono, k): coeff**k}
+            out._terms = {_mono_pow(mono, k): _canon(coeff**k)}
             return out
         result = ONE
         base = self
@@ -231,17 +294,21 @@ class Scalar:
         return out
 
     def evaluate(self, bindings):
-        """Fully evaluate to a Fraction; every parameter must be bound to a rational."""
-        total = Fraction(0)
+        """Fully evaluate to a Fraction; every parameter must be bound to an
+        int or a Fraction."""
+        total = 0
         for mono, coeff in self._terms.items():
             value = coeff
             for name, e in mono:
                 try:
-                    value = value * Fraction(bindings[name]) ** e
+                    x = bindings[name]
                 except KeyError:
                     raise ValueError(f"unbound parameter {name!r}") from None
+                if not isinstance(x, (int, Fraction)):
+                    raise TypeError(f"cannot bind parameter {name!r} to {x!r}")
+                value = value * x**e
             total += value
-        return total
+        return Fraction(total)
 
     # -- structural ------------------------------------------------------
 

@@ -6,12 +6,13 @@ use nothing but Scalar arithmetic, so any cell the index drops, or any
 coordinate the trusted path mishandles, shows up as a difference.
 """
 
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector
+from hombol.algebra import HomAlgebra, LinearMap, Vector, _nonzero, tensor
 from hombol.errors import DimensionMismatch
 from hombol.scalars import ONE, ZERO, Scalar
 
@@ -185,3 +186,142 @@ def test_algebra_equality_ignores_the_nonzero_index():
     assert stale == as_scalars
     assert as_scalars != as_scalars.replace(binary=_tensor(rng, 3, 2))
     assert LinearMap(_matrix(random.Random(3), 3)) == LinearMap(_matrix(random.Random(3), 3))
+
+
+# -- against plain Fraction polynomials ------------------------------------
+#
+# A reference polynomial is a dict {monomial: Fraction} with no zero values,
+# multiplied and added here with Fraction arithmetic only, so neither the
+# int-or-Fraction coefficient form nor the +-1 short-cuts of the kernels and
+# of Scalar.__mul__ take part in it.
+
+
+def plain(s):
+    return {mono: F(c) for mono, c in s.terms()}
+
+
+def p_add(p, q):
+    out = dict(p)
+    for mono, c in q.items():
+        out[mono] = out.get(mono, F(0)) + c
+    return {mono: c for mono, c in out.items() if c}
+
+
+def p_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            exps = dict(m1)
+            for name, e in m2:
+                exps[name] = exps.get(name, 0) + e
+            mono = tuple(sorted(exps.items()))
+            out[mono] = out.get(mono, F(0)) + c1 * c2
+    return {mono: c for mono, c in out.items() if c}
+
+
+def p_product(*factors):
+    out = {(): F(1)}
+    for f in factors:
+        out = p_mul(out, f)
+    return out
+
+
+def plain_binary(binary, u, v):
+    n = len(u)
+    out = [{} for _ in range(n)]
+    for i, j, k in itertools.product(range(n), repeat=3):
+        out[k] = p_add(out[k], p_product(plain(u[i]), plain(v[j]), plain(binary[i][j][k])))
+    return out
+
+
+def plain_ternary(ternary, u, v, w):
+    n = len(u)
+    out = [{} for _ in range(n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        out[l] = p_add(out[l], p_product(plain(u[i]), plain(v[j]), plain(w[k]), plain(ternary[i][j][k][l])))
+    return out
+
+
+def plain_apply(rows, v):
+    n = len(v)
+    out = [{} for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        out[i] = p_add(out[i], p_product(plain(rows[i][j]), plain(v[j])))
+    return out
+
+
+def handed_over(v):
+    """The support the kernel gave Vector._of, checked against a rescan."""
+    assert v._nz is not None
+    assert v._nz == _nonzero(v.coords)
+    return [plain(c) for c in v.coords]
+
+
+def _unit_scalar(rng):
+    """Mostly +-1, some zeros and a few non-unit rationals."""
+    return Scalar.rational(rng.choice((1, -1, 1, -1, 0, 0, F(1, 3), -2)))
+
+
+def _dense_rational(rng):
+    return Scalar.rational(F(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 2, 3, 4))))
+
+
+OPERANDS = {
+    "unit": _unit_scalar,
+    "rational": _dense_rational,
+    "symbolic": lambda rng: _scalar(rng) or Scalar.parameter("b"),
+}
+
+
+def _signed_basis(dim):
+    return [Vector.basis(i, dim) for i in range(dim)] + [-Vector.basis(i, dim) for i in range(dim)]
+
+
+@pytest.mark.parametrize("kind", sorted(OPERANDS))
+@pytest.mark.parametrize("dim, seed", [(3, 1), (4, 2)])
+def test_kernels_match_plain_fraction_reference(kind, dim, seed):
+    rng = random.Random(seed)
+    make = OPERANDS[kind]
+
+    def cell(idx):
+        return tuple(make(rng) if rng.random() < 0.5 else ZERO for _ in range(dim))
+
+    binary = tensor(dim, 2, cell)
+    ternary = tensor(dim, 3, cell)
+    alg = HomAlgebra(dim, binary=binary, ternary=ternary)
+    operands = _signed_basis(dim) + [Vector(tuple(make(rng) for _ in range(dim))) for _ in range(3)]
+    for u in operands:
+        for v in operands[::3]:
+            assert handed_over(alg.eval_binary(u, v)) == plain_binary(binary, u.coords, v.coords)
+            assert handed_over(alg.eval_ternary(v, u, v)) == plain_ternary(ternary, v.coords, u.coords, v.coords)
+    rows = tuple(tuple(make(rng) for _ in range(dim)) for _ in range(dim))
+    other = tuple(tuple(make(rng) for _ in range(dim)) for _ in range(dim))
+    m = LinearMap(rows)
+    for v in operands:
+        assert handed_over(m.apply(v)) == plain_apply(rows, v.coords)
+    product = m.compose(LinearMap(other))
+    assert product._cols == tuple(_nonzero(col) for col in zip(*product.rows))
+    for j in range(dim):
+        column = [row[j] for row in other]
+        assert [plain(row[j]) for row in product.rows] == plain_apply(rows, column)
+
+
+def test_kernels_drop_coordinates_that_cancel():
+    # e1*e2 = e3 = e2*e1 and {e1,e1,e1} = e3 = {e2,e1,e1}
+    e3 = (ZERO, ZERO, ONE)
+    binary = tensor(3, 2, lambda idx: e3 if sorted(idx) == [0, 1] else (ZERO,) * 3)
+    ternary = tensor(3, 3, lambda idx: e3 if idx in ((0, 0, 0), (1, 0, 0)) else (ZERO,) * 3)
+    alg = HomAlgebra(3, binary=binary, ternary=ternary)
+    e = _signed_basis(3)
+    plus, minus = e[0] + e[1], e[0] - e[1]
+    # (e1 + e2)(e1 - e2) = -e1e2 + e2e1 = 0
+    for result in (alg.eval_binary(plus, minus), alg.eval_ternary(minus, e[0], e[0])):
+        assert result.is_zero()
+        assert result._nz == []
+    half = Scalar.rational(1, 2)
+    assert alg.eval_binary(plus.scale(half), Vector((1, 1, 1))).coords == (ZERO, ZERO, ONE)
+    # columns e1 and -e1 applied to e1 + e2, and composed with the column (1, 1, 0)
+    m = LinearMap(((1, -1, 0), (0, 0, 0), (0, 0, 0)))
+    assert m.apply(plus).is_zero()
+    assert m.apply(plus)._nz == []
+    assert m.compose(LinearMap(((1, 0, 0), (1, 0, 0), (0, 0, 0))))._cols == ([], [], [])

@@ -56,6 +56,16 @@ def test_product(x, y):
     assert same(x * y, to_sympy(x) * to_sympy(y))
 
 
+@given(scalars)
+def test_unit_products(x):
+    # the +-1 short-cut of Scalar.__mul__, on either side, with ints and Scalars
+    p = to_sympy(x)
+    for unit in (1, -1, Scalar.rational(1), Scalar.rational(-1)):
+        sign = 1 if unit == 1 else -1
+        assert same(x * unit, sign * p)
+        assert same(unit * x, sign * p)
+
+
 @given(scalars, st.integers(0, 4))
 def test_power(x, k):
     assert same(x**k, to_sympy(x) ** k)

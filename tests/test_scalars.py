@@ -118,3 +118,116 @@ def test_parse_scalar_name_restriction():
 def test_parse_scalar_rejects(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)
+
+
+# -- the public constructor is canonical and exact -------------------------
+
+
+def test_constructor_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        Scalar({(): 0.1})
+    with pytest.raises(TypeError):
+        Scalar({(("b", 1),): "2"})
+
+
+def test_constructor_drops_zero_exponents():
+    s = Scalar({(("b", 0),): 2})
+    assert s == Scalar.rational(2) == parse_scalar("2")
+    assert s.is_rational()
+    assert str(s) == "2"
+
+
+@pytest.mark.parametrize("mono, error", [((("b", -1),), ValueError), ((("b", 1.0),), TypeError), ((("b", F(1)),), TypeError)])
+def test_constructor_rejects_bad_exponents(mono, error):
+    with pytest.raises(error):
+        Scalar({mono: 2})
+
+
+def test_constructor_sorts_and_merges_monomials():
+    unsorted = Scalar({(("b", 1), ("a", 1)): 2})
+    assert unsorted == parse_scalar("2*a*b")
+    assert hash(unsorted) == hash(parse_scalar("2*a*b"))
+    assert str(unsorted) == "2*a*b"
+    assert Scalar({(("b", 1), ("b", 2)): 1}) == parse_scalar("b^3")
+
+
+def test_constructor_sums_colliding_monomials():
+    assert Scalar({(("a", 1), ("b", 1)): 1, (("b", 1), ("a", 1)): F(1, 2)}) == parse_scalar("3/2*a*b")
+    assert Scalar({(("b", 1),): 1, (("b", 1), ("c", 0)): -1}).is_zero()
+    assert Scalar({(): F(1, 3), (("b", 0),): F(2, 3)}) == ONE
+
+
+def test_evaluate_rejects_inexact_bindings():
+    b = Scalar.parameter("b")
+    with pytest.raises(TypeError):
+        b.evaluate({"b": 0.1})
+    assert b.evaluate({"b": 2}) == F(2)
+    assert type(b.evaluate({"b": 2})) is F
+
+
+# -- coefficient form: an int when the denominator is 1, else a Fraction ---
+
+
+def coefficients(s):
+    return [c for _, c in s.terms()]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Scalar.rational(3),
+        Scalar.rational(6, 2),
+        Scalar.rational(1, 2) * Scalar.rational(2),
+        Scalar.rational(1, 3) + Scalar.rational(2, 3),
+        Scalar.parameter("b"),
+        Scalar.rational(F(3)),
+        Scalar.rational(F(3, 2)) ** 0,
+        Scalar({(): F(4, 2)}),
+    ],
+)
+def test_integral_coefficients_are_ints(value):
+    assert [type(c) for c in coefficients(value)] == [int]
+
+
+def test_fractional_coefficients_are_fractions():
+    half = Scalar.rational(1, 2)
+    assert [type(c) for c in coefficients(half)] == [F]
+    assert type(half.as_fraction()) is F
+    assert type(Scalar.rational(3).as_fraction()) is F
+    assert type(ZERO.as_fraction()) is F
+
+
+def test_int_and_fraction_inputs_build_the_same_scalar():
+    for a, b in [(Scalar.rational(3), Scalar.rational(F(3))), (Scalar({(("b", 1),): 3}), Scalar({(("b", 1),): F(3)}))]:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert str(a) == str(b)
+
+
+def test_unit_products_return_the_other_side():
+    p = parse_scalar("2/3*b^2 - a + 1")
+    assert p * ONE is p
+    assert ONE * p is p
+    assert p * 1 is p
+    assert p * -1 == -p
+    assert -1 * p == -p
+    assert Scalar.rational(-1) * p == -p
+
+
+def test_result_coefficients_are_ints_exactly_when_integral():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = ("a", "b")
+    monomials = st.lists(st.tuples(st.sampled_from(names), st.integers(0, 2)), max_size=2)
+    coeffs = st.one_of(st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=4))
+    scalars = st.dictionaries(monomials.map(tuple), coeffs, max_size=4).map(Scalar)
+
+    def canonical(s):
+        return all(type(c) in (int, F) and (type(c) is int) == (F(c).denominator == 1) for c in coefficients(s))
+
+    @hypothesis.given(scalars, scalars, st.integers(0, 3))
+    def check(x, y, k):
+        for result in (x, x + y, x - y, x * y, x**k, -x):
+            assert canonical(result)
+
+    check()
