@@ -9,10 +9,11 @@ is exact and symbolic parameters ride along for free.
 A structure tensor of arity r (2 for the binary product, 3 for the ternary
 one) is a dense nested tuple indexed t[i1]...[ir]; ``tensor``, ``cell_at`` and
 ``HomAlgebra.cells`` build, read and walk both arities alike.  The kernels stay
-written per arity: they loop over a private index of the nonzero entries, which
-marks the entries equal to 1 or -1 so that a unit costs no product, and build
-vectors through the trusted ``Vector._of``, which skips the coercion the
-public constructor does and takes the result's support from the kernel.
+written per arity: they loop over a private index of the nonzero entries,
+multiply and add through Scalar's own operators, which short-cut a zero or
+unit side, and build vectors through the trusted ``Vector._of``, which skips
+the coercion the public constructor does and takes the result's support from
+the kernel.
 """
 
 from __future__ import annotations
@@ -61,28 +62,10 @@ def _as_coords(seq, dim):
 
 
 def _nonzero(coords):
-    """The (index, entry, unit) triples of the nonzero entries of a Scalar
-    sequence; unit is 1 or -1 when the entry is that constant, else 0.  The
-    ZERO singleton, which fills every coordinate a kernel did not write, is
-    passed over without a call."""
-    return [(k, c, c._unit()) for k, c in enumerate(coords) if c is not ZERO and not c.is_zero()]
-
-
-def _times(a, ua, b, ub):
-    """a * b, where ua is 1 or -1 when a is known to be that constant, else
-    0, and ub likewise: a known unit side makes the product the other side or
-    its negation, without a call into Scalar.__mul__."""
-    if ua:
-        return b if ua > 0 else -b
-    if ub:
-        return a if ub > 0 else -a
-    return a * b
-
-
-def _accumulate(out, k, term):
-    """out[k] += term, without the addition while out[k] is the ZERO singleton."""
-    acc = out[k]
-    out[k] = term if acc is ZERO else acc + term
+    """The (index, entry) pairs of the nonzero entries of a Scalar sequence.
+    The ZERO singleton, which fills every coordinate a kernel did not write
+    and every sum that cancels, is passed over without a call."""
+    return [(k, c) for k, c in enumerate(coords) if c is not ZERO and not c.is_zero()]
 
 
 def _written(out):
@@ -109,8 +92,7 @@ class Vector:
         return v
 
     def _support(self):
-        """The (index, coordinate, unit) triples of the nonzero coordinates
-        (see _nonzero), cached."""
+        """The (index, coordinate) pairs of the nonzero coordinates, cached."""
         nz = self._nz
         if nz is None:
             nz = self._nz = _nonzero(self.coords)
@@ -133,10 +115,9 @@ class Vector:
 
     def scale(self, s):
         s = _as_scalar(s)
-        u = s._unit()
         out = [ZERO] * self.dim
-        for k, c, uc in self._support():
-            out[k] = _times(c, uc, s, u)
+        for k, c in self._support():
+            out[k] = c * s
         return _written(out)
 
     def __add__(self, other):
@@ -145,8 +126,8 @@ class Vector:
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch("vector dimensions differ")
         out = list(self.coords)
-        for k, b, _ in other._support():
-            _accumulate(out, k, b)
+        for k, b in other._support():
+            out[k] += b
         return Vector._of(tuple(out))
 
     def __sub__(self, other):
@@ -155,8 +136,8 @@ class Vector:
         if len(self.coords) != len(other.coords):
             raise DimensionMismatch("vector dimensions differ")
         out = list(self.coords)
-        for k, b, _ in other._support():
-            _accumulate(out, k, -b)
+        for k, b in other._support():
+            out[k] -= b
         return Vector._of(tuple(out))
 
     def __neg__(self):
@@ -200,7 +181,7 @@ class LinearMap:
 
     def _set_rows(self, rows, cols=None):
         self.rows = rows
-        # nonzero (i, entry, unit) triples of each column
+        # nonzero (i, entry) pairs of each column
         self._cols = tuple(_nonzero(col) for col in zip(*rows)) if cols is None else cols
 
     @classmethod
@@ -209,9 +190,10 @@ class LinearMap:
 
     @classmethod
     def from_columns(cls, cols):
-        cols = tuple(tuple(_as_scalar(x) for x in col) for col in cols)
-        dim = len(cols)
-        return cls(tuple(tuple(cols[j][i] for j in range(dim)) for i in range(dim)))
+        cols = tuple(tuple(col) for col in cols)
+        if any(len(col) != len(cols) for col in cols):
+            raise DimensionMismatch("linear map matrix must be square")
+        return cls(tuple(zip(*cols)))
 
     @property
     def dim(self):
@@ -226,9 +208,9 @@ class LinearMap:
         if v.dim != self.dim:
             raise DimensionMismatch("map and vector dimensions differ")
         out = [ZERO] * self.dim
-        for j, vj, uj in v._support():
-            for i, entry, ue in self._cols[j]:
-                _accumulate(out, i, _times(entry, ue, vj, uj))
+        for j, vj in v._support():
+            for i, entry in self._cols[j]:
+                out[i] += entry * vj
         return _written(out)
 
     def compose(self, other):
@@ -238,9 +220,9 @@ class LinearMap:
         cols = []
         for other_col in other._cols:
             col = [ZERO] * self.dim
-            for k, b, ub in other_col:
-                for i, a, ua in self._cols[k]:
-                    _accumulate(col, i, _times(a, ua, b, ub))
+            for k, b in other_col:
+                for i, a in self._cols[k]:
+                    col[i] += a * b
             cols.append(col)
         return LinearMap._of(tuple(zip(*cols)), tuple(_nonzero(col) for col in cols))
 
@@ -361,16 +343,15 @@ class HomAlgebra:
             raise DimensionMismatch("operands do not match the algebra dimension")
         out = [ZERO] * self.dim
         vs = v._support()
-        for i, ui, uu in u._support():
+        for i, ui in u._support():
             cells = self._binary_nz[i]
-            for j, vj, uv in vs:
+            for j, vj in vs:
                 cell = cells[j]
                 if not cell:
                     continue
-                factor = _times(ui, uu, vj, uv)
-                uf = uu * uv
-                for k, c, uc in cell:
-                    _accumulate(out, k, _times(factor, uf, c, uc))
+                factor = ui * vj
+                for k, c in cell:
+                    out[k] += factor * c
         return _written(out)
 
     def eval_ternary(self, u, v, w):
@@ -379,21 +360,19 @@ class HomAlgebra:
         out = [ZERO] * self.dim
         vs = v._support()
         ws = w._support()
-        for i, ui, uu in u._support():
-            for j, vj, uv in vs:
+        for i, ui in u._support():
+            for j, vj in vs:
                 cells = self._ternary_nz[i][j]
-                uuv = uu * uv
                 pair = None
-                for k, wk, uw in ws:
+                for k, wk in ws:
                     cell = cells[k]
                     if not cell:
                         continue
                     if pair is None:
-                        pair = _times(ui, uu, vj, uv)
-                    factor = _times(pair, uuv, wk, uw)
-                    uf = uuv * uw
-                    for l, c, uc in cell:
-                        _accumulate(out, l, _times(factor, uf, c, uc))
+                        pair = ui * vj
+                    factor = pair * wk
+                    for l, c in cell:
+                        out[l] += factor * c
         return _written(out)
 
     def is_multiplicative(self):

@@ -188,10 +188,18 @@ def _vanishes(rows, x):
     return total == 0
 
 
+def _exact(value, what):
+    """value as a Fraction; it must be an int or a Fraction already."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def grid_search(system, values, parameter_bindings=None):
     """All unknown assignments over a finite value grid solving the system.
 
-    Every algebra parameter must be bound to a rational first.  The search
+    Every algebra parameter must be bound first, and every binding and grid
+    value must be an int or a Fraction (a float is a TypeError).  The search
     is depth first: it binds the unknowns in ``system.unknowns`` order, tries
     the ascending, de-duplicated grid values at each depth, and tests each
     equation as soon as its last unknown is bound, descending only when
@@ -204,11 +212,11 @@ def grid_search(system, values, parameter_bindings=None):
     vector over the ascending grid, the order of an exhaustive scan; the
     zero map, when it solves the system, is simply one of them.
     """
-    bindings = {name: Fraction(v) for name, v in (parameter_bindings or {}).items()}
+    bindings = {name: _exact(v, f"parameter {name!r}") for name, v in (parameter_bindings or {}).items()}
     unbound = sorted(system.params - set(bindings))
     if unbound:
         raise ValueError(f"unbound parameter {unbound[0]!r}")
-    grid = [int(v) if v.denominator == 1 else v for v in sorted({Fraction(v) for v in values})]
+    grid = [int(v) if v.denominator == 1 else v for v in sorted({_exact(v, "a grid value") for v in values})]
     filed = _compile(system, bindings)
     if filed is None:
         return []

@@ -114,7 +114,11 @@ class Scalar:
 
     @classmethod
     def rational(cls, value, den=None):
-        if den is not None or not isinstance(value, (int, Fraction)):
+        """The constant value/den; both must be ints or Fractions."""
+        for x in (value, 1 if den is None else den):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"a rational must be built from ints and Fractions, got {x!r}")
+        if den is not None:
             value = Fraction(value, den)
         c = _canon(value)
         s = cls.__new__(cls)
@@ -139,16 +143,6 @@ class Scalar:
 
     def is_zero(self):
         return not self._terms
-
-    def _unit(self):
-        """1 or -1 when the scalar is that constant, else 0."""
-        t = self._terms
-        if len(t) == 1:
-            u = t.get(_EMPTY)
-            # in canonical form a unit coefficient is an int
-            if u.__class__ is int and abs(u) == 1:
-                return u
-        return 0
 
     def is_rational(self):
         return not self._terms or (len(self._terms) == 1 and _EMPTY in self._terms)
@@ -176,9 +170,10 @@ class Scalar:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         if not other._terms:
             return self
         if not self._terms:
@@ -222,19 +217,23 @@ class Scalar:
         return other + (-self)
 
     def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar:
+            other = Scalar._coerce(other)
+            if other is None:
+                return NotImplemented
         a, b = self._terms, other._terms
         if not a or not b:
             return ZERO
-        # a constant factor 1 or -1 costs no coefficient product
-        u = other._unit()
-        if u:
-            return self if u > 0 else -self
-        u = self._unit()
-        if u:
-            return other if u > 0 else -other
+        # a constant factor 1 or -1 costs no coefficient product; in
+        # canonical form a unit coefficient is an int
+        if len(b) == 1:
+            u = b.get(_EMPTY)
+            if u.__class__ is int and (u == 1 or u == -1):
+                return self if u == 1 else -self
+        if len(a) == 1:
+            u = a.get(_EMPTY)
+            if u.__class__ is int and (u == 1 or u == -1):
+                return other if u == 1 else -other
         acc = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():

@@ -34,6 +34,16 @@ def test_vector_dimension_mismatch():
         Vector((1, 2)) + Vector((1, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "cols",
+    [((1, 2, 3), (4, 5, 6)), ((1, 2), (3,)), ((1, 2), (3, 4, 5)), ((), ()), ((1,), (2,))],
+)
+def test_from_columns_refuses_a_matrix_that_is_not_square(cols):
+    # ((1, 2, 3), (4, 5, 6)) once gave a 2x2 map and a short column an IndexError
+    with pytest.raises(DimensionMismatch, match="^linear map matrix must be square$"):
+        LinearMap.from_columns(cols)
+
+
 def test_linear_map_columns_and_apply():
     # column j is the image of e_j
     m = LinearMap.from_columns(((1, 2), (0, 3)))

@@ -210,3 +210,16 @@ def test_unbound_parameter_is_refused_before_searching():
     for search in (grid_search, brute_force_grid_search):
         with pytest.raises(ValueError, match="^unbound parameter 'p'$"):
             search(undeclared, DEFAULT_GRID)
+
+
+def test_inexact_grid_values_and_bindings_are_refused():
+    # a float grid value once gave 15 maps built on the binary fraction of 0.1
+    system = generate_constraints(get("A2", lam=1))
+    with pytest.raises(TypeError):
+        grid_search(system, [0, 1, 0.1])
+    with pytest.raises(TypeError):
+        grid_search(system, [0, 1, "1/2"])
+    symbolic = generate_constraints(get("A2"))
+    with pytest.raises(TypeError):
+        grid_search(symbolic, DEFAULT_GRID, {"lambda": 0.5})
+    assert grid_search(symbolic, [F(0), F(1)], {"lambda": F(1)}) == grid_search(system, [0, 1])

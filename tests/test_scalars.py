@@ -10,7 +10,7 @@ def test_rational_construction_and_identity():
     assert Scalar.rational(0).is_zero()
     assert Scalar.rational(0) == ZERO
     assert Scalar.rational(1) == ONE
-    assert Scalar.rational(F(2, 4)) == Scalar.rational(1, 2)
+    assert Scalar.rational(F(2, 4)) == Scalar.rational(1, 2) == Scalar.rational(F(1, 4), F(1, 2))
     assert Scalar.rational(3).as_fraction() == F(3)
 
 
@@ -130,6 +130,13 @@ def test_constructor_rejects_inexact_coefficients():
         Scalar({(("b", 1),): "2"})
 
 
+@pytest.mark.parametrize("args", [(0.1,), (0.5,), ("1/2",), (1, 0.5), (1, "2"), (None,)])
+def test_rational_rejects_inexact_arguments(args):
+    # Scalar.rational(0.1) once stored the binary fraction 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        Scalar.rational(*args)
+
+
 def test_constructor_drops_zero_exponents():
     s = Scalar({(("b", 0),): 2})
     assert s == Scalar.rational(2) == parse_scalar("2")
@@ -212,6 +219,24 @@ def test_unit_products_return_the_other_side():
     assert p * -1 == -p
     assert -1 * p == -p
     assert Scalar.rational(-1) * p == -p
+    # the kernels multiply by units with no test of their own
+    for one in (ONE, Scalar.rational(1), 1, F(1)):
+        assert p * one is p
+        assert one * p is p
+    for minus_one in (-ONE, Scalar.rational(-1), -1, F(-1)):
+        assert p * minus_one == -p
+        assert minus_one * p == -p
+    assert (-ONE) * (-ONE) == ONE
+
+
+def test_sums_with_zero_return_the_other_side_and_cancel_to_ZERO():
+    # the kernels add into lists of ZERO and pass over ZERO by identity
+    p = parse_scalar("2/3*b^2 - a + 1")
+    assert ZERO + p is p
+    assert p + ZERO is p
+    assert p + (-p) is ZERO
+    assert p - p is ZERO
+    assert Scalar.rational(1, 2) - F(1, 2) is ZERO
 
 
 def test_result_coefficients_are_ints_exactly_when_integral():
