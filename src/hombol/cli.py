@@ -71,12 +71,16 @@ def _cmd_malcev2bol(args):
     return 0
 
 
+def _shown(name):
+    """A name from the command line, cut to 40 characters for a message."""
+    return name if len(name) <= 40 else name[:40] + "..."
+
+
 def _cmd_morphisms(args):
     alg = parse_algebra(_read(args.file))
     stray = sorted(set(args.bind) - alg.all_variables())
     if stray:
-        name = stray[0] if len(stray[0]) <= 40 else stray[0][:40] + "..."
-        raise ParseError(f"--bind: {name!r} is not a parameter of the algebra")
+        raise ParseError(f"--bind: {_shown(stray[0])!r} is not a parameter of the algebra")
     # every search runs before anything is printed, so a failing one leaves
     # stdout empty; dimension 2 classifies too, and its report carries the
     # one system built
@@ -177,6 +181,8 @@ def _flag_bindings(flag, pairs):
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise ParseError(f"{flag} takes NAME=RATIONAL")
+        if name in bindings:
+            raise ParseError(f"{flag}: {_shown(name)!r} is given twice")
         bindings[name] = _flag_rational(flag, value, len(name) + 1)
     return bindings
 

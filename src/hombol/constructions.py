@@ -48,17 +48,17 @@ def _require_endomorphism(beta, alg, who):
         )
 
 
-def _recompose(algebra, base, p, *, add_params=False):
+def _recompose(algebra, base, p):
     """The algebra with its binary product composed with P = base^p, its
-    ternary product with P^2, and the twist P . alpha; ``add_params`` adds
-    base's parameters to the algebra's."""
+    ternary product with P^2, the twist P . alpha, and base's parameters
+    added to its own."""
     if 2 * p > POWER_LIMIT:
         raise ExponentLimitError(f"a map power exceeds the exponent limit {POWER_LIMIT}")
     power = base.power(p)
     ternary = compose_tensor(power.compose(power), algebra.ternary, 3)
     binary = compose_tensor(power, algebra.binary, 2)
     twist = power.compose(algebra.twist)
-    params = algebra.params | base.variables() if add_params else algebra.params
+    params = algebra.params | base.variables()
     return algebra.replace(binary=binary, ternary=ternary, twist=twist, params=params)
 
 
@@ -74,7 +74,7 @@ def yau_twist(algebra, beta, *, check=True):
         raise PreconditionError("yau_twist: the algebra must carry the identity twist")
     if check:
         _require_endomorphism(beta, algebra, "yau_twist")
-    return _recompose(algebra, beta, 1, add_params=True)
+    return _recompose(algebra, beta, 1)
 
 
 def self_twist(algebra, beta, n):
@@ -87,7 +87,7 @@ def self_twist(algebra, beta, n):
     if not isinstance(n, int) or n < 0:
         raise PreconditionError("self_twist: n must be a nonnegative integer")
     _require_endomorphism(beta, algebra, "self_twist")
-    return _recompose(algebra, beta, n, add_params=True)
+    return _recompose(algebra, beta, n)
 
 
 def nth_derived(algebra, n):
@@ -130,7 +130,7 @@ def malcev_to_bol(algebra, beta=None):
 
     table = tabulate(_MALCEV_BRACKET.lhs, algebra, _MALCEV_BRACKET.variables)
     ternary = tensor(algebra.dim, 3, lambda idx: cell_at(table, idx).coords)
-    return _recompose(algebra.replace(ternary=ternary), beta, 1, add_params=True)
+    return _recompose(algebra.replace(ternary=ternary), beta, 1)
 
 
 def hom_jacobian(algebra):

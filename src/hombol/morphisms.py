@@ -15,8 +15,10 @@ and a partial assignment that fails one is pruned with everything below it.
 The equations are compiled once to integer-coefficient rows, so the search
 stays in exact int and Fraction arithmetic.
 
-Unknowns for dimension 2 follow the classical layout: theta(e1) = a1 e1 + a2 e2,
-theta(e2) = b1 e1 + b2 e2.  Other dimensions use t<src>_<tgt>.
+The unknowns are theta's entries, source-major and target-minor, a layout
+that _theta and its inverse _entries alone spell out.  Dimension 2 names them
+classically, theta(e1) = a1 e1 + a2 e2 and theta(e2) = b1 e1 + b2 e2; other
+dimensions use t<src>_<tgt>.
 """
 
 from __future__ import annotations
@@ -60,9 +62,6 @@ class ConstraintSystem:
     params: frozenset  # remaining symbolic parameters of the algebra
     equations: tuple  # Scalars, each asserting "= 0"
 
-    def unknown_at(self, src, tgt):
-        return self.unknowns[src * self.dim + tgt]
-
 
 @dataclass(frozen=True)
 class FailingEquation:
@@ -75,6 +74,17 @@ def unknown_names(dim):
     if dim == 2:
         return ("a1", "a2", "b1", "b2")
     return tuple(f"t{j + 1}_{i + 1}" for j in range(dim) for i in range(dim))
+
+
+def _theta(entries, n):
+    """The map whose entries, source-major and target-minor, are ``entries``:
+    entry j*n + i is the e_i coordinate of theta(e_j)."""
+    return LinearMap.from_columns(tuple(entries[j * n:(j + 1) * n] for j in range(n)))
+
+
+def _entries(theta):
+    """The inverse of _theta: theta's entries, source-major, target-minor."""
+    return [entry for col in zip(*theta.rows) for entry in col]
 
 
 def generate_constraints(algebra):
@@ -91,9 +101,7 @@ def generate_constraints(algebra):
     if clash:
         raise ValueError(f"unknown name collides with an algebra parameter: {sorted(clash)[0]!r}")
 
-    theta = LinearMap.from_columns(
-        tuple(tuple(Scalar.parameter(names[j * n + i]) for i in range(n)) for j in range(n))
-    )
+    theta = _theta([Scalar.parameter(name) for name in names], n)
 
     equations = {}
     for _, _, residual in morphism_residuals(theta, algebra, algebra):
@@ -110,11 +118,7 @@ def _bindings_from(system, candidate):
     if isinstance(candidate, LinearMap):
         if candidate.dim != system.dim:
             raise ValueError("candidate dimension does not match the system")
-        return {
-            system.unknown_at(j, i): candidate.rows[i][j]
-            for j in range(system.dim)
-            for i in range(system.dim)
-        }
+        return dict(zip(system.unknowns, _entries(candidate)))
     given = dict(candidate)
     expected = set(system.unknowns)
     if set(given) != expected:
@@ -222,7 +226,7 @@ def grid_search(system, values, parameter_bindings=None):
         return []
 
     solutions = []
-    n, size = system.dim, len(system.unknowns)
+    size = len(system.unknowns)
     x = [None] * size
     # stack[k] yields the grid values still to try for unknown k; the loop
     # stops at depth size, where x is a solution
@@ -230,11 +234,7 @@ def grid_search(system, values, parameter_bindings=None):
     while stack:
         k = len(stack) - 1
         if k == size:
-            solutions.append(
-                LinearMap.from_columns(
-                    tuple(tuple(Scalar.rational(x[j * n + i]) for i in range(n)) for j in range(n))
-                )
-            )
+            solutions.append(_theta([Scalar.rational(v) for v in x], system.dim))
             stack.pop()
             continue
         for v in stack[k]:

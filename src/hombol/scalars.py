@@ -80,12 +80,6 @@ def _mono_canon(mono):
     return tuple(sorted((name, e) for name, e in acc.items() if e))
 
 
-def _mono_pow(m, k):
-    if k == 0 or not m:
-        return _EMPTY
-    return tuple((name, e * k) for name, e in m)
-
-
 def _mono_degree(m):
     return sum(e for _, e in m)
 
@@ -256,12 +250,6 @@ class Scalar:
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("scalar powers take a nonnegative integer exponent")
-        if len(self._terms) == 1:
-            # single-term fast path keeps b^(2^n) cheap
-            (mono, coeff), = self._terms.items()
-            out = Scalar.__new__(Scalar)
-            out._terms = {_mono_pow(mono, k): _canon(coeff**k)}
-            return out
         result = ONE
         base = self
         while k:

@@ -73,6 +73,36 @@ def format_suite_report(report, labels):
     return "\n".join(lines)
 
 
+def _require_names(names, what, lineno):
+    for name in names:
+        if not NAME.match(name):
+            raise ParseError(f"bad {what} {name!r}", line=lineno)
+
+
+def _read_params(words, lineno, declared, taken, taken_what):
+    """The names of a params line in every document format; a second line, a
+    name that is not an identifier, given twice or among ``taken`` is refused."""
+    if declared is not None:
+        raise ParseError("duplicate params line", line=lineno)
+    names = words[1:]
+    _require_names(names, "parameter name", lineno)
+    if len(set(names)) != len(names):
+        raise ParseError("duplicate parameter name", line=lineno)
+    if set(names) & set(taken):
+        raise ParseError(f"{taken_what} and parameters overlap", line=lineno)
+    return tuple(names)
+
+
+def _header(key, words, params, basis=()):
+    """The header lines of every document format: '<key> <words>', then the
+    sorted params and the basis, each only when it has names."""
+    return [" ".join((k, *w)) for k, w in ((key, words), ("params", sorted(params)), ("basis", basis)) if w]
+
+
+def _alpha_lines(m, basis):
+    return [f"alpha {basis[j]} = {format_vector(m.column(j), basis)}" for j in range(m.dim)]
+
+
 class _DocReader:
     """The one reader of algebra and map documents.
 
@@ -123,15 +153,7 @@ class _DocReader:
                 raise ParseError(f"dim may not exceed {DIM_LIMIT}", line=lineno, column=column)
             return True
         if key == "params":
-            if self.params is not None:
-                raise ParseError("duplicate params line", line=lineno)
-            names = words[1:]
-            for name in names:
-                if not NAME.match(name):
-                    raise ParseError(f"bad parameter name {name!r}", line=lineno)
-            if len(set(names)) != len(names):
-                raise ParseError("duplicate parameter name", line=lineno)
-            self.params = tuple(names)
+            self.params = _read_params(words, lineno, self.params, self.basis or (), "basis labels")
             return True
         if key == "basis":
             if self.basis is not None:
@@ -141,9 +163,7 @@ class _DocReader:
             labels = words[1:]
             if len(labels) != self.dim or len(set(labels)) != self.dim:
                 raise ParseError(f"basis needs {self.dim} distinct labels", line=lineno)
-            for label in labels:
-                if not NAME.match(label):
-                    raise ParseError(f"bad basis label {label!r}", line=lineno)
+            _require_names(labels, "basis label", lineno)
             if self.params and set(labels) & set(self.params):
                 raise ParseError("basis labels and parameters overlap", line=lineno)
             self.basis = tuple(labels)
@@ -229,18 +249,13 @@ def parse_algebra(text):
 
 
 def emit_algebra(alg):
-    lines = [f"dim {alg.dim}"]
-    declared = sorted(alg.all_variables())
-    if declared:
-        lines.append("params " + " ".join(declared))
-    lines.append("basis " + " ".join(alg.basis))
+    lines = _header("dim", [str(alg.dim)], alg.all_variables(), alg.basis)
     for kind, idx, coords in alg.cells():
         if any(coords):  # a Scalar is true when nonzero
             labels = " ".join(alg.basis[i] for i in idx)
             lines.append(f"{kind} {labels} = {format_vector(Vector(coords), alg.basis)}")
     if not alg.twist.is_identity():
-        for j in range(alg.dim):
-            lines.append(f"alpha {alg.basis[j]} = {format_vector(alg.twist.column(j), alg.basis)}")
+        lines += _alpha_lines(alg.twist, alg.basis)
     return "\n".join(lines) + "\n"
 
 
@@ -258,19 +273,12 @@ def parse_map(text):
 
 
 def emit_map(m, basis, params=None):
-    lines = [f"dim {m.dim}"]
-    declared = sorted(set(params or ()) | m.variables())
-    if declared:
-        lines.append("params " + " ".join(declared))
-    lines.append("basis " + " ".join(basis))
-    for j in range(m.dim):
-        lines.append(f"alpha {basis[j]} = {format_vector(m.column(j), basis)}")
-    return "\n".join(lines) + "\n"
+    lines = _header("dim", [str(m.dim)], set(params or ()) | m.variables(), basis)
+    return "\n".join(lines + _alpha_lines(m, basis)) + "\n"
 
 
 def parse_constraints(text):
-    unknowns = None
-    params = ()
+    unknowns = params = None
     equations = []
     for lineno, line in content_lines(text):
         words = line.split()
@@ -279,17 +287,16 @@ def parse_constraints(text):
                 raise ParseError("duplicate unknowns line", line=lineno)
             if len(words) < 2 or len(set(words[1:])) != len(words) - 1:
                 raise ParseError("unknowns takes distinct names", line=lineno)
+            _require_names(words[1:], "unknown name", lineno)
             unknowns = tuple(words[1:])
-            continue
-        if words[0] == "params":
-            if unknowns is None:
-                raise ParseError("unknowns must come first", line=lineno)
-            params = tuple(words[1:])
             continue
         if unknowns is None:
             raise ParseError("unknowns must come first", line=lineno)
+        if words[0] == "params":
+            params = _read_params(words, lineno, params, unknowns, "unknowns")
+            continue
         try:
-            equations.append(parse_scalar(line, set(unknowns) | set(params)))
+            equations.append(parse_scalar(line, set(unknowns) | set(params or ())))
         except ParseError as exc:
             raise exc.located(lineno) from None
     if unknowns is None:
@@ -298,14 +305,10 @@ def parse_constraints(text):
     if dim * dim != len(unknowns):
         raise ParseError("the number of unknowns must be a perfect square")
     return ConstraintSystem(
-        dim=dim, unknowns=unknowns, params=frozenset(params), equations=tuple(equations)
+        dim=dim, unknowns=unknowns, params=frozenset(params or ()), equations=tuple(equations)
     )
 
 
 def emit_constraints(system):
-    lines = ["unknowns " + " ".join(system.unknowns)]
-    if system.params:
-        lines.append("params " + " ".join(sorted(system.params)))
-    for eq in system.equations:
-        lines.append(str(eq))
-    return "\n".join(lines) + "\n"
+    lines = _header("unknowns", system.unknowns, system.params)
+    return "\n".join(lines + [str(eq) for eq in system.equations]) + "\n"

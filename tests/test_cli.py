@@ -301,6 +301,14 @@ def test_bind_without_equals_is_not_echoed(tmp_path, capsys):
     assert captured.err == "error: --bind takes NAME=RATIONAL\n"
 
 
+def test_bind_given_twice_is_refused(tmp_path, capsys):
+    path = _write(tmp_path, "a2.alg", emit_algebra(get("A2")))
+    assert main(["morphisms", path, "--bind", "lambda=1", "--bind", "lambda=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --bind: 'lambda' is given twice\n"
+
+
 # --- catalog and crosscheck ----------------------------------------------------
 
 

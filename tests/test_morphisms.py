@@ -16,6 +16,11 @@ from hombol.morphisms import (
 )
 from hombol.serialization import parse_algebra
 
+SO3_DOC = (
+    "dim 3\nbasis e1 e2 e3\ncomplete skew-binary\n"
+    "binary e1 e2 = e3\nbinary e2 e3 = e1\nbinary e3 e1 = e2\n"
+)
+
 A1_EQUATIONS = [
     "-a1*a2*b1 + a1^2*b2 - a1",
     "-a1*a2*b2 + a2^2*b1 - a2",
@@ -123,6 +128,26 @@ def test_grid_requires_bound_parameters():
         grid_search(system, DEFAULT_GRID)
 
 
+@pytest.mark.parametrize(
+    "algebra, grid, count",
+    [(parse_algebra(SO3_DOC), (-1, 0, 1), 25), (get("A2", lam=1), DEFAULT_GRID, 91)],
+    ids=["so3", "A2-lambda-1"],
+)
+def test_every_grid_solution_verifies_as_a_map(algebra, grid, count):
+    # grid_search lays its solutions out as maps and verify_candidate reads a
+    # map back into bindings; both must use the one layout of the unknowns
+    system = generate_constraints(algebra)
+    solutions = grid_search(system, grid)
+    assert len(solutions) == count
+    assert all(verify_candidate(system, m) is None for m in solutions)
+
+
+def test_a_transposed_layout_would_fail_on_a2():
+    system = generate_constraints(get("A2", lam=1))
+    transposes = [LinearMap(tuple(zip(*m.rows))) for m in grid_search(system, DEFAULT_GRID)]
+    assert any(verify_candidate(system, t) is not None for t in transposes)
+
+
 # --- classify_2dim -----------------------------------------------------------
 
 
@@ -157,11 +182,7 @@ def test_classify_rejects_other_dimensions():
 
 
 def test_identity_solves_a_three_dimensional_system():
-    doc = (
-        "dim 3\nbasis e1 e2 e3\ncomplete skew-binary\n"
-        "binary e1 e2 = e3\nbinary e2 e3 = e1\nbinary e3 e1 = e2\n"
-    )
-    system = generate_constraints(parse_algebra(doc))
+    system = generate_constraints(parse_algebra(SO3_DOC))
     assert len(system.unknowns) == 9
     assert verify_candidate(system, LinearMap.identity(3)) is None
     rotate = LinearMap.from_columns(((0, 1, 0), (0, 0, 1), (1, 0, 0)))

@@ -154,6 +154,14 @@ CASES = [
     # appended, so that the ids of the rows above keep their numbers
     ('algebra', 'dim 33', ParseError, 'dim may not exceed 32 (line 1, column 5)'),
     ('algebra', 'dim 100000', ParseError, 'dim may not exceed 32 (line 1, column 5)'),
+    # constraint documents read params as the other two formats do
+    ('constraints', 'unknowns a1 a2 b1 b2\nparams a1\na1', ParseError, 'unknowns and parameters overlap (line 2)'),
+    ('constraints', 'unknowns a1 a2 b1 b2\nparams lam\na1*lam - 1\nparams mu\nb2 - mu', ParseError, 'duplicate params line (line 4)'),
+    ('constraints', 'unknowns a\nparams 9x', ParseError, "bad parameter name '9x' (line 2)"),
+    ('constraints', 'unknowns a\nparams lam lam', ParseError, 'duplicate parameter name (line 2)'),
+    ('constraints', 'unknowns a1 a1x 1b b2', ParseError, "bad unknown name '1b' (line 1)"),
+    # a params line after the basis is checked against it too
+    ('algebra', H + 'params e1', ParseError, 'basis labels and parameters overlap (line 3)'),
 ]
 
 

@@ -45,6 +45,10 @@ def test_power_cases():
     assert x ** 0 == ONE
     assert x ** 1 == x
     assert (Scalar.rational(2) * x) ** 3 == Scalar.rational(8) * x ** 3
+    # a single term at a large exponent, against its closed form
+    b = Scalar.parameter("b")
+    assert b ** 2**16 == Scalar({(("b", 2**16),): 1})
+    assert (Scalar.rational(2, 3) * b) ** 2**10 == Scalar({(("b", 2**10),): F(2**1024, 3**1024)})
     with pytest.raises(ValueError):
         x ** -1
 
