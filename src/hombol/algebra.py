@@ -8,12 +8,18 @@ is exact and symbolic parameters ride along for free.
 
 A structure tensor of arity r (2 for the binary product, 3 for the ternary
 one) is a dense nested tuple indexed t[i1]...[ir]; ``tensor``, ``cell_at`` and
-``HomAlgebra.cells`` build, read and walk both arities alike.  The kernels stay
-written per arity: they loop over a private index of the nonzero entries,
-multiply and add through Scalar's own operators, which short-cut a zero or
-unit side, and build vectors through the trusted ``Vector._of``, which skips
-the coercion the public constructor does and takes the result's support from
-the kernel.
+``HomAlgebra.cells`` build, read and walk both arities alike.
+
+The kernels work on sparse vectors: dicts {coordinate: nonzero Scalar}.
+There is one per arity (``LinearMap._apply``, ``HomAlgebra._binary`` and
+``_ternary``, plus ``_scale`` and ``_add``); each loops over its operands'
+entries and a private index of the nonzero (coordinate, entry) pairs of the
+map columns and product cells, multiplies and adds through Scalar's own
+operators, which short-cut a zero or unit side, accumulates into a dict and
+drops the coordinates that cancel.  The identity tables call them directly.
+``apply``, ``compose``, ``eval_binary``, ``eval_ternary`` and ``Vector.scale``
+are thin wrappers that turn a kernel's dict into a Vector through
+``_vector``, the one place that writes dense coordinates.
 """
 
 from __future__ import annotations
@@ -63,14 +69,34 @@ def _as_coords(seq, dim):
 
 def _nonzero(coords):
     """The (index, entry) pairs of the nonzero entries of a Scalar sequence.
-    The ZERO singleton, which fills every coordinate a kernel did not write
-    and every sum that cancels, is passed over without a call."""
+    The ZERO singleton, which fills every coordinate a Vector's sparse form
+    leaves out, is passed over without a call."""
     return [(k, c) for k, c in enumerate(coords) if c is not ZERO and not c.is_zero()]
 
 
-def _written(out):
-    """A kernel's result from its list of coordinates, handed its support."""
-    return Vector._of(tuple(out), _nonzero(out))
+def _add(a, b):
+    """The sum of two sparse vectors."""
+    out = dict(a)
+    for k, c in b.items():
+        if k in out:
+            c = out.pop(k) + c
+            if c is ZERO:
+                continue
+        out[k] = c
+    return out
+
+
+def _scale(v, s):
+    """The sparse vector v times the Scalar s."""
+    return {k: c * s for k, c in v.items()} if s else {}
+
+
+def _vector(v, dim):
+    """The Vector of a sparse vector, handed its support."""
+    coords = [ZERO] * dim
+    for k, c in v.items():
+        coords[k] = c
+    return Vector._of(tuple(coords), sorted(v.items()))
 
 
 class Vector:
@@ -114,11 +140,7 @@ class Vector:
         return all(c.is_zero() for c in self.coords)
 
     def scale(self, s):
-        s = _as_scalar(s)
-        out = [ZERO] * self.dim
-        for k, c in self._support():
-            out[k] = c * s
-        return _written(out)
+        return _vector(_scale(dict(self._support()), _as_scalar(s)), self.dim)
 
     def __add__(self, other):
         if not isinstance(other, Vector):
@@ -207,24 +229,30 @@ class LinearMap:
             v = Vector(v)
         if v.dim != self.dim:
             raise DimensionMismatch("map and vector dimensions differ")
-        out = [ZERO] * self.dim
-        for j, vj in v._support():
-            for i, entry in self._cols[j]:
-                out[i] += entry * vj
-        return _written(out)
+        return _vector(self._apply(dict(v._support())), self.dim)
+
+    def _apply(self, v):
+        """The kernel of apply, on a sparse vector."""
+        out = {}
+        cols = self._cols
+        for j, vj in v.items():
+            for i, entry in cols[j]:
+                term = entry * vj
+                if i in out:
+                    term = out.pop(i) + term
+                    if term is ZERO:
+                        continue
+                out[i] = term
+        return out
 
     def compose(self, other):
-        """self after other (matrix product self . other)."""
+        """self after other (matrix product self . other): self applied to
+        each column of other."""
         if not isinstance(other, LinearMap) or other.dim != self.dim:
             raise DimensionMismatch("composed maps must share one dimension")
-        cols = []
-        for other_col in other._cols:
-            col = [ZERO] * self.dim
-            for k, b in other_col:
-                for i, a in self._cols[k]:
-                    col[i] += a * b
-            cols.append(col)
-        return LinearMap._of(tuple(zip(*cols)), tuple(_nonzero(col) for col in cols))
+        cols = [self._apply(dict(col)) for col in other._cols]
+        rows = tuple(tuple(col.get(i, ZERO) for col in cols) for i in range(self.dim))
+        return LinearMap._of(rows, tuple(sorted(col.items()) for col in cols))
 
     def power(self, k):
         if not isinstance(k, int) or k < 0:
@@ -341,9 +369,18 @@ class HomAlgebra:
     def eval_binary(self, u, v):
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatch("operands do not match the algebra dimension")
-        out = [ZERO] * self.dim
-        vs = v._support()
-        for i, ui in u._support():
+        return _vector(self._binary(dict(u._support()), dict(v._support())), self.dim)
+
+    def eval_ternary(self, u, v, w):
+        if u.dim != self.dim or v.dim != self.dim or w.dim != self.dim:
+            raise DimensionMismatch("operands do not match the algebra dimension")
+        return _vector(self._ternary(*(dict(x._support()) for x in (u, v, w))), self.dim)
+
+    def _binary(self, u, v):
+        """The kernel of eval_binary, on sparse vectors."""
+        out = {}
+        vs = v.items()
+        for i, ui in u.items():
             cells = self._binary_nz[i]
             for j, vj in vs:
                 cell = cells[j]
@@ -351,16 +388,20 @@ class HomAlgebra:
                     continue
                 factor = ui * vj
                 for k, c in cell:
-                    out[k] += factor * c
-        return _written(out)
+                    term = factor * c
+                    if k in out:
+                        term = out.pop(k) + term
+                        if term is ZERO:
+                            continue
+                    out[k] = term
+        return out
 
-    def eval_ternary(self, u, v, w):
-        if u.dim != self.dim or v.dim != self.dim or w.dim != self.dim:
-            raise DimensionMismatch("operands do not match the algebra dimension")
-        out = [ZERO] * self.dim
-        vs = v._support()
-        ws = w._support()
-        for i, ui in u._support():
+    def _ternary(self, u, v, w):
+        """The kernel of eval_ternary, on sparse vectors."""
+        out = {}
+        vs = v.items()
+        ws = w.items()
+        for i, ui in u.items():
             for j, vj in vs:
                 cells = self._ternary_nz[i][j]
                 pair = None
@@ -372,8 +413,13 @@ class HomAlgebra:
                         pair = ui * vj
                     factor = pair * wk
                     for l, c in cell:
-                        out[l] += factor * c
-        return _written(out)
+                        term = factor * c
+                        if l in out:
+                            term = out.pop(l) + term
+                            if term is ZERO:
+                                continue
+                        out[l] = term
+        return out
 
     def is_multiplicative(self):
         """Whether the twist preserves both products (is a weak self-morphism)."""

@@ -50,6 +50,14 @@ def parse_int(token, *, line=None, column=None, source=None):
         ) from None
 
 
+def refuse_overlap(taken, params, taken_what, line=None):
+    """Refuse parameters that repeat a name of ``taken`` (basis labels or
+    unknowns).  The parsers pass the document ``line`` and raise a
+    ParseError; the objects the emitters read raise it with no place."""
+    if set(taken) & set(params):
+        raise ParseError(f"{taken_what} and parameters overlap", line=line)
+
+
 class MultilinearityError(ValueError):
     """Identity rejected: some additive term does not use every free variable exactly once."""
 

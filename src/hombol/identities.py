@@ -27,9 +27,13 @@ polynomials.  A suite may fix a twist exponent e, reinterpreting A as the
 e-th power of the ambient twist.
 
 One evaluator does all evaluation: each node evaluates once to a sparse table
-of its nonzero values on basis tuples.  ``check_identity`` tabulates the sides
-on blocks of tuples, ``tabulate`` densifies a table (the constructions build
-tensors with it), and ``evaluate`` uses the caller's vectors as the leaves.
+of its nonzero values on basis tuples, each value itself a sparse vector, a
+dict {coordinate: nonzero Scalar} that the algebra's kernels take and
+return.  ``check_identity`` tabulates the sides on blocks of tuples and
+compares them key by key (both are canonical, so dict equality is exact),
+building a Vector only for the residual it reports; ``tabulate`` densifies a
+table into Vectors (the constructions build tensors with it), and
+``evaluate`` uses the caller's vectors as the leaves.
 """
 
 from __future__ import annotations
@@ -40,9 +44,9 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Vector, tensor
-from .errors import MultilinearityError, ParseError
-from .scalars import NAME, TokenReader, content_lines, token_pattern
+from .algebra import Vector, _add, _scale, _vector, tensor
+from .errors import DimensionMismatch, MultilinearityError, ParseError
+from .scalars import NAME, ONE, Scalar, TokenReader, content_lines, token_pattern
 
 __all__ = [
     "Var",
@@ -442,14 +446,15 @@ def _validate_multilinear(ident):
 class _Tables:
     """The one evaluator of identity nodes over an algebra.  A node's table
     maps the leaf indices of its free variables, in order of appearance, to
-    its nonzero value there; ``dom`` maps each variable to the indices it
-    ranges over, and tables are memoized on the node and those domains."""
+    its nonzero value there, a non-empty sparse vector; ``dom`` maps each
+    variable to the indices it ranges over, and tables are memoized on the
+    node and those domains."""
 
     def __init__(self, alg, twist_exponent, leaves=None):
         if twist_exponent < 0:
             raise ValueError("twist exponent must be nonnegative")
         self.alg = alg
-        self.leaves = [Vector.basis(i, alg.dim) for i in range(alg.dim)] if leaves is None else leaves
+        self.leaves = [{i: ONE} for i in range(alg.dim)] if leaves is None else leaves
         self.map_power = functools.cache(lambda k: alg.twist.power(twist_exponent * k))
         self.memo = {}
 
@@ -464,16 +469,20 @@ class _Tables:
     def _tabulate(self, node, names, dom):
         if isinstance(node, Var):
             out = {(i,): self.leaves[i] for i in dom[node.name]}
-        elif isinstance(node, (MapApp, ScalarMul)):
-            f = self.map_power(node.power).apply if isinstance(node, MapApp) else lambda v: v.scale(node.coeff)
+        elif isinstance(node, MapApp):
+            f = self.map_power(node.power)._apply
             out = {key: f(v) for key, v in self.table(node.arg, dom)[1].items()}
+        elif isinstance(node, ScalarMul):
+            s = Scalar.rational(node.coeff)
+            out = {key: _scale(v, s) for key, v in self.table(node.arg, dom)[1].items()}
         elif isinstance(node, (Binary, Ternary)):
             parts = [self.table(part, dom) for part in _children(node)]
-            mul = self.alg.eval_binary if isinstance(node, Binary) else self.alg.eval_ternary
+            mul = self.alg._binary if isinstance(node, Binary) else self.alg._ternary
             rows = [((), ())]  # (joined key, values) over all operands but the last
             for _, t in parts[:-1]:
                 rows = [(key + k, values + (v,)) for key, values in rows for k, v in t.items()]
-            out = {key + k: mul(*values, v) for key, values in rows for k, v in parts[-1][1].items()}
+            last = parts[-1][1].items()
+            out = {key + k: mul(*values, v) for key, values in rows for k, v in last}
             out = _rekey(sum((p for p, _ in parts), ()), out, names, dom)
         else:
             if isinstance(node, Sum):
@@ -488,8 +497,8 @@ class _Tables:
             for term, turn in terms:
                 term_names, table = self.table(term, {**dom, **{t: dom[u] for t, u in turn.items()}})
                 for key, v in _rekey(tuple(turn.get(n, n) for n in term_names), table, names, dom).items():
-                    out[key] = out[key] + v if key in out else v
-        return {key: v for key, v in out.items() if v._support()}
+                    out[key] = _add(out[key], v) if key in out else v
+        return {key: v for key, v in out.items() if v}
 
 
 def _rekey(src, table, dst, dom):
@@ -508,9 +517,11 @@ def _rekey(src, table, dst, dom):
 
 def evaluate(node, alg, env, twist_exponent=1):
     """Evaluate a node on arbitrary vectors; env maps variable name -> Vector."""
-    tables = _Tables(alg, twist_exponent, list(env.values()))
+    if any(v.dim != alg.dim for v in env.values()):
+        raise DimensionMismatch("operands do not match the algebra dimension")
+    tables = _Tables(alg, twist_exponent, [dict(v._support()) for v in env.values()])
     _, table = tables.table(node, {name: (r,) for r, name in enumerate(env)})
-    return next(iter(table.values()), Vector.zero(alg.dim))
+    return _vector(next(iter(table.values()), {}), alg.dim)
 
 
 def tabulate(node, alg, variables, twist_exponent=1):
@@ -519,7 +530,7 @@ def tabulate(node, alg, variables, twist_exponent=1):
     of ``variables``."""
     dom = dict.fromkeys(variables, range(alg.dim))
     table = _rekey(*_Tables(alg, twist_exponent).table(node, dom), tuple(variables), dom)
-    return tensor(alg.dim, len(variables), lambda idx: table.get(idx, Vector.zero(alg.dim)))
+    return tensor(alg.dim, len(variables), lambda idx: _vector(table.get(idx, {}), alg.dim))
 
 
 def check_identity(alg, identity, twist_exponent=1):
@@ -531,17 +542,16 @@ def check_identity(alg, identity, twist_exponent=1):
     """
     names = identity.variables
     tables = _Tables(alg, twist_exponent)
-    zero = Vector.zero(alg.dim)
     # pin leading variables to 0 for nested blocks that grow dim-fold from the
     # first tuple, so that a failure there is found early, then pin the first
     # variable to each index in turn; a tuple may be checked twice
     for prefix in [(0,) * m for m in range(len(names), 1, -1)] + [(i,) for i in range(alg.dim)]:
         dom = {**dict.fromkeys(names, range(alg.dim)), **{n: range(i, i + 1) for n, i in zip(names, prefix)}}
         lhs, rhs = (_rekey(*tables.table(side, dom), names, dom) for side in (identity.lhs, identity.rhs))
-        for key in sorted(lhs.keys() | rhs.keys()):
-            residual = lhs.get(key, zero) - rhs.get(key, zero)
-            if not residual.is_zero():
-                return Counterexample(identity=identity.name, variables=names, indices=key, residual=residual)
+        if lhs != rhs:
+            key = min(key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
+            residual = _vector(lhs.get(key, {}), alg.dim) - _vector(rhs.get(key, {}), alg.dim)
+            return Counterexample(identity=identity.name, variables=names, indices=key, residual=residual)
         if len(prefix) == 1:  # keep the tables made with no variable pinned
             tables.memo = {e: t for e, t in tables.memo.items() if all(len(d) == alg.dim for d in e[1])}
     return None

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LinearMap, morphism_residuals
-from .errors import PreconditionError
+from .errors import PreconditionError, refuse_overlap
 from .scalars import Scalar, ZERO, ONE
 
 __all__ = [
@@ -61,6 +61,9 @@ class ConstraintSystem:
     unknowns: tuple  # one name per theta entry: source-major, target-minor
     params: frozenset  # remaining symbolic parameters of the algebra
     equations: tuple  # Scalars, each asserting "= 0"
+
+    def __post_init__(self):
+        refuse_overlap(self.unknowns, self.params, "unknowns")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, tensor
-from .errors import ParseError, parse_int
+from .errors import ParseError, parse_int, refuse_overlap
 from .morphisms import ConstraintSystem
 from .scalars import NAME, Scalar, ZERO, content_lines, format_terms, parse_scalar
 
@@ -88,8 +88,7 @@ def _read_params(words, lineno, declared, taken, taken_what):
     _require_names(names, "parameter name", lineno)
     if len(set(names)) != len(names):
         raise ParseError("duplicate parameter name", line=lineno)
-    if set(names) & set(taken):
-        raise ParseError(f"{taken_what} and parameters overlap", line=lineno)
+    refuse_overlap(taken, names, taken_what, lineno)
     return tuple(names)
 
 
@@ -164,8 +163,7 @@ class _DocReader:
             if len(labels) != self.dim or len(set(labels)) != self.dim:
                 raise ParseError(f"basis needs {self.dim} distinct labels", line=lineno)
             _require_names(labels, "basis label", lineno)
-            if self.params and set(labels) & set(self.params):
-                raise ParseError("basis labels and parameters overlap", line=lineno)
+            refuse_overlap(labels, self.params or (), "basis labels", lineno)
             self.basis = tuple(labels)
             return True
         return False
@@ -273,7 +271,9 @@ def parse_map(text):
 
 
 def emit_map(m, basis, params=None):
-    lines = _header("dim", [str(m.dim)], set(params or ()) | m.variables(), basis)
+    params = set(params or ()) | m.variables()
+    refuse_overlap(basis, params, "basis labels")
+    lines = _header("dim", [str(m.dim)], params, basis)
     return "\n".join(lines + _alpha_lines(m, basis)) + "\n"
 
 

@@ -6,8 +6,8 @@ from hombol.algebra import LinearMap, Vector
 from hombol.catalog import get, names
 from hombol.constructions import malcev_to_bol, nth_derived, self_twist
 from hombol.errors import ParseError
-from hombol.morphisms import generate_constraints
-from hombol.scalars import Scalar
+from hombol.morphisms import ConstraintSystem, generate_constraints
+from hombol.scalars import Scalar, parse_scalar
 from hombol.serialization import (
     emit_algebra,
     emit_constraints,
@@ -154,6 +154,15 @@ def test_map_round_trip():
     assert emit_map(back, basis) == text
 
 
+def test_emit_map_refuses_params_that_repeat_a_basis_label():
+    # parse_map refuses such a document, so emit_map must not write it
+    with pytest.raises(ParseError, match="basis labels and parameters overlap"):
+        emit_map(LinearMap.identity(2), ("e1", "e2"), params={"e1"})
+    # a variable of the map's entries is a parameter of its document too
+    with pytest.raises(ParseError, match="basis labels and parameters overlap"):
+        emit_map(LinearMap(((Scalar.parameter("e2"), 0), (0, 1))), ("e1", "e2"))
+
+
 def test_map_document_rejects_products():
     doc = "dim 2\nbasis e1 e2\nbinary e1 e2 = e1\nalpha e1 = e1\nalpha e2 = e2\n"
     with pytest.raises(ParseError, match="only header and alpha lines"):
@@ -175,6 +184,17 @@ def test_constraints_round_trip():
     back = parse_constraints(text)
     assert back == system
     assert emit_constraints(back) == text
+
+
+def test_constraint_system_refuses_a_parameter_that_is_an_unknown():
+    # the message of parse_constraints; such a system gave 0 grid maps at
+    # a1 = 1 and emitted a document its parser refuses
+    with pytest.raises(ParseError, match="^unknowns and parameters overlap$"):
+        ConstraintSystem(
+            dim=2, unknowns=("a1", "a2", "b1", "b2"), params=frozenset({"a1"}), equations=(parse_scalar("a1"),)
+        )
+    with pytest.raises(ParseError, match=r"^unknowns and parameters overlap \(line 2\)$"):
+        parse_constraints("unknowns a1 a2 b1 b2\nparams a1\na1\n")
 
 
 def test_constraint_unknown_count_must_be_square():
