@@ -10,16 +10,19 @@ A structure tensor of arity r (2 for the binary product, 3 for the ternary
 one) is a dense nested tuple indexed t[i1]...[ir]; ``tensor``, ``cell_at`` and
 ``HomAlgebra.cells`` build, read and walk both arities alike.
 
-The kernels work on sparse vectors: dicts {coordinate: nonzero Scalar}.
-There is one per arity (``LinearMap._apply``, ``HomAlgebra._binary`` and
-``_ternary``, plus ``_scale`` and ``_add``); each loops over its operands'
-entries and a private index of the nonzero (coordinate, entry) pairs of the
-map columns and product cells, multiplies and adds through Scalar's own
-operators, which short-cut a zero or unit side, accumulates into a dict and
-drops the coordinates that cancel.  The identity tables call them directly.
-``apply``, ``compose``, ``eval_binary``, ``eval_ternary`` and ``Vector.scale``
-are thin wrappers that turn a kernel's dict into a Vector through
-``_vector``, the one place that writes dense coordinates.
+A sparse vector is a dict {coordinate: nonzero Scalar}.  A Vector is its
+dimension and one such dict (``coords`` lays it out densely), a LinearMap
+keeps each column as one, and a HomAlgebra each product cell as a list of
+its (coordinate, entry) pairs.  The kernels take and return sparse vectors:
+one per arity (``LinearMap._apply``, ``HomAlgebra._binary`` and
+``_ternary``, plus ``_scale`` and ``_add``), each looping over its operands'
+entries and those of the columns or cells, multiplying and adding through
+Scalar's own operators, which short-cut a zero or unit side, into a new dict
+that drops the coordinates that cancel.  The identity tables call them
+directly; ``apply``, ``compose``, ``eval_binary``, ``eval_ternary`` and the
+Vector arithmetic wrap them through ``Vector._of``, the one trusted
+constructor.  So vectors, map columns and table values share dicts, which is
+safe only because no kernel writes to its inputs (``_add`` copies its first).
 """
 
 from __future__ import annotations
@@ -67,11 +70,10 @@ def _as_coords(seq, dim):
     return coords
 
 
-def _nonzero(coords):
-    """The (index, entry) pairs of the nonzero entries of a Scalar sequence.
-    The ZERO singleton, which fills every coordinate a Vector's sparse form
-    leaves out, is passed over without a call."""
-    return [(k, c) for k, c in enumerate(coords) if c is not ZERO and not c.is_zero()]
+def _sparse(coords):
+    """The sparse vector of a Scalar sequence; the ZERO singleton is passed
+    over by identity, without a call."""
+    return {k: c for k, c in enumerate(coords) if c is not ZERO and c}
 
 
 def _add(a, b):
@@ -91,87 +93,68 @@ def _scale(v, s):
     return {k: c * s for k, c in v.items()} if s else {}
 
 
-def _vector(v, dim):
-    """The Vector of a sparse vector, handed its support."""
-    coords = [ZERO] * dim
-    for k, c in v.items():
-        coords[k] = c
-    return Vector._of(tuple(coords), sorted(v.items()))
-
-
 class Vector:
-    """An element of the algebra, as exact coordinates over the basis."""
+    """An element of the algebra: its dimension and its nonzero coordinates
+    over the basis, as a sparse vector; ``coords`` lays out all of them."""
 
-    __slots__ = ("coords", "_nz")
+    __slots__ = ("dim", "_d")
 
     def __init__(self, coords):
-        self.coords = tuple(_as_scalar(x) for x in coords)
-        self._nz = None
+        coords = [_as_scalar(x) for x in coords]
+        self.dim = len(coords)
+        self._d = _sparse(coords)
 
     @classmethod
-    def _of(cls, coords, nz=None):
-        """Trusted constructor: ``coords`` is a tuple of Scalars already, and
-        ``nz``, when given, is ``_nonzero(coords)``."""
+    def _of(cls, d, dim):
+        """Trusted constructor: ``d`` is a sparse vector of dimension ``dim``."""
         v = cls.__new__(cls)
-        v.coords = coords
-        v._nz = nz
+        v.dim = dim
+        v._d = d
         return v
-
-    def _support(self):
-        """The (index, coordinate) pairs of the nonzero coordinates, cached."""
-        nz = self._nz
-        if nz is None:
-            nz = self._nz = _nonzero(self.coords)
-        return nz
 
     @classmethod
     def zero(cls, dim):
-        return cls._of((ZERO,) * dim)
+        return cls._of({}, dim)
 
     @classmethod
     def basis(cls, i, dim):
-        return cls._of(tuple(ONE if j == i else ZERO for j in range(dim)))
+        return cls._of({i: ONE} if i in range(dim) else {}, dim)
 
     @property
-    def dim(self):
-        return len(self.coords)
+    def coords(self):
+        out = [ZERO] * self.dim
+        for k, c in self._d.items():
+            out[k] = c
+        return tuple(out)
 
     def is_zero(self):
-        return all(c.is_zero() for c in self.coords)
+        return not self._d
 
     def scale(self, s):
-        return _vector(_scale(dict(self._support()), _as_scalar(s)), self.dim)
+        return Vector._of(_scale(self._d, _as_scalar(s)), self.dim)
 
     def __add__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        if len(self.coords) != len(other.coords):
+        if self.dim != other.dim:
             raise DimensionMismatch("vector dimensions differ")
-        out = list(self.coords)
-        for k, b in other._support():
-            out[k] += b
-        return Vector._of(tuple(out))
+        return Vector._of(_add(self._d, other._d), self.dim)
 
     def __sub__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        if len(self.coords) != len(other.coords):
-            raise DimensionMismatch("vector dimensions differ")
-        out = list(self.coords)
-        for k, b in other._support():
-            out[k] -= b
-        return Vector._of(tuple(out))
+        return self + -other
 
     def __neg__(self):
-        return Vector._of(tuple(-c for c in self.coords))
+        return Vector._of({k: -c for k, c in self._d.items()}, self.dim)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
             return NotImplemented
-        return self.coords == other.coords
+        return self.dim == other.dim and self._d == other._d
 
     def __hash__(self):
-        return hash(self.coords)
+        return hash((self.dim, frozenset(self._d.items())))
 
     def __str__(self):
         return f"({', '.join(str(c) for c in self.coords)})"
@@ -196,15 +179,14 @@ class LinearMap:
     @classmethod
     def _of(cls, rows, cols=None):
         """Trusted constructor: ``rows`` is a square tuple of Scalar tuples,
-        and ``cols``, when given, holds _nonzero of each column."""
+        and ``cols``, when given, holds the sparse vector of each column."""
         m = cls.__new__(cls)
         m._set_rows(rows, cols)
         return m
 
     def _set_rows(self, rows, cols=None):
         self.rows = rows
-        # nonzero (i, entry) pairs of each column
-        self._cols = tuple(_nonzero(col) for col in zip(*rows)) if cols is None else cols
+        self._cols = tuple(_sparse(col) for col in zip(*rows)) if cols is None else cols
 
     @classmethod
     def identity(cls, dim):
@@ -222,21 +204,21 @@ class LinearMap:
         return len(self.rows)
 
     def column(self, j):
-        return Vector._of(tuple(row[j] for row in self.rows), self._cols[j])
+        return Vector._of(self._cols[j], self.dim)
 
     def apply(self, v):
         if not isinstance(v, Vector):
             v = Vector(v)
         if v.dim != self.dim:
             raise DimensionMismatch("map and vector dimensions differ")
-        return _vector(self._apply(dict(v._support())), self.dim)
+        return Vector._of(self._apply(v._d), self.dim)
 
     def _apply(self, v):
         """The kernel of apply, on a sparse vector."""
         out = {}
         cols = self._cols
         for j, vj in v.items():
-            for i, entry in cols[j]:
+            for i, entry in cols[j].items():
                 term = entry * vj
                 if i in out:
                     term = out.pop(i) + term
@@ -250,9 +232,9 @@ class LinearMap:
         each column of other."""
         if not isinstance(other, LinearMap) or other.dim != self.dim:
             raise DimensionMismatch("composed maps must share one dimension")
-        cols = [self._apply(dict(col)) for col in other._cols]
+        cols = tuple(self._apply(col) for col in other._cols)
         rows = tuple(tuple(col.get(i, ZERO) for col in cols) for i in range(self.dim))
-        return LinearMap._of(rows, tuple(sorted(col.items()) for col in cols))
+        return LinearMap._of(rows, cols)
 
     def power(self, k):
         if not isinstance(k, int) or k < 0:
@@ -346,8 +328,9 @@ class HomAlgebra:
                 raise DimensionMismatch(f"{kind} tensor shape does not match the dimension")
             dense = tensor(dim, arity, lambda idx: _as_coords(cell_at(raw, idx), dim))
             setattr(self, kind, dense)
-            # nonzero (k, c) pairs of each cell; equality ignores them
-            setattr(self, f"_{kind}_nz", tensor(dim, arity, lambda idx: _nonzero(cell_at(dense, idx))))
+            # nonzero (k, c) pairs of each cell, for the kernels' fixed-depth
+            # loops; equality ignores them
+            setattr(self, f"_{kind}_nz", tensor(dim, arity, lambda idx: list(_sparse(cell_at(dense, idx)).items())))
         if twist is None:
             twist = LinearMap.identity(dim)
         if twist.dim != dim:
@@ -369,12 +352,12 @@ class HomAlgebra:
     def eval_binary(self, u, v):
         if u.dim != self.dim or v.dim != self.dim:
             raise DimensionMismatch("operands do not match the algebra dimension")
-        return _vector(self._binary(dict(u._support()), dict(v._support())), self.dim)
+        return Vector._of(self._binary(u._d, v._d), self.dim)
 
     def eval_ternary(self, u, v, w):
         if u.dim != self.dim or v.dim != self.dim or w.dim != self.dim:
             raise DimensionMismatch("operands do not match the algebra dimension")
-        return _vector(self._ternary(*(dict(x._support()) for x in (u, v, w))), self.dim)
+        return Vector._of(self._ternary(u._d, v._d, w._d), self.dim)
 
     def _binary(self, u, v):
         """The kernel of eval_binary, on sparse vectors."""
@@ -465,14 +448,15 @@ def morphism_residuals(theta, src, dst):
     for every row i."""
     if src.dim != dst.dim or theta.dim != src.dim:
         raise DimensionMismatch("morphism check needs equal dimensions")
-    images = [theta.column(j) for j in range(src.dim)]
+    n = src.dim
+    images = [theta.column(j) for j in range(n)]
     products = {"binary": dst.eval_binary, "ternary": dst.eval_ternary}
     for kind, idx, coords in src.cells():
-        lhs = theta.apply(Vector._of(coords))
+        lhs = theta.apply(Vector._of(_sparse(coords), n))
         yield kind, idx, lhs - products[kind](*(images[i] for i in idx))
     lhs, rhs = theta.compose(src.twist), dst.twist.compose(theta)
-    for i in range(src.dim):
-        yield "twist", (i,), Vector._of(lhs.rows[i]) - Vector._of(rhs.rows[i])
+    for i in range(n):
+        yield "twist", (i,), Vector._of(_sparse(lhs.rows[i]), n) - Vector._of(_sparse(rhs.rows[i]), n)
 
 
 def first_weak_morphism_failure(theta, src, dst):

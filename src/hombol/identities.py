@@ -31,9 +31,9 @@ of its nonzero values on basis tuples, each value itself a sparse vector, a
 dict {coordinate: nonzero Scalar} that the algebra's kernels take and
 return.  ``check_identity`` tabulates the sides on blocks of tuples and
 compares them key by key (both are canonical, so dict equality is exact),
-building a Vector only for the residual it reports; ``tabulate`` densifies a
-table into Vectors (the constructions build tensors with it), and
-``evaluate`` uses the caller's vectors as the leaves.
+building a Vector only for the residual it reports; ``tabulate`` wraps a
+table's values as Vectors (the constructions build tensors with it), and
+``evaluate`` uses the dicts of the caller's vectors as the leaves.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Vector, _add, _scale, _vector, tensor
+from .algebra import Vector, _add, _scale, tensor
 from .errors import DimensionMismatch, MultilinearityError, ParseError
 from .scalars import NAME, ONE, Scalar, TokenReader, content_lines, token_pattern
 
@@ -519,9 +519,9 @@ def evaluate(node, alg, env, twist_exponent=1):
     """Evaluate a node on arbitrary vectors; env maps variable name -> Vector."""
     if any(v.dim != alg.dim for v in env.values()):
         raise DimensionMismatch("operands do not match the algebra dimension")
-    tables = _Tables(alg, twist_exponent, [dict(v._support()) for v in env.values()])
+    tables = _Tables(alg, twist_exponent, [v._d for v in env.values()])
     _, table = tables.table(node, {name: (r,) for r, name in enumerate(env)})
-    return _vector(next(iter(table.values()), {}), alg.dim)
+    return Vector._of(next(iter(table.values()), {}), alg.dim)
 
 
 def tabulate(node, alg, variables, twist_exponent=1):
@@ -530,7 +530,7 @@ def tabulate(node, alg, variables, twist_exponent=1):
     of ``variables``."""
     dom = dict.fromkeys(variables, range(alg.dim))
     table = _rekey(*_Tables(alg, twist_exponent).table(node, dom), tuple(variables), dom)
-    return tensor(alg.dim, len(variables), lambda idx: _vector(table.get(idx, {}), alg.dim))
+    return tensor(alg.dim, len(variables), lambda idx: Vector._of(table.get(idx, {}), alg.dim))
 
 
 def check_identity(alg, identity, twist_exponent=1):
@@ -550,7 +550,7 @@ def check_identity(alg, identity, twist_exponent=1):
         lhs, rhs = (_rekey(*tables.table(side, dom), names, dom) for side in (identity.lhs, identity.rhs))
         if lhs != rhs:
             key = min(key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
-            residual = _vector(lhs.get(key, {}), alg.dim) - _vector(rhs.get(key, {}), alg.dim)
+            residual = Vector._of(lhs.get(key, {}), alg.dim) - Vector._of(rhs.get(key, {}), alg.dim)
             return Counterexample(identity=identity.name, variables=names, indices=key, residual=residual)
         if len(prefix) == 1:  # keep the tables made with no variable pinned
             tables.memo = {e: t for e, t in tables.memo.items() if all(len(d) == alg.dim for d in e[1])}

@@ -94,7 +94,9 @@ def _read_params(words, lineno, declared, taken, taken_what):
 
 def _header(key, words, params, basis=()):
     """The header lines of every document format: '<key> <words>', then the
-    sorted params and the basis, each only when it has names."""
+    sorted params and the basis, each only when it has names.  Parameters
+    that repeat a basis label are refused, as the parsers refuse them."""
+    refuse_overlap(basis, params, "basis labels")
     return [" ".join((k, *w)) for k, w in ((key, words), ("params", sorted(params)), ("basis", basis)) if w]
 
 
@@ -271,9 +273,7 @@ def parse_map(text):
 
 
 def emit_map(m, basis, params=None):
-    params = set(params or ()) | m.variables()
-    refuse_overlap(basis, params, "basis labels")
-    lines = _header("dim", [str(m.dim)], params, basis)
+    lines = _header("dim", [str(m.dim)], set(params or ()) | m.variables(), basis)
     return "\n".join(lines + _alpha_lines(m, basis)) + "\n"
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, _nonzero, tensor
+from hombol.algebra import HomAlgebra, LinearMap, Vector, tensor
 from hombol.errors import DimensionMismatch
 from hombol.scalars import ONE, ZERO, Scalar
 
@@ -137,6 +137,21 @@ def test_vector_sums_and_scaling_match_coordinatewise_arithmetic():
             assert (-Vector(u)).coords == tuple(-a for a in u)
             assert Vector(u).scale(s).coords == tuple(a * s for a in u)
             assert (Vector(u) - Vector(u)).is_zero()
+    # however a vector was made, equality and hashing follow dim and coords
+    m = LinearMap(_matrix(rng, 3))
+    binary = _tensor(rng, 3, 2)
+    alg = HomAlgebra(3, binary=binary)
+    e = [Vector.basis(i, 3) for i in range(3)]
+    made = e + [Vector((1, 0, 0)), Vector((0, 0, 0)), Vector.zero(3), e[0] - e[0], e[0] + e[1] - e[1]]
+    made += [Vector((0,)), Vector((0, 0)), Vector.zero(2), Vector.basis(0, 2)]
+    made += [m.column(j) for j in range(3)] + [Vector(col) for col in zip(*m.rows)] + [m.apply(x) for x in e]
+    made += [alg.eval_binary(x, y) for x in e for y in e] + [Vector(cell) for row in binary for cell in row]
+    for a in made:
+        for b in made:
+            assert (a == b) == (a.dim == b.dim and a.coords == b.coords)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert Vector((0,)) != Vector((0, 0))
 
 
 def test_public_vector_constructor_still_coerces_and_rejects():
@@ -250,10 +265,15 @@ def plain_apply(rows, v):
     return out
 
 
+def nonzero(coords):
+    return {k: c for k, c in enumerate(coords) if not c.is_zero()}
+
+
 def handed_over(v):
-    """The support the kernel gave Vector._of, checked against a rescan."""
-    assert v._nz is not None
-    assert v._nz == _nonzero(v.coords)
+    """The sparse vector the kernel gave Vector._of, checked against the
+    coordinates: it holds exactly the nonzero ones, and no zero Scalar."""
+    assert v._d == nonzero(v.coords)
+    assert not any(c.is_zero() for c in v._d.values())
     return [plain(c) for c in v.coords]
 
 
@@ -300,7 +320,8 @@ def test_kernels_match_plain_fraction_reference(kind, dim, seed):
     for v in operands:
         assert handed_over(m.apply(v)) == plain_apply(rows, v.coords)
     product = m.compose(LinearMap(other))
-    assert product._cols == tuple(_nonzero(col) for col in zip(*product.rows))
+    assert product._cols == tuple(nonzero(col) for col in zip(*product.rows))
+    assert not any(c.is_zero() for col in product._cols for c in col.values())
     for j in range(dim):
         column = [row[j] for row in other]
         assert [plain(row[j]) for row in product.rows] == plain_apply(rows, column)
@@ -317,11 +338,11 @@ def test_kernels_drop_coordinates_that_cancel():
     # (e1 + e2)(e1 - e2) = -e1e2 + e2e1 = 0
     for result in (alg.eval_binary(plus, minus), alg.eval_ternary(minus, e[0], e[0])):
         assert result.is_zero()
-        assert result._nz == []
+        assert result._d == {}
     half = Scalar.rational(1, 2)
     assert alg.eval_binary(plus.scale(half), Vector((1, 1, 1))).coords == (ZERO, ZERO, ONE)
     # columns e1 and -e1 applied to e1 + e2, and composed with the column (1, 1, 0)
     m = LinearMap(((1, -1, 0), (0, 0, 0), (0, 0, 0)))
     assert m.apply(plus).is_zero()
-    assert m.apply(plus)._nz == []
-    assert m.compose(LinearMap(((1, 0, 0), (1, 0, 0), (0, 0, 0))))._cols == ([], [], [])
+    assert m.apply(plus)._d == {}
+    assert m.compose(LinearMap(((1, 0, 0), (1, 0, 0), (0, 0, 0))))._cols == ({}, {}, {})

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.algebra import LinearMap, Vector
+from hombol.algebra import HomAlgebra, LinearMap, Vector
 from hombol.catalog import get, names
 from hombol.constructions import malcev_to_bol, nth_derived, self_twist
 from hombol.errors import ParseError
@@ -161,6 +161,19 @@ def test_emit_map_refuses_params_that_repeat_a_basis_label():
     # a variable of the map's entries is a parameter of its document too
     with pytest.raises(ParseError, match="basis labels and parameters overlap"):
         emit_map(LinearMap(((Scalar.parameter("e2"), 0), (0, 1))), ("e1", "e2"))
+
+
+def test_emit_algebra_refuses_declared_params_that_repeat_a_basis_label():
+    # parse_algebra refuses such a document, so emit_algebra must not write it
+    with pytest.raises(ParseError, match="basis labels and parameters overlap"):
+        emit_algebra(HomAlgebra(2, basis=("a", "e2"), params={"a"}))
+
+
+def test_emit_algebra_refuses_a_twist_entry_that_names_a_basis_label():
+    # a variable of the twist's entries is a parameter of the document too
+    twist = LinearMap(((Scalar.parameter("e1"), 0), (0, 1)))
+    with pytest.raises(ParseError, match="basis labels and parameters overlap"):
+        emit_algebra(HomAlgebra(2, twist=twist))
 
 
 def test_map_document_rejects_products():

@@ -19,7 +19,7 @@ import pytest
 from test_kernels import CASES, _coords, _matrix, _scalar, _tensor, dense_apply, dense_binary, dense_ternary
 from test_round_trip import _algebra
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, _add, _scale, _vector, tensor
+from hombol.algebra import HomAlgebra, LinearMap, Vector, _add, _scale, tensor
 from hombol.catalog import get
 from hombol.identities import SUITES, _Tables, check_identity, check_suite, evaluate, parse_identity
 from hombol.scalars import ONE, ZERO, Scalar
@@ -55,19 +55,19 @@ def test_sparse_kernels_match_the_dense_vectors(dim, seed):
     for u in operands:
         m_u = m._apply(sparse(u))
         assert_sparse(m_u)
-        assert _vector(m_u, dim) == m.apply(Vector(u)) == Vector(dense_apply(rows, u))
+        assert Vector._of(m_u, dim) == m.apply(Vector(u)) == Vector(dense_apply(rows, u))
         s = _scalar(rng)
-        assert _vector(_scale(sparse(u), s), dim) == Vector(u).scale(s) == Vector(tuple(c * s for c in u))
+        assert Vector._of(_scale(sparse(u), s), dim) == Vector(u).scale(s) == Vector(tuple(c * s for c in u))
         for v in operands[::2]:
             uv = alg._binary(sparse(u), sparse(v))
             vuv = alg._ternary(sparse(v), sparse(u), sparse(v))
             total = _add(sparse(u), sparse(v))
             for value in (uv, vuv, total):
                 assert_sparse(value)
-            assert _vector(uv, dim) == alg.eval_binary(Vector(u), Vector(v)) == Vector(dense_binary(binary, u, v))
-            assert _vector(vuv, dim) == alg.eval_ternary(Vector(v), Vector(u), Vector(v))
-            assert _vector(vuv, dim) == Vector(dense_ternary(ternary, v, u, v))
-            assert _vector(total, dim) == Vector(u) + Vector(v)
+            assert Vector._of(uv, dim) == alg.eval_binary(Vector(u), Vector(v)) == Vector(dense_binary(binary, u, v))
+            assert Vector._of(vuv, dim) == alg.eval_ternary(Vector(v), Vector(u), Vector(v))
+            assert Vector._of(vuv, dim) == Vector(dense_ternary(ternary, v, u, v))
+            assert Vector._of(total, dim) == Vector(u) + Vector(v)
 
 
 def test_sparse_kernels_drop_what_cancels():
@@ -82,8 +82,8 @@ def test_sparse_kernels_drop_what_cancels():
     assert _add(plus, minus) == {0: Scalar.rational(2)}
     assert _add(plus, {0: -ONE, 1: -ONE}) == {}
     assert _scale(plus, ZERO) == {}
-    assert _vector({}, 3) == Vector.zero(3)
-    assert _vector({}, 3)._nz == []
+    assert Vector._of({}, 3) == Vector.zero(3)
+    assert Vector.zero(3)._d == {}
 
 
 @pytest.fixture
@@ -147,3 +147,35 @@ def test_a_sum_drops_the_coordinates_and_the_keys_that_cancel():
     assert _Tables(skew, 1).table(node, dom)[1] == {}
     assert evaluate(node, skew, {"x": e1, "y": e2}).is_zero()
     assert check_identity(skew, parse_identity("x*y + y*x = 0")) is None
+
+
+def test_no_kernel_writes_to_the_dicts_that_vectors_share():
+    """A Vector shares its dict with the map column it came from, the kernel
+    result it wraps and the identity tables, so no kernel may write to one."""
+    rng = random.Random(5)
+    m = LinearMap(_matrix(rng, 3))
+    alg = HomAlgebra(3, binary=_tensor(rng, 3, 2), ternary=_tensor(rng, 3, 3), twist=m)
+    columns = [m.column(j) for j in range(3)]
+    operands = [Vector(_coords(rng, 3)) for _ in range(3)] + [Vector.basis(1, 3)]
+    env = dict(zip("xyzuvw", operands + columns[:2]))
+    shared = [v._d for v in columns + operands] + list(m._cols) + [env[name]._d for name in env]
+
+    def snapshot():
+        return [[(k, tuple(c.terms())) for k, c in d.items()] for d in shared]
+
+    before = snapshot()
+    u, v, w = operands[:3]
+    for x in columns + operands:
+        m.apply(x)
+        x.scale(Scalar.rational(2, 3))
+        u + x, u - x, x + u, -x
+    alg.eval_ternary(u, v, w)
+    alg.eval_ternary(columns[0], operands[3], columns[0])
+    alg.eval_binary(columns[1], u)
+    m.compose(m), m.power(3)
+    for suite in SUITES.values():
+        for ident in suite.identities:
+            for side in (ident.lhs, ident.rhs):
+                evaluate(side, alg, {name: env[name] for name in ident.variables}, 2)
+            check_identity(alg, ident, 1)
+    assert snapshot() == before
