@@ -118,7 +118,9 @@ class Vector:
 
     @classmethod
     def basis(cls, i, dim):
-        return cls._of({i: ONE} if i in range(dim) else {}, dim)
+        if i not in range(dim):
+            raise IndexError(f"basis index {i} out of range for dimension {dim}")
+        return cls._of({i: ONE}, dim)
 
     @property
     def coords(self):

@@ -58,6 +58,14 @@ def refuse_overlap(taken, params, taken_what, line=None):
         raise ParseError(f"{taken_what} and parameters overlap", line=line)
 
 
+def refuse_undeclared(names, declared, line=None, column=None):
+    """Refuse the first of ``names`` that ``declared`` lacks: a basis label
+    or parameter of a document, or a symbol of a constraint equation."""
+    for name in names:
+        if name not in declared:
+            raise ParseError(f"undeclared symbol {name!r}", line=line, column=column)
+
+
 class MultilinearityError(ValueError):
     """Identity rejected: some additive term does not use every free variable exactly once."""
 

@@ -34,6 +34,13 @@ compares them key by key (both are canonical, so dict equality is exact),
 building a Vector only for the residual it reports; ``tabulate`` wraps a
 table's values as Vectors (the constructions build tensors with it), and
 ``evaluate`` uses the dicts of the caller's vectors as the leaves.
+
+The evaluator takes each side factored: ``_factor`` rewrites a*X + b*X in a
+sum as (a + b)*X, for a shared left or right operand, or two shared slots of
+a ternary product, so the products with X are taken once.  The products are
+multilinear and the arithmetic exact, so every table is the same; the
+identity's text, ``lhs``/``rhs`` and the multilinearity check stay as
+written.  Of the built-in sides only ``malcev_linearized``'s factor.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import Vector, _add, _scale, tensor
@@ -443,6 +450,58 @@ def _validate_multilinear(ident):
 # evaluation
 
 
+@functools.cache
+def _factor(node):
+    """The node with shared operands factored out of its sums: terms
+    a*X + b*X become (a + b)*X, and likewise for a shared left operand and
+    for ternary terms that share two of their three slots.  A term's scalar
+    prefix moves into the summed operand.  The largest group goes first, and
+    the summed operands are factored in turn.  The products are multilinear,
+    so the value is unchanged; a node with nothing to factor comes back as
+    itself."""
+    parts = _children(node)
+    kids = tuple(_factor(part) for part in parts)
+    if isinstance(node, Sum):
+        kids = _grouped(list(kids))
+        if len(kids) == 1 < len(parts):
+            return kids[0]
+    if kids == parts:
+        return node
+    if isinstance(node, (MapApp, ScalarMul)):
+        return replace(node, arg=kids[0])
+    if isinstance(node, CyclicSum):
+        return replace(node, body=kids[0])
+    return Sum(kids) if isinstance(node, Sum) else type(node)(*kids)
+
+
+def _grouped(terms):
+    """Sum terms with shared operands factored out, largest group first."""
+    while True:
+        groups = {}
+        for pos, term in enumerate(terms):
+            _, core = _split(term)
+            if isinstance(core, (Binary, Ternary)):
+                slots = _children(core)
+                for free in range(len(slots)):
+                    groups.setdefault((type(core), free, slots[:free] + slots[free + 1:]), []).append(pos)
+        key = max(groups, key=lambda k: len(groups[k]), default=None)
+        if key is None or len(groups[key]) < 2:
+            return tuple(terms)
+        kind, free, _ = key
+        members = [_split(terms[pos]) for pos in groups[key]]
+        slots = list(_children(members[0][1]))
+        slots[free] = _factor(Sum(tuple(_scaled(coeff, _children(core)[free]) for coeff, core in members)))
+        first, *rest = groups[key]
+        terms[first] = kind(*slots)
+        for pos in reversed(rest):
+            del terms[pos]
+
+
+def _split(term):
+    """(coefficient, product) of a sum term."""
+    return (term.coeff, term.arg) if isinstance(term, ScalarMul) else (1, term)
+
+
 class _Tables:
     """The one evaluator of identity nodes over an algebra.  A node's table
     maps the leaf indices of its free variables, in order of appearance, to
@@ -459,7 +518,10 @@ class _Tables:
         self.memo = {}
 
     def table(self, node, dom):
-        """(free variables, table) of a node."""
+        """(free variables, table) of a node, evaluated as ``_factor`` rewrites it."""
+        return self._table(_factor(node), dom)
+
+    def _table(self, node, dom):
         names = tuple(dict.fromkeys(_appearance_order(node)))
         key = (node, tuple(dom[n] for n in names))
         if key not in self.memo:
@@ -471,12 +533,12 @@ class _Tables:
             out = {(i,): self.leaves[i] for i in dom[node.name]}
         elif isinstance(node, MapApp):
             f = self.map_power(node.power)._apply
-            out = {key: f(v) for key, v in self.table(node.arg, dom)[1].items()}
+            out = {key: f(v) for key, v in self._table(node.arg, dom)[1].items()}
         elif isinstance(node, ScalarMul):
             s = Scalar.rational(node.coeff)
-            out = {key: _scale(v, s) for key, v in self.table(node.arg, dom)[1].items()}
+            out = {key: _scale(v, s) for key, v in self._table(node.arg, dom)[1].items()}
         elif isinstance(node, (Binary, Ternary)):
-            parts = [self.table(part, dom) for part in _children(node)]
+            parts = [self._table(part, dom) for part in _children(node)]
             mul = self.alg._binary if isinstance(node, Binary) else self.alg._ternary
             rows = [((), ())]  # (joined key, values) over all operands but the last
             for _, t in parts[:-1]:
@@ -495,7 +557,7 @@ class _Tables:
                 raise TypeError(f"not an identity node: {node!r}")
             out = {}
             for term, turn in terms:
-                term_names, table = self.table(term, {**dom, **{t: dom[u] for t, u in turn.items()}})
+                term_names, table = self._table(term, {**dom, **{t: dom[u] for t, u in turn.items()}})
                 for key, v in _rekey(tuple(turn.get(n, n) for n in term_names), table, names, dom).items():
                     out[key] = _add(out[key], v) if key in out else v
         return {key: v for key, v in out.items() if v}

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LinearMap, morphism_residuals
-from .errors import PreconditionError, refuse_overlap
+from .errors import PreconditionError, refuse_overlap, refuse_undeclared
 from .scalars import Scalar, ZERO, ONE
 
 __all__ = [
@@ -64,6 +64,8 @@ class ConstraintSystem:
 
     def __post_init__(self):
         refuse_overlap(self.unknowns, self.params, "unknowns")
+        symbols = frozenset().union(*(eq.variables() for eq in self.equations))
+        refuse_undeclared(sorted(symbols), {*self.unknowns, *self.params})
 
 
 @dataclass(frozen=True)
@@ -172,13 +174,10 @@ def _compile(system, bindings):
         if not terms:
             continue
         scale = math.lcm(*(c.denominator for _, c in terms))
-        try:
-            rows = tuple(
-                (c.numerator * (scale // c.denominator), tuple((position[name], e) for name, e in mono))
-                for mono, c in terms
-            )
-        except KeyError as exc:  # a name the system lists neither as unknown nor as parameter
-            raise ValueError(f"unbound parameter {exc.args[0]!r}") from None
+        rows = tuple(
+            (c.numerator * (scale // c.denominator), tuple((position[name], e) for name, e in mono))
+            for mono, c in terms
+        )
         last = max((k for _, factors in rows for k, _ in factors), default=None)
         if last is None:
             return None

@@ -24,7 +24,7 @@ import math
 import re
 from fractions import Fraction
 
-from .errors import ParseError, int_digit_limit, parse_int
+from .errors import ParseError, int_digit_limit, parse_int, refuse_undeclared
 
 __all__ = ["Scalar", "parse_scalar", "ZERO", "ONE"]
 
@@ -461,8 +461,8 @@ class _ScalarReader(TokenReader):
             base = Scalar.rational(self.rational())
         elif kind == "name":
             self.take()
-            if self.names is not None and value not in self.names:
-                raise ParseError(f"undeclared symbol {value!r}", column=col)
+            if self.names is not None:
+                refuse_undeclared((value,), self.names, column=col)
             base = Scalar.parameter(value)
         else:
             raise ParseError(f"expected a number or name, got {value!r}" if value else "unexpected end of input", column=col)

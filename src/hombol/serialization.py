@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 
 from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, tensor
-from .errors import ParseError, parse_int, refuse_overlap
+from .errors import ParseError, parse_int, refuse_overlap, refuse_undeclared
 from .morphisms import ConstraintSystem
 from .scalars import NAME, Scalar, ZERO, content_lines, format_terms, parse_scalar
 
@@ -171,10 +171,8 @@ class _DocReader:
         return False
 
     def label_index(self, label, lineno):
-        try:
-            return self.basis.index(label)
-        except ValueError:
-            raise ParseError(f"undeclared symbol {label!r}", line=lineno) from None
+        refuse_undeclared((label,), self.basis, line=lineno)
+        return self.basis.index(label)
 
     def rhs_vector(self, line, lineno):
         """The right-hand side, a linear combination of basis labels."""

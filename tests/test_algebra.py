@@ -29,6 +29,12 @@ def test_vector_basics():
     assert str(Vector((-1, 0))) == "(-1, 0)"
 
 
+@pytest.mark.parametrize("i", [5, 3, -1])
+def test_vector_basis_refuses_an_index_outside_the_dimension(i):
+    with pytest.raises(IndexError, match=f"basis index {i} out of range for dimension 3"):
+        Vector.basis(i, 3)
+
+
 def test_vector_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Vector((1, 2)) + Vector((1, 2, 3))

@@ -17,6 +17,7 @@ import pytest
 
 from hombol.algebra import HomAlgebra, LinearMap
 from hombol.catalog import get
+from hombol.errors import ParseError
 from hombol.morphisms import DEFAULT_GRID, ConstraintSystem, generate_constraints, grid_search, unknown_names
 from hombol.scalars import ZERO, Scalar, parse_scalar
 from hombol.serialization import parse_algebra
@@ -205,11 +206,10 @@ def test_unbound_parameter_is_refused_before_searching():
         grid_search(system, DEFAULT_GRID)
     with pytest.raises(ValueError, match="^unbound parameter 'q'$"):
         grid_search(system, DEFAULT_GRID, {"p": 1})
-    # a name the system does not declare is refused in the same words
-    undeclared = _system("p*a1 - b2")
-    for search in (grid_search, brute_force_grid_search):
-        with pytest.raises(ValueError, match="^unbound parameter 'p'$"):
-            search(undeclared, DEFAULT_GRID)
+    # a name the system does not declare never reaches a search: the system
+    # refuses it when it is made
+    with pytest.raises(ParseError, match="^undeclared symbol 'p'$"):
+        _system("p*a1 - b2")
 
 
 def test_inexact_grid_values_and_bindings_are_refused():

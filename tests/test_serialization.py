@@ -210,6 +210,21 @@ def test_constraint_system_refuses_a_parameter_that_is_an_unknown():
         parse_constraints("unknowns a1 a2 b1 b2\nparams a1\na1\n")
 
 
+def test_constraint_system_refuses_an_undeclared_symbol():
+    # the message of parse_constraints; such a system emitted a document its
+    # parser refuses
+    with pytest.raises(ParseError, match="^undeclared symbol 'q'$"):
+        ConstraintSystem(
+            dim=2, unknowns=("a1", "a2", "b1", "b2"), params=frozenset(), equations=(parse_scalar("a1*q"),)
+        )
+    with pytest.raises(ParseError, match=r"^undeclared symbol 'q' \(line 2, column 4\)$"):
+        parse_constraints("unknowns a1 a2 b1 b2\na1*q\n")
+    declared = ConstraintSystem(
+        dim=2, unknowns=("a1", "a2", "b1", "b2"), params=frozenset({"q"}), equations=(parse_scalar("a1*q"),)
+    )
+    assert parse_constraints(emit_constraints(declared)) == declared
+
+
 def test_constraint_unknown_count_must_be_square():
     with pytest.raises(ParseError, match="perfect square"):
         parse_constraints("unknowns a1 a2 b1\na1\n")
