@@ -10,19 +10,18 @@ A structure tensor of arity r (2 for the binary product, 3 for the ternary
 one) is a dense nested tuple indexed t[i1]...[ir]; ``tensor``, ``cell_at`` and
 ``HomAlgebra.cells`` build, read and walk both arities alike.
 
-A sparse vector is a dict {coordinate: nonzero Scalar}.  A Vector is its
-dimension and one such dict (``coords`` lays it out densely), a LinearMap
-keeps each column as one, and a HomAlgebra each product cell as a list of
-its (coordinate, entry) pairs.  The kernels take and return sparse vectors:
-one per arity (``LinearMap._apply``, ``HomAlgebra._binary`` and
-``_ternary``, plus ``_scale`` and ``_add``), each looping over its operands'
-entries and those of the columns or cells, multiplying and adding through
-Scalar's own operators, which short-cut a zero or unit side, into a new dict
-that drops the coordinates that cancel.  The identity tables call them
-directly; ``apply``, ``compose``, ``eval_binary``, ``eval_ternary`` and the
-Vector arithmetic wrap them through ``Vector._of``, the one trusted
-constructor.  So vectors, map columns and table values share dicts, which is
-safe only because no kernel writes to its inputs (``_add`` copies its first).
+A sparse vector is a dict {coordinate: nonzero Scalar}, the one stored form:
+a Vector is its dimension and one, a LinearMap one per column, a HomAlgebra
+one per product cell, and ``coords``, ``rows``, ``binary`` and ``ternary``
+lay them out densely when read.  The public constructors coerce dense input;
+the builders hand sparse vectors to the trusted ``_of`` constructors.  The
+kernels (``LinearMap._apply``, ``HomAlgebra._binary`` and ``_ternary``, plus
+``_scale`` and ``_add``) loop over the entries of their operands and of the
+columns or cells, multiply and add through Scalar's operators, which
+short-cut a zero or unit side, and return a new dict without the coordinates
+that cancel.  The identity tables call them directly, and the public methods
+wrap them with no copy.  So vectors, columns, cells and table values share
+dicts, which is safe only because no kernel writes to its inputs.
 """
 
 from __future__ import annotations
@@ -54,6 +53,7 @@ POWER_LIMIT = 2**17
 
 # (kind, arity) of the two structure tensors, in the order they are walked
 PRODUCTS = (("binary", 2), ("ternary", 3))
+_EMPTY = {}  # the cell of every zero product: shared, as no cell is ever written to
 
 
 def _as_scalar(x):
@@ -74,6 +74,11 @@ def _sparse(coords):
     """The sparse vector of a Scalar sequence; the ZERO singleton is passed
     over by identity, without a call."""
     return {k: c for k, c in enumerate(coords) if c is not ZERO and c}
+
+
+def _dense(v, dim):
+    """The coordinates of the sparse vector v, laid out as a tuple."""
+    return tuple(v.get(k, ZERO) for k in range(dim))
 
 
 def _add(a, b):
@@ -124,10 +129,7 @@ class Vector:
 
     @property
     def coords(self):
-        out = [ZERO] * self.dim
-        for k, c in self._d.items():
-            out[k] = c
-        return tuple(out)
+        return _dense(self._d, self.dim)
 
     def is_zero(self):
         return not self._d
@@ -166,33 +168,26 @@ class Vector:
 
 
 class LinearMap:
-    """A square matrix of Scalars; column j is the image of basis vector e_j."""
+    """A square matrix of Scalars, stored by sparse column; column j is the image of e_j."""
 
-    __slots__ = ("rows", "_cols")
+    __slots__ = ("_cols",)
 
     def __init__(self, rows):
         rows = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
-        dim = len(rows)
-        for row in rows:
-            if len(row) != dim:
-                raise DimensionMismatch("linear map matrix must be square")
-        self._set_rows(rows)
+        if any(len(row) != len(rows) for row in rows):
+            raise DimensionMismatch("linear map matrix must be square")
+        self._cols = tuple(_sparse(col) for col in zip(*rows))
 
     @classmethod
-    def _of(cls, rows, cols=None):
-        """Trusted constructor: ``rows`` is a square tuple of Scalar tuples,
-        and ``cols``, when given, holds the sparse vector of each column."""
+    def _of(cls, cols):
+        """Trusted constructor: ``cols`` holds the sparse vector of each column."""
         m = cls.__new__(cls)
-        m._set_rows(rows, cols)
+        m._cols = cols
         return m
-
-    def _set_rows(self, rows, cols=None):
-        self.rows = rows
-        self._cols = tuple(_sparse(col) for col in zip(*rows)) if cols is None else cols
 
     @classmethod
     def identity(cls, dim):
-        return cls._of(tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)))
+        return cls._of(tuple({j: ONE} for j in range(dim)))
 
     @classmethod
     def from_columns(cls, cols):
@@ -203,7 +198,12 @@ class LinearMap:
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._cols)
+
+    @property
+    def rows(self):
+        """The matrix as a tuple of rows, laid out from the columns."""
+        return tuple(zip(*(_dense(col, self.dim) for col in self._cols)))
 
     def column(self, j):
         return Vector._of(self._cols[j], self.dim)
@@ -234,9 +234,7 @@ class LinearMap:
         each column of other."""
         if not isinstance(other, LinearMap) or other.dim != self.dim:
             raise DimensionMismatch("composed maps must share one dimension")
-        cols = tuple(self._apply(col) for col in other._cols)
-        rows = tuple(tuple(col.get(i, ZERO) for col in cols) for i in range(self.dim))
-        return LinearMap._of(rows, cols)
+        return LinearMap._of(tuple(self._apply(col) for col in other._cols))
 
     def power(self, k):
         if not isinstance(k, int) or k < 0:
@@ -257,22 +255,22 @@ class LinearMap:
         return self == LinearMap.identity(self.dim)
 
     def is_zero(self):
-        return all(c.is_zero() for row in self.rows for c in row)
+        return not any(self._cols)
 
     def variables(self):
         names = set()
-        for row in self.rows:
-            for entry in row:
+        for col in self._cols:
+            for entry in col.values():
                 names |= entry.variables()
         return frozenset(names)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
             return NotImplemented
-        return self.rows == other.rows
+        return self._cols == other._cols
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(tuple(frozenset(col.items()) for col in self._cols))
 
     def __repr__(self):
         body = "; ".join(", ".join(str(c) for c in row) for row in self.rows)
@@ -306,50 +304,57 @@ def _has_shape(t, dim, arity):
 
 
 class HomAlgebra:
-    """A finite-dimensional binary-ternary algebra together with a twisting map."""
+    """A binary-ternary algebra with a twisting map, stored by sparse product cell."""
 
-    __slots__ = ("dim", "basis", "params", "binary", "ternary", "twist", "_binary_nz", "_ternary_nz")
+    __slots__ = ("dim", "basis", "params", "twist", "_products")
 
     def __init__(self, dim, basis=None, params=(), binary=None, ternary=None, twist=None):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        self.dim = dim
-        if basis is None:
-            basis = tuple(f"e{i + 1}" for i in range(dim))
-        basis = tuple(basis)
+        basis = tuple(f"e{i + 1}" for i in range(dim)) if basis is None else tuple(basis)
         if len(basis) != dim or len(set(basis)) != dim:
             raise ValueError("basis labels must be distinct and match the dimension")
-        self.basis = basis
-        self.params = frozenset(params)
-        given = {"binary": binary, "ternary": ternary}
-        for kind, arity in PRODUCTS:
-            raw = given[kind]
-            if raw is None:
-                raw = zero_tensor(dim, arity)
-            elif not _has_shape(raw, dim, arity):
+        cells = {}
+        for (kind, arity), raw in zip(PRODUCTS, (binary, ternary)):
+            if raw is not None and not _has_shape(raw, dim, arity):
                 raise DimensionMismatch(f"{kind} tensor shape does not match the dimension")
-            dense = tensor(dim, arity, lambda idx: _as_coords(cell_at(raw, idx), dim))
-            setattr(self, kind, dense)
-            # nonzero (k, c) pairs of each cell, for the kernels' fixed-depth
-            # loops; equality ignores them
-            setattr(self, f"_{kind}_nz", tensor(dim, arity, lambda idx: list(_sparse(cell_at(dense, idx)).items())))
-        if twist is None:
-            twist = LinearMap.identity(dim)
+            indices = () if raw is None else itertools.product(range(dim), repeat=arity)
+            cells[kind] = {idx: _sparse(_as_coords(cell_at(raw, idx), dim)) for idx in indices}
+        twist = LinearMap.identity(dim) if twist is None else twist
         if twist.dim != dim:
             raise DimensionMismatch("twist matrix shape does not match the dimension")
-        self.twist = twist
+        self._store(dim, basis, frozenset(params), cells, twist)
+
+    @classmethod
+    def _of(cls, dim, basis, params, cells, twist):
+        """Trusted constructor: ``cells`` maps each kind to {index tuple:
+        sparse vector}, a missing index being a zero cell; params is a frozenset."""
+        alg = cls.__new__(cls)
+        alg._store(dim, basis, params, cells, twist)
+        return alg
+
+    def _store(self, dim, basis, params, cells, twist):
+        self.dim, self.basis, self.params, self.twist = dim, basis, params, twist
+        # per kind, the cells nested [i][j] or [i][j][k] as the kernels index them
+        self._products = {kind: tensor(dim, r, lambda idx: cells[kind].get(idx, _EMPTY)) for kind, r in PRODUCTS}
+
+    def _tensor(self, kind):
+        cells = self._products[kind]
+        return tensor(self.dim, dict(PRODUCTS)[kind], lambda idx: _dense(cell_at(cells, idx), self.dim))
+
+    binary = property(lambda self: self._tensor("binary"))
+    ternary = property(lambda self: self._tensor("ternary"))
 
     def replace(self, **kwargs):
-        fields = {
-            "dim": self.dim,
-            "basis": self.basis,
-            "params": self.params,
-            "binary": self.binary,
-            "ternary": self.ternary,
-            "twist": self.twist,
-        }
-        fields.update(kwargs)
-        return HomAlgebra(**fields)
+        """A copy with the given fields replaced, each checked as the
+        constructor checks it; a product not given is shared as it is stored."""
+        fields = {"dim": self.dim, "basis": self.basis, "params": self.params, "twist": self.twist, **kwargs}
+        alg = HomAlgebra(**fields)
+        kept = {kind: cells for kind, cells in self._products.items() if kind not in kwargs}
+        if kept and alg.dim != self.dim:
+            raise DimensionMismatch(f"{next(iter(kept))} tensor shape does not match the dimension")
+        alg._products.update(kept)
+        return alg
 
     def eval_binary(self, u, v):
         if u.dim != self.dim or v.dim != self.dim:
@@ -366,13 +371,13 @@ class HomAlgebra:
         out = {}
         vs = v.items()
         for i, ui in u.items():
-            cells = self._binary_nz[i]
+            cells = self._products["binary"][i]
             for j, vj in vs:
                 cell = cells[j]
                 if not cell:
                     continue
                 factor = ui * vj
-                for k, c in cell:
+                for k, c in cell.items():
                     term = factor * c
                     if k in out:
                         term = out.pop(k) + term
@@ -388,7 +393,7 @@ class HomAlgebra:
         ws = w.items()
         for i, ui in u.items():
             for j, vj in vs:
-                cells = self._ternary_nz[i][j]
+                cells = self._products["ternary"][i][j]
                 pair = None
                 for k, wk in ws:
                     cell = cells[k]
@@ -397,7 +402,7 @@ class HomAlgebra:
                     if pair is None:
                         pair = ui * vj
                     factor = pair * wk
-                    for l, c in cell:
+                    for l, c in cell.items():
                         term = factor * c
                         if l in out:
                             term = out.pop(l) + term
@@ -413,15 +418,19 @@ class HomAlgebra:
     def cells(self):
         """(kind, index tuple, coords) for every cell of both products: the
         binary pairs, then the ternary triples, each in lexicographic order."""
+        return ((kind, idx, _dense(cell, self.dim)) for kind, idx, cell in self._cells())
+
+    def _cells(self):
+        """(kind, index tuple, sparse vector) for every cell, in the order of ``cells``."""
         for kind, arity in PRODUCTS:
-            t = getattr(self, kind)
+            t = self._products[kind]
             for idx in itertools.product(range(self.dim), repeat=arity):
                 yield kind, idx, cell_at(t, idx)
 
     def all_variables(self):
         names = set(self.params)
-        for _, _, coords in self.cells():
-            for c in coords:
+        for _, _, cell in self._cells():
+            for c in cell.values():
                 names |= c.variables()
         names |= self.twist.variables()
         return frozenset(names)
@@ -433,8 +442,7 @@ class HomAlgebra:
         return (
             self.dim == other.dim
             and self.basis == other.basis
-            and self.binary == other.binary
-            and self.ternary == other.ternary
+            and self._products == other._products
             and self.twist == other.twist
         )
 
@@ -453,12 +461,12 @@ def morphism_residuals(theta, src, dst):
     n = src.dim
     images = [theta.column(j) for j in range(n)]
     products = {"binary": dst.eval_binary, "ternary": dst.eval_ternary}
-    for kind, idx, coords in src.cells():
-        lhs = theta.apply(Vector._of(_sparse(coords), n))
+    for kind, idx, cell in src._cells():
+        lhs = theta.apply(Vector._of(cell, n))
         yield kind, idx, lhs - products[kind](*(images[i] for i in idx))
-    lhs, rhs = theta.compose(src.twist), dst.twist.compose(theta)
+    lhs, rhs = theta.compose(src.twist).rows, dst.twist.compose(theta).rows
     for i in range(n):
-        yield "twist", (i,), Vector._of(_sparse(lhs.rows[i]), n) - Vector._of(_sparse(rhs.rows[i]), n)
+        yield "twist", (i,), Vector._of(_sparse(lhs[i]), n) - Vector._of(_sparse(rhs[i]), n)
 
 
 def first_weak_morphism_failure(theta, src, dst):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, tensor
+from .algebra import HomAlgebra, LinearMap, Vector
 from .constructions import nth_derived, yau_twist
 from .scalars import ONE, Scalar, ZERO
 from .serialization import format_vector
@@ -69,12 +69,11 @@ def _vec(c1, c2):
 def _bol(t121, t122):
     """Two-dimensional Bol algebra with the shared binary product e1*e2 = -e2
     and the two defining ternary cells, skew-completed."""
-    defining = {(0, 1): _vec(ZERO, -ONE), (0, 1, 0): t121, (0, 1, 1): t122}
-    cells = {**defining, **{(1, 0) + idx[2:]: -v for idx, v in defining.items()}}
-    zero = Vector.zero(2)
-    products = {kind: tensor(2, arity, lambda idx: cells.get(idx, zero).coords) for kind, arity in PRODUCTS}
-    params = frozenset().union(*(c.variables() for cell in defining.values() for c in cell.coords))
-    return HomAlgebra(dim=2, basis=_BASIS, params=params, twist=LinearMap.identity(2), **products)
+    cells = {"binary": {(0, 1): {1: -ONE}, (1, 0): {1: ONE}}, "ternary": {}}
+    for k, v in enumerate((t121, t122)):
+        cells["ternary"][0, 1, k], cells["ternary"][1, 0, k] = v._d, (-v)._d
+    params = frozenset().union(*(c.variables() for v in (t121, t122) for c in v._d.values()))
+    return HomAlgebra._of(2, _BASIS, params, cells, LinearMap.identity(2))
 
 
 def _beta_shear_scale(a, b):

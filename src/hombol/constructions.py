@@ -10,7 +10,7 @@ DERIVED_ORDER_LIMIT because its twist powers grow like 2^(n+1).
 
 from __future__ import annotations
 
-from .algebra import POWER_LIMIT, LinearMap, cell_at, morphism_residuals, tensor, zero_tensor
+from .algebra import POWER_LIMIT, PRODUCTS, HomAlgebra, LinearMap, cell_at, morphism_residuals, tensor
 from .errors import ExponentLimitError, PreconditionError
 from .identities import SUITES, check_suite, parse_identity, tabulate
 
@@ -55,11 +55,10 @@ def _recompose(algebra, base, p):
     if 2 * p > POWER_LIMIT:
         raise ExponentLimitError(f"a map power exceeds the exponent limit {POWER_LIMIT}")
     power = base.power(p)
-    ternary = compose_tensor(power.compose(power), algebra.ternary, 3)
-    binary = compose_tensor(power, algebra.binary, 2)
-    twist = power.compose(algebra.twist)
+    maps = {"binary": power, "ternary": power.compose(power)}
+    cells = {kind: {idx: f._apply(c) for k, idx, c in algebra._cells() if k == kind and c} for kind, f in maps.items()}
     params = algebra.params | base.variables()
-    return algebra.replace(binary=binary, ternary=ternary, twist=twist, params=params)
+    return HomAlgebra._of(algebra.dim, algebra.basis, params, cells, power.compose(algebra.twist))
 
 
 def yau_twist(algebra, beta, *, check=True):
@@ -118,7 +117,7 @@ def malcev_to_bol(algebra, beta=None):
     """
     if not algebra.twist.is_identity():
         raise PreconditionError("malcev_to_bol: the algebra must carry the identity twist")
-    if algebra.ternary != zero_tensor(algebra.dim, 3):
+    if any(cell for kind, _, cell in algebra._cells() if kind == "ternary"):
         raise PreconditionError("malcev_to_bol: the ternary tensor must be zero")
     report = check_suite(algebra, SUITES["malcev"])
     if not report.passed:
@@ -129,8 +128,10 @@ def malcev_to_bol(algebra, beta=None):
     _require_endomorphism(beta, algebra, "malcev_to_bol")
 
     table = tabulate(_MALCEV_BRACKET.lhs, algebra, _MALCEV_BRACKET.variables)
-    ternary = tensor(algebra.dim, 3, lambda idx: cell_at(table, idx).coords)
-    return _recompose(algebra.replace(ternary=ternary), beta, 1)
+    cells = {kind: {} for kind, _ in PRODUCTS}
+    for kind, idx, cell in algebra._cells():
+        cells[kind][idx] = cell if kind == "binary" else cell_at(table, idx)._d
+    return _recompose(HomAlgebra._of(algebra.dim, algebra.basis, algebra.params, cells, algebra.twist), beta, 1)
 
 
 def hom_jacobian(algebra):

@@ -32,8 +32,8 @@ dict {coordinate: nonzero Scalar} that the algebra's kernels take and
 return.  ``check_identity`` tabulates the sides on blocks of tuples and
 compares them key by key (both are canonical, so dict equality is exact),
 building a Vector only for the residual it reports; ``tabulate`` wraps a
-table's values as Vectors (the constructions build tensors with it), and
-``evaluate`` uses the dicts of the caller's vectors as the leaves.
+table's values as Vectors (the Malcev bridge takes its ternary cells from
+it), and ``evaluate`` uses the dicts of the caller's vectors as the leaves.
 
 The evaluator takes each side factored: ``_factor`` rewrites a*X + b*X in a
 sum as (a + b)*X, for a shared left or right operand, or two shared slots of
@@ -286,12 +286,8 @@ def parse_identity(text, name="identity"):
     reader.expect("=")
     rhs = reader.expr()
     reader.expect_end()
-    variables = []
-    for node in (lhs, rhs):
-        for v in _appearance_order(node):
-            if v not in variables:
-                variables.append(v)
-    ident = Identity(name=name, lhs=lhs, rhs=rhs, variables=tuple(variables))
+    variables = tuple(dict.fromkeys(_appearance_order(lhs) + _appearance_order(rhs)))
+    ident = Identity(name=name, lhs=lhs, rhs=rhs, variables=variables)
     _validate_multilinear(ident)
     return ident
 
@@ -319,13 +315,11 @@ def parse_suite(text, name="custom"):
     return IdentitySuite(name=name, identities=tuple(identities))
 
 
+@functools.cache
 def _appearance_order(node):
-    if isinstance(node, Var):
-        yield node.name
-    elif isinstance(node, CyclicSum):
-        yield from node.names
-    for child in _children(node):
-        yield from _appearance_order(child)
+    """A node's free variables, each once, in order of first appearance."""
+    own = (node.name,) if isinstance(node, Var) else node.names if isinstance(node, CyclicSum) else ()
+    return tuple(dict.fromkeys(own + sum(map(_appearance_order, _children(node)), ())))
 
 
 def _children(node):
@@ -522,7 +516,7 @@ class _Tables:
         return self._table(_factor(node), dom)
 
     def _table(self, node, dom):
-        names = tuple(dict.fromkeys(_appearance_order(node)))
+        names = _appearance_order(node)
         key = (node, tuple(dom[n] for n in names))
         if key not in self.memo:
             self.memo[key] = self._tabulate(node, names, dom)

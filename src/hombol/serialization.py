@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, tensor
+from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector
 from .errors import ParseError, parse_int, refuse_overlap, refuse_undeclared
 from .morphisms import ConstraintSystem
 from .scalars import NAME, Scalar, ZERO, content_lines, format_terms, parse_scalar
@@ -73,7 +73,7 @@ def format_suite_report(report, labels):
     return "\n".join(lines)
 
 
-def _require_names(names, what, lineno):
+def _require_names(names, what, lineno=None):
     for name in names:
         if not NAME.match(name):
             raise ParseError(f"bad {what} {name!r}", line=lineno)
@@ -94,8 +94,13 @@ def _read_params(words, lineno, declared, taken, taken_what):
 
 def _header(key, words, params, basis=()):
     """The header lines of every document format: '<key> <words>', then the
-    sorted params and the basis, each only when it has names.  Parameters
+    sorted params and the basis, each only when it has names.  A dim over
+    DIM_LIMIT, a label or parameter that is not an identifier, and parameters
     that repeat a basis label are refused, as the parsers refuse them."""
+    if key == "dim" and int(words[0]) > DIM_LIMIT:
+        raise ParseError(f"dim may not exceed {DIM_LIMIT}")
+    _require_names(basis, "basis label")
+    _require_names(params, "parameter name")
     refuse_overlap(basis, params, "basis labels")
     return [" ".join((k, *w)) for k, w in ((key, words), ("params", sorted(params)), ("basis", basis)) if w]
 
@@ -200,7 +205,7 @@ class _DocReader:
         missing = [label for j, label in enumerate(self.basis) if (j,) not in alpha]
         if missing:
             raise ParseError(f"alpha image missing for {missing[0]!r}")
-        return LinearMap.from_columns(tuple(alpha[(j,)][0].coords for j in range(self.dim)))
+        return LinearMap._of(tuple(alpha[(j,)][0]._d for j in range(self.dim)))
 
 
 def parse_algebra(text):
@@ -214,11 +219,10 @@ def parse_algebra(text):
         complete.add(words[1])
 
     doc = _DocReader(text, {**dict(PRODUCTS), "alpha": 1}, directive)
-    zero = Vector.zero(doc.dim)
     products = {}
-    for kind, arity in PRODUCTS:
+    for kind, _ in PRODUCTS:
         assigned = doc.cells[kind]
-        cells = {idx: value for idx, (value, _) in assigned.items()}
+        cells = products[kind] = {idx: value._d for idx, (value, _) in assigned.items()}
         if f"skew-{kind}" in complete:
             for idx, (value, lineno) in assigned.items():
                 # skew partner: the first two slots swapped
@@ -230,28 +234,21 @@ def parse_algebra(text):
                             line=lineno,
                         )
                 elif mate not in assigned:
-                    cells[mate] = -value
+                    cells[mate] = (-value)._d
                 elif assigned[mate][0] != -value:
                     raise ParseError(
                         f"conflicting assignment: {kind} product at {mate} breaks skew symmetry",
                         line=assigned[mate][1],
                     )
-        products[kind] = tensor(doc.dim, arity, lambda idx: cells.get(idx, zero).coords)
-    return HomAlgebra(
-        dim=doc.dim,
-        basis=doc.basis,
-        params=frozenset(doc.params or ()),
-        twist=doc.twist(required=False),
-        **products,
-    )
+    return HomAlgebra._of(doc.dim, doc.basis, frozenset(doc.params or ()), products, doc.twist(required=False))
 
 
 def emit_algebra(alg):
     lines = _header("dim", [str(alg.dim)], alg.all_variables(), alg.basis)
-    for kind, idx, coords in alg.cells():
-        if any(coords):  # a Scalar is true when nonzero
+    for kind, idx, cell in alg._cells():
+        if cell:
             labels = " ".join(alg.basis[i] for i in idx)
-            lines.append(f"{kind} {labels} = {format_vector(Vector(coords), alg.basis)}")
+            lines.append(f"{kind} {labels} = {format_vector(Vector._of(cell, alg.dim), alg.basis)}")
     if not alg.twist.is_identity():
         lines += _alpha_lines(alg.twist, alg.basis)
     return "\n".join(lines) + "\n"

@@ -1,9 +1,10 @@
 """Differential tests of the tensor kernels against dense nested loops.
 
-The kernels walk a private index of nonzero entries and build vectors
-through a trusted constructor; the references below visit every cell and
-use nothing but Scalar arithmetic, so any cell the index drops, or any
-coordinate the trusted path mishandles, shows up as a difference.
+The kernels walk the stored sparse columns and cells, which hold only
+nonzero entries, and build vectors through a trusted constructor; the
+references below visit every cell and use nothing but Scalar arithmetic, so
+any entry the sparse form drops, or any coordinate the trusted path
+mishandles, shows up as a difference.
 """
 
 import itertools
@@ -12,7 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, tensor
+from hombol.algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, cell_at, tensor, zero_tensor
 from hombol.errors import DimensionMismatch
 from hombol.scalars import ONE, ZERO, Scalar
 
@@ -196,9 +197,17 @@ def test_algebra_equality_ignores_the_nonzero_index():
         ternary=ternary,
     )
     assert as_scalars == as_fractions
-    stale = as_scalars.replace()
-    stale._binary_nz = tuple(tuple(() for _ in row) for row in stale._binary_nz)
-    assert stale == as_scalars
+    # equality reads the stored cells, whatever order a builder wrote each
+    # cell's coordinates in, and nothing else
+    reordered = as_scalars.replace()
+    reordered._products = {
+        kind: tensor(3, arity, lambda idx: dict(reversed(cell_at(as_scalars._products[kind], idx).items())))
+        for kind, arity in PRODUCTS
+    }
+    assert reordered == as_scalars
+    cleared = as_scalars.replace()
+    cleared._products = {**cleared._products, "binary": tensor(3, 2, lambda idx: {})}
+    assert cleared != as_scalars and cleared.binary == zero_tensor(3, 2)
     assert as_scalars != as_scalars.replace(binary=_tensor(rng, 3, 2))
     assert LinearMap(_matrix(random.Random(3), 3)) == LinearMap(_matrix(random.Random(3), 3))
 

@@ -9,6 +9,7 @@ from hombol.errors import ParseError
 from hombol.morphisms import ConstraintSystem, generate_constraints
 from hombol.scalars import Scalar, parse_scalar
 from hombol.serialization import (
+    DIM_LIMIT,
     emit_algebra,
     emit_constraints,
     emit_map,
@@ -174,6 +175,40 @@ def test_emit_algebra_refuses_a_twist_entry_that_names_a_basis_label():
     twist = LinearMap(((Scalar.parameter("e1"), 0), (0, 1)))
     with pytest.raises(ParseError, match="basis labels and parameters overlap"):
         emit_algebra(HomAlgebra(2, twist=twist))
+
+
+def test_emitters_refuse_a_basis_label_that_is_not_an_identifier():
+    # such a document read back as 'basis e 1 e2', three labels for dim 2
+    with pytest.raises(ParseError, match="^bad basis label 'e 1'$"):
+        emit_algebra(HomAlgebra(2, basis=("e 1", "e2")))
+    with pytest.raises(ParseError, match="^bad basis label '1e'$"):
+        emit_map(LinearMap.identity(2), ("1e", "e2"))
+    with pytest.raises(ParseError, match=r"^bad basis label '1e' \(line 2\)$"):
+        parse_algebra("dim 2\nbasis 1e e2\n")
+
+
+def test_emitters_refuse_a_parameter_that_is_not_an_identifier():
+    with pytest.raises(ParseError, match="^bad parameter name '1x'$"):
+        emit_algebra(HomAlgebra(2, params={"1x"}))
+    with pytest.raises(ParseError, match="^bad parameter name '1x'$"):
+        emit_map(LinearMap.identity(2), ("e1", "e2"), params={"1x"})
+    system = ConstraintSystem(dim=1, unknowns=("t",), params=frozenset({"1x"}), equations=())
+    with pytest.raises(ParseError, match="^bad parameter name '1x'$"):
+        emit_constraints(system)
+    with pytest.raises(ParseError, match=r"^bad parameter name '1x' \(line 2\)$"):
+        parse_algebra("dim 2\nparams 1x\nbasis e1 e2\n")
+
+
+def test_emitters_refuse_a_dim_over_the_document_limit():
+    with pytest.raises(ParseError, match=f"^dim may not exceed {DIM_LIMIT}$"):
+        emit_algebra(HomAlgebra(DIM_LIMIT + 8))
+    with pytest.raises(ParseError, match=f"^dim may not exceed {DIM_LIMIT}$"):
+        emit_map(LinearMap.identity(DIM_LIMIT + 1), tuple(f"e{i}" for i in range(DIM_LIMIT + 1)))
+    with pytest.raises(ParseError, match=f"^dim may not exceed {DIM_LIMIT} \\(line 1, column 5\\)$"):
+        parse_algebra(f"dim {DIM_LIMIT + 8}\n")
+    # the largest dim a document may declare still round-trips
+    largest = HomAlgebra(DIM_LIMIT)
+    assert parse_algebra(emit_algebra(largest)) == largest
 
 
 def test_map_document_rejects_products():

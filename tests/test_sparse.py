@@ -19,10 +19,12 @@ import pytest
 from test_kernels import CASES, _coords, _matrix, _scalar, _tensor, dense_apply, dense_binary, dense_ternary
 from test_round_trip import _algebra
 
-from hombol.algebra import HomAlgebra, LinearMap, Vector, _add, _scale, tensor
+from hombol.algebra import HomAlgebra, LinearMap, Vector, _add, _scale, is_morphism, tensor
 from hombol.catalog import get
+from hombol.constructions import nth_derived
 from hombol.identities import SUITES, _Tables, check_identity, check_suite, evaluate, parse_identity
 from hombol.scalars import ONE, ZERO, Scalar
+from hombol.serialization import emit_algebra
 
 
 def sparse(coords):
@@ -150,8 +152,9 @@ def test_a_sum_drops_the_coordinates_and_the_keys_that_cancel():
 
 
 def test_no_kernel_writes_to_the_dicts_that_vectors_share():
-    """A Vector shares its dict with the map column it came from, the kernel
-    result it wraps and the identity tables, so no kernel may write to one."""
+    """A Vector shares its dict with the map column or product cell it came
+    from, the kernel result it wraps and the identity tables, and an algebra
+    built from another may share its cells, so no kernel may write to one."""
     rng = random.Random(5)
     m = LinearMap(_matrix(rng, 3))
     alg = HomAlgebra(3, binary=_tensor(rng, 3, 2), ternary=_tensor(rng, 3, 3), twist=m)
@@ -159,6 +162,7 @@ def test_no_kernel_writes_to_the_dicts_that_vectors_share():
     operands = [Vector(_coords(rng, 3)) for _ in range(3)] + [Vector.basis(1, 3)]
     env = dict(zip("xyzuvw", operands + columns[:2]))
     shared = [v._d for v in columns + operands] + list(m._cols) + [env[name]._d for name in env]
+    shared += [cell for _, _, cell in alg._cells()]
 
     def snapshot():
         return [[(k, tuple(c.terms())) for k, c in d.items()] for d in shared]
@@ -173,6 +177,12 @@ def test_no_kernel_writes_to_the_dicts_that_vectors_share():
     alg.eval_ternary(columns[0], operands[3], columns[0])
     alg.eval_binary(columns[1], u)
     m.compose(m), m.power(3)
+    list(alg.cells()), alg.binary, alg.ternary, alg.all_variables(), emit_algebra(alg)
+    is_morphism(m, alg, alg), is_morphism(LinearMap.identity(3), alg, alg)
+    derived = nth_derived(alg, 1)
+    derived.eval_ternary(u, v, w), is_morphism(m, derived, derived)
+    untwisted = alg.replace(twist=LinearMap.identity(3))
+    untwisted.eval_binary(u, v), nth_derived(untwisted, 2), untwisted == alg
     for suite in SUITES.values():
         for ident in suite.identities:
             for side in (ident.lhs, ident.rhs):
