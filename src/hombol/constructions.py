@@ -10,12 +10,11 @@ DERIVED_ORDER_LIMIT because its twist powers grow like 2^(n+1).
 
 from __future__ import annotations
 
-from .algebra import POWER_LIMIT, PRODUCTS, HomAlgebra, LinearMap, cell_at, morphism_residuals, tensor
+from .algebra import POWER_LIMIT, PRODUCTS, HomAlgebra, LinearMap, cell_at, morphism_residuals
 from .errors import ExponentLimitError, PreconditionError
 from .identities import SUITES, check_suite, parse_identity, tabulate
 
 __all__ = [
-    "compose_tensor",
     "yau_twist",
     "self_twist",
     "nth_derived",
@@ -26,13 +25,6 @@ __all__ = [
 
 # the largest order whose ternary power 2^(n+1) - 2 stays within POWER_LIMIT
 DERIVED_ORDER_LIMIT = POWER_LIMIT.bit_length() - 2
-
-
-def compose_tensor(m, t, arity):
-    """The map applied to every cell of a structure tensor of the given
-    arity: m(e_i * e_j) for the binary product, m({e_i, e_j, e_k}) for the
-    ternary one."""
-    return tensor(len(t), arity, lambda idx: m.apply(cell_at(t, idx)).coords)
 
 
 def _require_endomorphism(beta, alg, who):

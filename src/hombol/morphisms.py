@@ -9,11 +9,13 @@ polynomials, each meaning "= 0".
 
 Solving over a grid finds every assignment of grid values to the unknowns
 that satisfies the system, in lexicographic order.  It is a depth-first
-search, not an exhaustive scan: unknowns are bound one at a time in their
-listed order, each equation is tested as soon as its last unknown is bound,
-and a partial assignment that fails one is pruned with everything below it.
-The equations are compiled once to integer-coefficient rows, so the search
-stays in exact int and Fraction arithmetic.
+search by exact elimination, not an exhaustive scan: the grid is scaled by
+the lcm of its denominators to a lattice of ints, the equations are compiled
+once to integer rows over it, and unknowns are bound one at a time in their
+listed order.  Each equation is decided as soon as its last unknown is
+next: one that is linear in that unknown gives its only value by one exact
+division, and a partial assignment that fails an equation is pruned with
+everything below it.
 
 The unknowns are theta's entries, source-major and target-minor, a layout
 that _theta and its inverse _entries alone spell out.  Dimension 2 names them
@@ -82,9 +84,9 @@ def unknown_names(dim):
 
 
 def _theta(entries, n):
-    """The map whose entries, source-major and target-minor, are ``entries``:
-    entry j*n + i is the e_i coordinate of theta(e_j)."""
-    return LinearMap.from_columns(tuple(entries[j * n:(j + 1) * n] for j in range(n)))
+    """The map whose entries, source-major and target-minor, are the Scalars
+    ``entries``: entry j*n + i is the e_i coordinate of theta(e_j)."""
+    return LinearMap._of(tuple({i: s for i, s in enumerate(entries[j * n:(j + 1) * n]) if s} for j in range(n)))
 
 
 def _entries(theta):
@@ -159,39 +161,79 @@ def verify_candidate(system, candidate):
     return None
 
 
-def _compile(system, bindings):
-    """The equations with the parameters bound, as integer rows filed by
-    their last unknown: ``filed[k]`` lists the equations to test once
-    unknowns 0..k are bound, each a tuple of ``(int coefficient,
-    ((unknown index, exponent), ...))`` rows.  An equation is first scaled by
-    the lcm of its coefficient denominators, which leaves its zero set as it
-    is.  None when some equation is a nonzero constant, which nothing solves.
+def _compile(system, bindings, scale):
+    """The equations with the parameters bound, over the lattice y = scale*x,
+    filed by their last unknown: ``filed[k]`` lists the equations to decide
+    once unknowns 0..k are bound, each as ``(exponents, rows)``: the
+    ascending exponents of y_k in it, and its terms, each an ``(int
+    coefficient, ((unknown index, exponent), ...), slot)`` row whose factors
+    are unknowns before k and whose power of y_k is ``exponents[slot]``.  An
+    equation of top degree D is multiplied by scale^D, which turns each term
+    of degree t into one in y times scale^(D - t), then by the lcm of its
+    denominators, and then divided by the gcd of its coefficients, with the
+    sign that makes its first coefficient positive; its zero set stays as it
+    is, and an equation that only differs from another by a factor is filed
+    once.  None when some equation is a nonzero constant, which nothing
+    solves.
     """
     position = {name: k for k, name in enumerate(system.unknowns)}
-    filed = [[] for _ in system.unknowns]
+    filed = [{} for _ in system.unknowns]
     for eq in system.equations:
         terms = (eq.substitute(bindings) if bindings else eq).terms()
         if not terms:
             continue
-        scale = math.lcm(*(c.denominator for _, c in terms))
-        rows = tuple(
-            (c.numerator * (scale // c.denominator), tuple((position[name], e) for name, e in mono))
-            for mono, c in terms
-        )
-        last = max((k for _, factors in rows for k, _ in factors), default=None)
-        if last is None:
+        monos = [(Fraction(c), {position[name]: e for name, e in mono}) for mono, c in terms]
+        if not any(factors for _, factors in monos):
             return None
-        filed[last].append(rows)
-    return filed
+        top = max(sum(f.values()) for _, f in monos)
+        scaled = [c * scale ** (top - sum(f.values())) for c, f in monos]
+        clear = math.lcm(*(c.denominator for c in scaled))
+        ints = [c.numerator * (clear // c.denominator) for c in scaled]
+        common = math.gcd(*ints) * (1 if ints[0] > 0 else -1)
+        last = max(k for _, f in monos for k in f)
+        exponents = sorted({f.get(last, 0) for _, f in monos})
+        rows = tuple(
+            (c // common, tuple(sorted((k, e) for k, e in f.items() if k != last)), exponents.index(f.get(last, 0)))
+            for c, (_, f) in zip(ints, monos)
+        )
+        filed[last].setdefault((tuple(exponents), rows))
+    return [list(equations) for equations in filed]
 
 
-def _vanishes(rows, x):
-    total = 0
-    for c, factors in rows:
-        for k, e in factors:
-            c *= x[k] ** e
-        total += c
-    return total == 0
+def _candidates(equations, y, lattice, on_lattice):
+    """The lattice values of the next unknown that solve ``equations`` with
+    ``y``'s bound prefix, ascending.  Each equation's coefficients are
+    evaluated once: a nonzero constant prunes, a linear one fixes the only
+    candidate by one exact division (every linear one must give the same
+    root, on the lattice), and the rest are tested term by term, so a sparse
+    equation of high degree costs what its terms cost."""
+    root, tests = None, []
+    for exponents, rows in equations:
+        q = [0] * len(exponents)
+        for c, factors, slot in rows:
+            for k, p in factors:
+                c *= y[k] ** p
+            q[slot] += c
+        while q and not q[-1]:
+            q.pop()
+        if not q:
+            continue
+        top = exponents[len(q) - 1]
+        if not top:
+            return ()
+        if top == 1:
+            # q[-1] * y + q[0] = 0, where q[0] is there only when the
+            # exponents start (0, 1)
+            r, rem = divmod(-q[0] if len(q) == 2 else 0, q[-1])
+            if rem or r not in on_lattice or root not in (None, r):
+                return ()
+            root = r
+        else:
+            tests.append((exponents, q))
+    values = lattice if root is None else (root,)
+    if not tests:
+        return values
+    return [v for v in values if all(sum(c * v**e for e, c in zip(exponents, q)) == 0 for exponents, q in tests)]
 
 
 def _exact(value, what):
@@ -206,44 +248,53 @@ def grid_search(system, values, parameter_bindings=None):
 
     Every algebra parameter must be bound first, and every binding and grid
     value must be an int or a Fraction (a float is a TypeError).  The search
-    is depth first: it binds the unknowns in ``system.unknowns`` order, tries
-    the ascending, de-duplicated grid values at each depth, and tests each
-    equation as soon as its last unknown is bound, descending only when
-    every equation filed at that depth vanishes.  A branch that fails an
-    equation is never extended, so far fewer than ``len(grid) **
-    len(unknowns)`` points are visited; the answer is still every grid
-    point that solves the system.  Arithmetic is exact: equations are
-    compiled once to integer coefficients and integral grid values are
-    Python ints.  Solutions come back in lexicographic order of the unknown
-    vector over the ascending grid, the order of an exhaustive scan; the
-    zero map, when it solves the system, is simply one of them.
+    is depth first and exact, over integers: with L the lcm of the grid's
+    denominators, it solves for y = L*x on the lattice of the scaled grid,
+    with each equation cleared of denominators (see _compile).  It binds the
+    unknowns in ``system.unknowns`` order and files each equation at its
+    last unknown.  At each depth it evaluates the coefficients of the
+    filed equations once for the bound prefix: a nonzero constant prunes
+    the branch, an equation linear in the unknown there fixes its only
+    candidate by one exact division and a lattice test, and only the
+    surviving values are tested against the other equations.  Far fewer
+    than ``len(grid) ** len(unknowns)`` points are visited; the answer is
+    still every grid point that solves the system.  Solutions come back in
+    lexicographic order of the unknown vector over the ascending grid, the
+    order of an exhaustive scan; the zero map, when it solves the system,
+    is simply one of them.
     """
     bindings = {name: _exact(v, f"parameter {name!r}") for name, v in (parameter_bindings or {}).items()}
     unbound = sorted(system.params - set(bindings))
     if unbound:
         raise ValueError(f"unbound parameter {unbound[0]!r}")
-    grid = [int(v) if v.denominator == 1 else v for v in sorted({_exact(v, "a grid value") for v in values})]
-    filed = _compile(system, bindings)
+    grid = sorted({_exact(v, "a grid value") for v in values})
+    scale = math.lcm(*(v.denominator for v in grid))
+    lattice = [v.numerator * (scale // v.denominator) for v in grid]
+    on_lattice = set(lattice)
+    filed = _compile(system, bindings, scale)
     if filed is None:
         return []
+    if not filed:  # no unknowns: the empty assignment solves the system
+        return [_theta([], system.dim)]
 
+    entry = {w: Scalar.rational(v) for w, v in zip(lattice, grid)}
     solutions = []
-    size = len(system.unknowns)
-    x = [None] * size
-    # stack[k] yields the grid values still to try for unknown k; the loop
-    # stops at depth size, where x is a solution
-    stack = [iter(grid)]
+    last = len(system.unknowns) - 1
+    y = [None] * (last + 1)
+    # stack[k] yields the candidates still to try for unknown k; binding the
+    # last unknown completes a solution
+    stack = [iter(_candidates(filed[0], y, lattice, on_lattice))]
     while stack:
         k = len(stack) - 1
-        if k == size:
-            solutions.append(_theta([Scalar.rational(v) for v in x], system.dim))
-            stack.pop()
-            continue
         for v in stack[k]:
-            x[k] = v
-            if all(_vanishes(rows, x) for rows in filed[k]):
-                stack.append(iter(grid))
-                break
+            y[k] = v
+            if k == last:
+                solutions.append(_theta([entry[w] for w in y], system.dim))
+            else:
+                candidates = _candidates(filed[k + 1], y, lattice, on_lattice)
+                if candidates:
+                    stack.append(iter(candidates))
+                    break
         else:
             stack.pop()
     return solutions

@@ -188,14 +188,14 @@ class _DocReader:
             poly = parse_scalar(rhs, set(self.params or ()) | set(self.basis))
         except ParseError as exc:
             raise exc.located(lineno, len(head) + 1) from None
-        coords = [ZERO] * self.dim
+        coords = {}
         for mono, coeff in poly.terms():
             hits = [(name, e) for name, e in mono if name in self.basis]
             if len(hits) != 1 or hits[0][1] != 1:
                 raise ParseError("right-hand side must be a linear combination of basis vectors", line=lineno)
             i = self.basis.index(hits[0][0])
-            coords[i] = coords[i] + Scalar({tuple(f for f in mono if f[0] not in self.basis): coeff})
-        return Vector(coords)
+            coords[i] = coords.get(i, ZERO) + Scalar({tuple(f for f in mono if f[0] not in self.basis): coeff})
+        return Vector._of({i: c for i, c in sorted(coords.items()) if c}, self.dim)
 
     def twist(self, required):
         """The map of the alpha lines; with none, the identity unless required."""

@@ -33,7 +33,7 @@ from hombol.algebra import (
     morphism_residuals,
     tensor,
 )
-from hombol.constructions import _recompose, compose_tensor, hom_jacobian, malcev_to_bol, nth_derived, yau_twist
+from hombol.constructions import _recompose, hom_jacobian, malcev_to_bol, nth_derived, yau_twist
 from hombol.errors import ParseError
 from hombol.identities import SUITES, evaluate, parse_identity, tabulate
 from hombol.morphisms import generate_constraints, unknown_names
@@ -404,23 +404,23 @@ def test_tensor_rebuilds_from_its_cells_in_product_order(dim, seed, symbolic):
 
 @KINDS
 @pytest.mark.parametrize("dim, seed", TENSOR_CASES)
-def test_compose_tensor_matches_the_per_arity_copies(dim, seed, symbolic):
+def test_recompose_matches_the_per_arity_copies(dim, seed, symbolic):
     alg = _algebra(dim, seed, symbolic)
     m = alg.twist
-    assert compose_tensor(m, alg.binary, 2) == old_compose_binary(m, alg.binary)
-    assert compose_tensor(m, alg.ternary, 3) == old_compose_ternary(m, alg.ternary)
     # the constructions square base^p for the ternary product; the formula
-    # they replaced made base^(2p) on its own
+    # they replaced made base^(2p) on its own, one copy per arity
     def two_powers(p):
         return alg.replace(
-            binary=compose_tensor(m.power(p), alg.binary, 2),
-            ternary=compose_tensor(m.power(2 * p), alg.ternary, 3),
+            binary=old_compose_binary(m.power(p), alg.binary),
+            ternary=old_compose_ternary(m.power(2 * p), alg.ternary),
             twist=m.power(p).compose(m),
         )
 
+    assert _recompose(alg, m, 0) == alg
+    assert _recompose(alg, m, 1) == two_powers(1)
+    assert _recompose(alg, m, 2) == two_powers(2)
     assert nth_derived(alg, 1) == two_powers(1)
     assert nth_derived(alg, 2) == two_powers(3)
-    assert _recompose(alg, m, 2) == two_powers(2)
 
 
 @KINDS

@@ -1,15 +1,25 @@
-"""grid_search against the exhaustive scan it replaced.
+"""grid_search against the searches it replaced.
 
-``brute_force_grid_search`` below is the earlier implementation, verbatim
-but for its name: it evaluates every equation at every point of
-``grid ** unknowns`` with ``Scalar.evaluate``.  The pruned depth-first
-search must return the identical ordered list of maps on every system here,
-including ones where no equation prunes (the zero algebra), where every
-branch dies at once (a nonzero constant), and where exactness decides.
+``brute_force_grid_search`` below is the first implementation, verbatim but
+for its name: it evaluates every equation at every point of ``grid **
+unknowns`` with ``Scalar.evaluate``.  The depth-first search must return the
+identical ordered list of maps on every system here, including ones where no
+equation prunes (the zero algebra), where every branch dies at once (a
+nonzero constant), and where exactness decides.  The cases at the end reach
+each branch of its elimination: a coefficient that vanishes on some
+prefixes, linear equations that disagree, roots off the grid or off its
+scaled lattice, and depths whose equations are all quadratic.
+
+``fraction_grid_search`` is the second implementation, the depth-first
+search that tried every grid value at each depth in Fraction arithmetic.  It
+is the oracle, and the clock to beat, where a brute-force scan is out of
+reach.
 """
 
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 from fractions import Fraction as F
 
@@ -18,7 +28,14 @@ import pytest
 from hombol.algebra import HomAlgebra, LinearMap
 from hombol.catalog import get
 from hombol.errors import ParseError
-from hombol.morphisms import DEFAULT_GRID, ConstraintSystem, generate_constraints, grid_search, unknown_names
+from hombol.morphisms import (
+    DEFAULT_GRID,
+    ConstraintSystem,
+    _entries,
+    generate_constraints,
+    grid_search,
+    unknown_names,
+)
 from hombol.scalars import ZERO, Scalar, parse_scalar
 from hombol.serialization import parse_algebra
 
@@ -52,6 +69,57 @@ def brute_force_grid_search(system, values, parameter_bindings=None):
                     )
                 )
             )
+    return solutions
+
+
+def fraction_grid_search(system, values, parameter_bindings=None):
+    """The depth-first search that tries every grid value at each depth: each
+    equation, scaled by the lcm of its denominators, is tested in int and
+    Fraction arithmetic as soon as its last unknown is bound."""
+    bindings = {name: Fraction(v) for name, v in (parameter_bindings or {}).items()}
+    grid = [int(v) if v.denominator == 1 else v for v in sorted({Fraction(v) for v in values})]
+    position = {name: k for k, name in enumerate(system.unknowns)}
+    filed = [[] for _ in system.unknowns]
+    for eq in system.equations:
+        terms = (eq.substitute(bindings) if bindings else eq).terms()
+        if not terms:
+            continue
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        rows = tuple(
+            (c.numerator * (scale // c.denominator), tuple((position[name], e) for name, e in mono))
+            for mono, c in terms
+        )
+        last = max((k for _, factors in rows for k, _ in factors), default=None)
+        if last is None:
+            return []
+        filed[last].append(rows)
+
+    def vanishes(rows, x):
+        total = 0
+        for c, factors in rows:
+            for k, e in factors:
+                c *= x[k] ** e
+            total += c
+        return total == 0
+
+    solutions = []
+    size, n = len(system.unknowns), system.dim
+    x = [None] * size
+    stack = [iter(grid)]
+    while stack:
+        k = len(stack) - 1
+        if k == size:
+            columns = [[Scalar.rational(v) for v in x[j * n:(j + 1) * n]] for j in range(n)]
+            solutions.append(LinearMap.from_columns(columns))
+            stack.pop()
+            continue
+        for v in stack[k]:
+            x[k] = v
+            if all(vanishes(rows, x) for rows in filed[k]):
+                stack.append(iter(grid))
+                break
+        else:
+            stack.pop()
     return solutions
 
 
@@ -223,3 +291,151 @@ def test_inexact_grid_values_and_bindings_are_refused():
     with pytest.raises(TypeError):
         grid_search(symbolic, DEFAULT_GRID, {"lambda": 0.5})
     assert grid_search(symbolic, [F(0), F(1)], {"lambda": F(1)}) == grid_search(system, [0, 1])
+
+
+def test_a_linear_coefficient_that_vanishes_on_some_prefixes():
+    # linear in b1 with coefficient a1: at a1 = 0 the equation is -a2 alone,
+    # so b1 is free there; elsewhere b1 = a2/a1 must lie on the grid
+    found = _same(_system("a1*b1 - a2"), DEFAULT_GRID)
+    assert sum(_entries(m)[0].is_zero() for m in found) == 7**2
+    # the same with a quadratic whose leading coefficient vanishes at a1 = 0,
+    # where it becomes linear in a2
+    assert len(_same(_system("a1*a2^2 - a2", "b1 - a1"), DEFAULT_GRID)) > 7
+
+
+@pytest.mark.parametrize(
+    "equations",
+    [("a2 - a1", "a2 - 2*a1"), ("a2 - 2*a1", "a2 - a1"), ("a1*a2 - 1", "a2 - a1"), ("b1 - a2", "a1*b1 - a2 - b1")],
+)
+def test_two_linear_equations_at_one_depth_with_different_roots(equations):
+    # both equations are filed at the same unknown and are linear in it; a
+    # solver that keeps the first root returns maps that fail the second
+    found = _same(_system(*equations), DEFAULT_GRID)
+    assert 0 < len(found) < len(fraction_grid_search(_system(equations[0]), DEFAULT_GRID))
+
+
+@pytest.mark.parametrize(
+    "equations, grid",
+    [
+        # the root a1 + 1 leaves the grid at a1 = 2, and on the default grid
+        # at a1 = 1/2 as well
+        (("a2 - a1 - 1",), DEFAULT_GRID),
+        (("a2 - a1 - 1",), (-1, 0, 1, 2)),
+        # the root a1/2 is not an integer on the lattice of an integer grid,
+        # and a1/3 not on the doubled lattice of the default grid
+        (("2*a2 - a1",), (-2, -1, 0, 1, 2)),
+        (("3*b2 - a1*b1",), DEFAULT_GRID),
+    ],
+)
+def test_roots_off_the_grid_and_off_its_lattice(equations, grid):
+    found = _same(_system(*equations), grid)
+    assert 0 < len(found) < len(set(map(F, grid))) ** 3
+
+
+MIXED = (F(-5, 3), F(-1, 2), 0, F(3, 4), 2)  # the lcm of the denominators is 12
+
+
+@pytest.mark.parametrize(
+    "equations, count",
+    [
+        # (a1, a2) is (-5/3, 3/4) or (3/4, -5/3); (b1, b2) is 0 or (3/4, -1/2)
+        (("a1*a2 + 5/4", "4*b1 + 6*b2"), 4),
+        (("4*a2 - 3*a1*b1", "3*b2^2 + 5*b2"), 18),
+        (("12*a1^2*a2 - 4*a2 + a1", "b1*b2 + 5/4"), 4),
+    ],
+)
+def test_mixed_denominators_and_negative_values(equations, count):
+    assert len(_same(_system(*equations), MIXED)) == count
+
+
+@pytest.mark.parametrize("name, sign, lam", [("A2", None, F(-5, 3)), ("A3", "+", F(3, 4)), ("A3", "-", F(-1, 2))])
+def test_catalog_entries_on_a_mixed_grid(name, sign, lam):
+    # 1 joins the grid so that the identity is on it
+    found = _same(generate_constraints(get(name, sign=sign)), MIXED + (1,), {"lambda": lam})
+    assert len(found) >= 2  # the zero map and the identity at least
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_sparse_algebras_on_a_mixed_grid(seed):
+    system, bindings = _random_case(2, seed)
+    _same(system, MIXED, bindings)
+
+
+def test_a_depth_whose_equations_are_all_quadratic():
+    # both equations are filed at a2 and quadratic in it: a2^2 = a1 and
+    # (a2 + 2 a1)(a2 - a1) = 0 meet at a1 = a2 = 0 and a1 = a2 = 1
+    found = _same(_system("a2^2 - a1", "a2^2 + a1*a2 - 2*a1^2"), DEFAULT_GRID)
+    assert len(found) == 2 * 7**2
+    # quadratic at every depth
+    assert len(_same(_system("a1^2 - 1", "a2^2 - a1*a2", "b1^2 - 4", "b2^2 - b1*b2 + a1 - 1"), DEFAULT_GRID)) == 8
+
+
+def test_empty_grids_and_a_system_without_unknowns():
+    for system in (generate_constraints(HomAlgebra(2)), generate_constraints(get("A1")), _system("a1 - 1")):
+        assert _same(system, ()) == []
+    # with no unknowns, the empty assignment is the one point of any grid
+    empty = ConstraintSystem(dim=0, unknowns=(), params=frozenset(), equations=())
+    assert len(_same(empty, ())) == len(_same(empty, DEFAULT_GRID)) == 1
+
+
+SO3_DOC = "dim 3\nbasis e1 e2 e3\ncomplete skew-binary\nbinary e1 e2 = e3\nbinary e2 e3 = e1\nbinary e3 e1 = e2\n"
+
+
+def test_so3_on_the_default_grid_is_zero_and_the_rotations():
+    # an endomorphism of a simple Lie algebra is zero or an automorphism, and
+    # the automorphisms of the cross product are the rotations; the only
+    # rotations with entries on the default grid are the 24 signed
+    # permutation matrices of determinant 1
+    expected = [(0,) * 9]
+    for perm in itertools.permutations(range(3)):
+        inversions = sum(perm[i] > perm[j] for i in range(3) for j in range(i + 1, 3))
+        for signs in itertools.product((1, -1), repeat=3):
+            if (-1) ** inversions * math.prod(signs) == 1:
+                # entry j*3 + i is the e_i coordinate of theta(e_j) = s_j e_perm(j)
+                expected.append(tuple(signs[j] if perm[j] == i else 0 for j in range(3) for i in range(3)))
+    expected.sort()
+    assert len(expected) == 25
+    found = grid_search(generate_constraints(parse_algebra(SO3_DOC)), DEFAULT_GRID)
+    assert [_entries(m) for m in found] == [[Scalar.rational(v) for v in point] for point in expected]
+
+
+def _fastest(search, system, grid, bindings):
+    """search's maps and its shortest time of three runs."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        found = search(system, grid, bindings)
+        times.append(time.perf_counter() - start)
+    return [m.rows for m in found], min(times)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+@pytest.mark.parametrize(
+    "system, grid, bindings",
+    [
+        # the grid is cleared by the lcm of its denominators, here the
+        # product of the first ten primes, so its integers grow
+        (generate_constraints(get("A3", sign="+")), (0, 1, -1) + tuple(F(s, p) for p in PRIMES for s in (1, -1)),
+         {"lambda": F(1, 3)}),
+        # a sparse equation of high degree in the unknown it is filed at:
+        # dense Horner evaluation would multiply 2,000 times per value
+        (_system("a1^3*b2^2000 - a1*b2^1999 + a2*b1^3", "a1 - b1 + 2*a2"), MIXED, None),
+    ],
+    ids=["coprime-denominators", "sparse-high-degree"],
+)
+def test_hostile_input_searches_no_slower_than_before(system, grid, bindings):
+    found, new = _fastest(grid_search, system, grid, bindings)
+    expected, old = _fastest(fraction_grid_search, system, grid, bindings)
+    assert found == expected
+    assert len(found) > 1
+    assert new <= old
+
+
+def test_fraction_search_agrees_with_brute_force():
+    # the second oracle against the first
+    for seed in range(3):
+        system, bindings = _random_case(2, seed)
+        expected = brute_force_grid_search(system, DEFAULT_GRID, bindings)
+        assert [m.rows for m in fraction_grid_search(system, DEFAULT_GRID, bindings)] == [m.rows for m in expected]
