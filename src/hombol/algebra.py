@@ -411,6 +411,20 @@ class HomAlgebra:
                         out[l] = term
         return out
 
+    def _is_skew(self, kind):
+        """Whether the product of this kind changes sign when its first two
+        arguments swap: each cell at (j, i, ...) is minus the one at
+        (i, j, ...), so a cell at (i, i, ...) is zero.  The product is
+        multilinear, so it then does so on all vectors."""
+        t = self._products[kind]
+        pairs = itertools.combinations_with_replacement(range(self.dim), 2)
+        rests = list(itertools.product(range(self.dim), repeat=dict(PRODUCTS)[kind] - 2))
+        return all(
+            cell_at(t, (j, i) + rest) == {k: -c for k, c in cell_at(t, (i, j) + rest).items()}
+            for i, j in pairs
+            for rest in rests
+        )
+
     def is_multiplicative(self):
         """Whether the twist preserves both products (is a weak self-morphism)."""
         return first_weak_morphism_failure(self.twist, self, self) is None

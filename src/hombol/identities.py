@@ -41,6 +41,18 @@ a ternary product, so the products with X are taken once.  The products are
 multilinear and the arithmetic exact, so every table is the same; the
 identity's text, ``lhs``/``rhs`` and the multilinearity check stay as
 written.  Of the built-in sides only ``malcev_linearized``'s factor.
+
+``check_identity`` evaluates one basis tuple per symmetry orbit.
+``_symmetries`` expands lhs - rhs algebra-free (``_expand``) and finds each
+swap of two variables p < q that maps it to plus or minus itself: formally,
+or modulo skew binary and/or skew ternary products, which it decides by
+sorting the first two slots of every such product, with a sign.  A swap
+modulo skew products is used only where the algebra's cells are skew for
+each kind it needs (``HomAlgebra._is_skew``); the products are multilinear,
+so they are then skew on all vectors.  The tuples with t[p] > t[q], or
+t[p] == t[q] when the sign is -1, are skipped, and the verdict, the failing
+tuple and its residual stay those of a check of every tuple.  ``evaluate``
+and ``tabulate`` skip nothing.
 """
 
 from __future__ import annotations
@@ -48,6 +60,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -441,6 +454,93 @@ def _validate_multilinear(ident):
 
 
 # ---------------------------------------------------------------------------
+# symmetry: the variable swaps that fix lhs - rhs up to sign
+
+
+def _expand(node):
+    """The node as a sum of signed monomials, algebra-free: a Counter from
+    bracketed monomials to Fractions.  A monomial is a variable name,
+    ('A', power, monomial), or (kind, monomial, ...) for a 'binary' or
+    'ternary' product."""
+    if isinstance(node, Var):
+        return Counter({node.name: Fraction(1)})
+    if isinstance(node, ScalarMul):
+        return Counter({m: node.coeff * c for m, c in _expand(node.arg).items()})
+    if isinstance(node, MapApp):
+        return Counter({("A", node.power, m): c for m, c in _expand(node.arg).items()})
+    if isinstance(node, (Binary, Ternary)):
+        out = Counter({(type(node).__name__.lower(),): Fraction(1)})
+        for part in _children(node):
+            out = Counter({m + (p,): c * d for m, c in out.items() for p, d in _expand(part).items()})
+        return out
+    out = Counter()
+    if isinstance(node, Sum):
+        for term in node.terms:
+            out.update(_expand(term))
+    else:
+        a, b, c = node.names
+        for turn in ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b}):
+            out.update({_renamed(m, turn): k for m, k in _expand(node.body).items()})
+    return out
+
+
+def _renamed(mono, turn):
+    """A monomial with each variable t renamed turn.get(t, t); a tag or a
+    power is never renamed."""
+    if isinstance(mono, str):
+        return turn.get(mono, mono)
+    return mono[:1] + tuple(part if isinstance(part, int) else _renamed(part, turn) for part in mono[1:])
+
+
+def _skew_normal(mono, kinds):
+    """(sign, monomial) with the first two slots of every product of the
+    given kinds in sorted order, the sign counting the swaps: where those
+    products are skew, the monomial is the sign times the result."""
+    if isinstance(mono, str):
+        return 1, mono
+    sign, parts = 1, list(mono)
+    for pos, part in enumerate(parts[1:], 1):
+        if not isinstance(part, int):
+            s, parts[pos] = _skew_normal(part, kinds)
+            sign *= s
+    if parts[0] in kinds and repr(parts[2]) < repr(parts[1]):
+        parts[1], parts[2], sign = parts[2], parts[1], -sign
+    return sign, tuple(parts)
+
+
+def _reduced(terms, kinds):
+    """A sum of monomials modulo skew products of the given kinds, without
+    zero coefficients."""
+    out = Counter()
+    for mono, c in terms.items():
+        sign, normal = _skew_normal(mono, kinds)
+        out[normal] += sign * c
+    return {m: c for m, c in out.items() if c}
+
+
+@functools.cache
+def _symmetries(identity):
+    """The transpositions (p, q, sign, kinds), p < q, of the identity's
+    variables that map lhs - rhs to sign * (lhs - rhs) over the expansion,
+    modulo skew products of the ``kinds`` it names: the first of none
+    (formally), binary, ternary and both under which the swap holds."""
+    names = identity.variables
+    diff = _expand(identity.lhs)
+    diff.subtract(_expand(identity.rhs))
+    found = []
+    for p, q in itertools.combinations(range(len(names)), 2):
+        swap = {names[p]: names[q], names[q]: names[p]}
+        swapped = Counter({_renamed(m, swap): c for m, c in diff.items()})
+        for kinds in ((), ("binary",), ("ternary",), ("binary", "ternary")):
+            before, after = _reduced(diff, kinds), _reduced(swapped, kinds)
+            sign = 1 if after == before else -1 if after == {m: -c for m, c in before.items()} else 0
+            if sign:
+                found.append((p, q, sign, kinds))
+                break
+    return tuple(found)
+
+
+# ---------------------------------------------------------------------------
 # evaluation
 
 
@@ -500,8 +600,13 @@ class _Tables:
     """The one evaluator of identity nodes over an algebra.  A node's table
     maps the leaf indices of its free variables, in order of appearance, to
     its nonzero value there, a non-empty sparse vector; ``dom`` maps each
-    variable to the indices it ranges over, and tables are memoized on the
-    node and those domains."""
+    variable to the indices it ranges over.  ``pairs`` holds (a, b, strict)
+    over variable names: a product's table skips the keys where a > b, or
+    a == b when strict, for each pair over its variables, and so a table
+    holds every nonzero value at keys in that order but may hold or miss
+    the others.  A ``cyc`` body is evaluated with no pairs, since its names
+    are rotated.  Tables are memoized on the node, those domains and
+    pairs."""
 
     def __init__(self, alg, twist_exponent, leaves=None):
         if twist_exponent < 0:
@@ -511,50 +616,65 @@ class _Tables:
         self.map_power = functools.cache(lambda k: alg.twist.power(twist_exponent * k))
         self.memo = {}
 
-    def table(self, node, dom):
+    def table(self, node, dom, pairs=()):
         """(free variables, table) of a node, evaluated as ``_factor`` rewrites it."""
-        return self._table(_factor(node), dom)
+        return self._table(_factor(node), dom, pairs)
 
-    def _table(self, node, dom):
+    def _table(self, node, dom, pairs):
         names = _appearance_order(node)
-        key = (node, tuple(dom[n] for n in names))
+        pairs = tuple(pair for pair in pairs if pair[0] in names and pair[1] in names)
+        key = (node, tuple(dom[n] for n in names), pairs)
         if key not in self.memo:
-            self.memo[key] = self._tabulate(node, names, dom)
+            self.memo[key] = self._tabulate(node, names, dom, pairs)
         return names, self.memo[key]
 
-    def _tabulate(self, node, names, dom):
+    def _tabulate(self, node, names, dom, pairs):
         if isinstance(node, Var):
             out = {(i,): self.leaves[i] for i in dom[node.name]}
         elif isinstance(node, MapApp):
             f = self.map_power(node.power)._apply
-            out = {key: f(v) for key, v in self._table(node.arg, dom)[1].items()}
+            out = {key: f(v) for key, v in self._table(node.arg, dom, pairs)[1].items()}
         elif isinstance(node, ScalarMul):
             s = Scalar.rational(node.coeff)
-            out = {key: _scale(v, s) for key, v in self._table(node.arg, dom)[1].items()}
+            out = {key: _scale(v, s) for key, v in self._table(node.arg, dom, pairs)[1].items()}
         elif isinstance(node, (Binary, Ternary)):
-            parts = [self._table(part, dom) for part in _children(node)]
+            parts = [self._table(part, dom, pairs) for part in _children(node)]
             mul = self.alg._binary if isinstance(node, Binary) else self.alg._ternary
+            src = sum((p for p, _ in parts), ())
+            # the operands' tables keep the order of a pair within one operand
+            split = [pair for pair in pairs if not any(pair[0] in p and pair[1] in p for p, _ in parts)]
+            keep = _in_order(src, split)
             rows = [((), ())]  # (joined key, values) over all operands but the last
             for _, t in parts[:-1]:
                 rows = [(key + k, values + (v,)) for key, values in rows for k, v in t.items()]
             last = parts[-1][1].items()
-            out = {key + k: mul(*values, v) for key, values in rows for k, v in last}
-            out = _rekey(sum((p for p, _ in parts), ()), out, names, dom)
+            out = {key + k: mul(*values, v) for key, values in rows for k, v in last if not split or keep(key + k)}
+            out = _rekey(src, out, names, dom)
         else:
             if isinstance(node, Sum):
-                terms = [(term, {}) for term in node.terms]
+                terms = [(term, {}, pairs) for term in node.terms]
             elif isinstance(node, CyclicSum):
                 a, b, c = node.names
                 # in each rotation the body's variable t stands for the outer turn(t)
-                terms = [(node.body, turn) for turn in ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b})]
+                terms = [(node.body, turn, ()) for turn in ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b})]
             else:
                 raise TypeError(f"not an identity node: {node!r}")
             out = {}
-            for term, turn in terms:
-                term_names, table = self._table(term, {**dom, **{t: dom[u] for t, u in turn.items()}})
+            for term, turn, term_pairs in terms:
+                term_names, table = self._table(term, {**dom, **{t: dom[u] for t, u in turn.items()}}, term_pairs)
                 for key, v in _rekey(tuple(turn.get(n, n) for n in term_names), table, names, dom).items():
                     out[key] = _add(out[key], v) if key in out else v
         return {key: v for key, v in out.items() if v}
+
+
+def _in_order(src, pairs):
+    """Whether a key over the variables ``src`` is in the order of each
+    (a, b, strict) of ``pairs``: a < b when strict, else a <= b."""
+    checks = [(src.index(a), src.index(b), strict) for a, b, strict in pairs]
+    if len(checks) == 1:  # the common case, tested once per product taken
+        (i, j, strict), = checks
+        return (lambda key: key[i] < key[j]) if strict else (lambda key: key[i] <= key[j])
+    return lambda key: all(key[i] < key[j] if strict else key[i] <= key[j] for i, j, strict in checks)
 
 
 def _rekey(src, table, dst, dom):
@@ -595,19 +715,38 @@ def check_identity(alg, identity, twist_exponent=1):
     Returns None on Pass, else the Counterexample at the lexicographically
     smallest failing index tuple.  With symbolic structure constants Pass
     means the residual is the zero polynomial at every tuple.
+
+    Only one tuple per symmetry orbit is evaluated.  A swap of the
+    variables p < q that maps lhs - rhs to sign * (lhs - rhs), formally or
+    modulo products that this algebra's cells make skew (``_symmetries``),
+    maps failing tuples to failing tuples, and a tuple it fixes has a zero
+    residual when the sign is -1.  So the least failing tuple t has
+    t[p] <= t[q], and t[p] < t[q] when the sign is -1: the products and
+    the comparison of the sides skip the keys out of that order, and so the
+    verdict, the tuple and the residual are those of a check of every tuple.
     """
     names = identity.variables
     tables = _Tables(alg, twist_exponent)
+    skew = functools.cache(alg._is_skew)
+    pairs = tuple(
+        (names[p], names[q], sign < 0) for p, q, sign, kinds in _symmetries(identity) if all(map(skew, kinds))
+    )
+    keep = _in_order(names, pairs)
     # pin leading variables to 0 for nested blocks that grow dim-fold from the
     # first tuple, so that a failure there is found early, then pin the first
     # variable to each index in turn; a tuple may be checked twice
     for prefix in [(0,) * m for m in range(len(names), 1, -1)] + [(i,) for i in range(alg.dim)]:
-        dom = {**dict.fromkeys(names, range(alg.dim)), **{n: range(i, i + 1) for n, i in zip(names, prefix)}}
-        lhs, rhs = (_rekey(*tables.table(side, dom), names, dom) for side in (identity.lhs, identity.rhs))
+        pinned = dict(zip(names, prefix))
+        dom = {**dict.fromkeys(names, range(alg.dim)), **{n: range(i, i + 1) for n, i in pinned.items()}}
+        if any(a in pinned and pinned[a] + strict > dom[b][-1] for a, b, strict in pairs):
+            continue  # no tuple of the block is in order
+        lhs, rhs = (_rekey(*tables.table(side, dom, pairs), names, dom) for side in (identity.lhs, identity.rhs))
         if lhs != rhs:
-            key = min(key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key))
-            residual = Vector._of(lhs.get(key, {}), alg.dim) - Vector._of(rhs.get(key, {}), alg.dim)
-            return Counterexample(identity=identity.name, variables=names, indices=key, residual=residual)
+            bad = [key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key) and keep(key)]
+            if bad:
+                key = min(bad)
+                residual = Vector._of(lhs.get(key, {}), alg.dim) - Vector._of(rhs.get(key, {}), alg.dim)
+                return Counterexample(identity=identity.name, variables=names, indices=key, residual=residual)
         if len(prefix) == 1:  # keep the tables made with no variable pinned
             tables.memo = {e: t for e, t in tables.memo.items() if all(len(d) == alg.dim for d in e[1])}
     return None

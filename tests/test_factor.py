@@ -5,8 +5,8 @@ evaluator evaluates that form.  The identity text, ``Identity.lhs``/``rhs``
 and the multilinearity check are left as written.  Three checks hold the
 rewrite to its value:
 
-* algebra-free: the factored node and the node as written expand to the
-  same signed, bracketed monomials;
+* algebra-free: the factored node and the node as written expand
+  (``identities._expand``) to the same signed, bracketed monomials;
 * on algebras: the engine's tables of the factored side equal the tables
   of the side as written under the per-tuple reference evaluator of
   ``test_tables``, and so do checks and their counterexamples;
@@ -15,7 +15,6 @@ rewrite to its value:
 """
 
 import random
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -30,11 +29,11 @@ from hombol.identities import (
     SUITES,
     Binary,
     CyclicSum,
-    MapApp,
     ScalarMul,
     Sum,
     Ternary,
     Var,
+    _expand,
     _factor,
     format_node,
     parse_identity,
@@ -57,39 +56,6 @@ FACTORING = [
     "(x*y)*(z*w) + (y*x)*(z*w) + ((x*y)*z)*w + ((y*x)*z)*w = cyc(x,y,z; (x*y)*z)*w + (x*(y*z))*w",
     "{x,y,z} + {y,x,z} + {x,y,z} = 3 {A^2(x),y,z} - 1/3 {A^2(x),y,A(z)}",
 ]
-
-
-def _expand(node):
-    """The node as a sum of signed monomials: a Counter from bracketed
-    monomials (nested tuples over variable names) to Fractions."""
-    if isinstance(node, Var):
-        return Counter({node.name: F(1)})
-    if isinstance(node, ScalarMul):
-        return Counter({m: node.coeff * c for m, c in _expand(node.arg).items()})
-    if isinstance(node, MapApp):
-        return Counter({("A", node.power, m): c for m, c in _expand(node.arg).items()})
-    if isinstance(node, (Binary, Ternary)):
-        out = Counter({(type(node).__name__,): F(1)})
-        for part in new._children(node):
-            out = Counter({m + (p,): c * d for m, c in out.items() for p, d in _expand(part).items()})
-        return out
-    out = Counter()
-    if isinstance(node, Sum):
-        for term in node.terms:
-            out.update(_expand(term))
-    else:
-        a, b, c = node.names
-        for turn in ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b}):
-            out.update({_renamed(m, turn): k for m, k in _expand(node.body).items()})
-    return out
-
-
-def _renamed(mono, turn):
-    if isinstance(mono, str):
-        return turn.get(mono, mono)
-    if isinstance(mono, int):
-        return mono
-    return tuple(_renamed(part, turn) for part in mono)
 
 
 def _monomials(node):

@@ -26,7 +26,7 @@ from test_kernels import CASES
 from test_round_trip import _algebra
 
 from hombol import identities as new
-from hombol.algebra import HomAlgebra, LinearMap, Vector, tensor, zero_tensor
+from hombol.algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, cell_at, tensor, zero_tensor
 from hombol.catalog import get
 from hombol.constructions import malcev_to_bol, nth_derived
 from hombol.identities import (
@@ -201,14 +201,37 @@ def tampered(alg):
 def skew(alg):
     """alg without its ternary product, its binary product made skew from
     the cells above the diagonal."""
+    return skewed(alg.replace(ternary=None), ("binary",))
 
-    def cell(ij):
-        i, j = ij
-        if i == j:
-            return Vector.zero(alg.dim).coords
-        return alg.binary[i][j] if i < j else tuple(-c for c in alg.binary[j][i])
 
-    return alg.replace(binary=tensor(alg.dim, 2, cell), ternary=None)
+def skewed(alg, kinds):
+    """alg with each product of the given kinds made skew in its first two
+    slots from the cells where the first index is below the second."""
+
+    def made_skew(t):
+        def cell(idx):
+            i, j, *rest = idx
+            if i == j:
+                return Vector.zero(alg.dim).coords
+            return cell_at(t, idx) if i < j else tuple(-c for c in cell_at(t, (j, i, *rest)))
+
+        return cell
+
+    made = {kind: tensor(alg.dim, r, made_skew(getattr(alg, kind))) for kind, r in PRODUCTS if kind in kinds}
+    return alg.replace(**made)
+
+
+def tampered_skew(alg):
+    """alg with e1 added to its ternary cell at (e_{n-1}, e_n, e_n) and taken
+    from the one at (e_n, e_{n-1}, e_n): a late failure that keeps a skew
+    ternary product skew."""
+    n = alg.dim - 1
+
+    def cell(idx):
+        bump = {(n - 1, n, n): 1, (n, n - 1, n): -1}.get(idx, 0)
+        return (cell_at(alg.ternary, idx)[0] + bump,) + cell_at(alg.ternary, idx)[1:]
+
+    return alg.replace(ternary=tensor(alg.dim, 3, cell))
 
 
 def catalog():
@@ -311,6 +334,72 @@ def test_tampered_octonion_bol_fails_late_like_the_per_tuple_evaluator():
         assert new.check_identity(bol, ident) == want
         if ident.name == "twist_respects_ternary":
             assert want.indices == (6, 6, 6)
+
+
+# --- one tuple per symmetry orbit -------------------------------------------------
+
+# skew in its binary product but not in its ternary one: binary_derivation
+# first fails at u = e2 > v = e1, a tuple that the swap of u and v, which
+# holds modulo skew binary and ternary products, would skip
+HALF_SKEW_DOC = (
+    "dim 3\nbasis e1 e2 e3\ncomplete skew-binary\nbinary e1 e2 = e3\nbinary e2 e3 = e1\n"
+    "ternary e2 e1 e1 = e2\nternary e1 e2 e3 = e1\n"
+)
+SKEW_KINDS = [("binary",), ("ternary",), ("binary", "ternary")]
+
+
+def test_the_skew_test_reads_each_product_kind_from_the_cells():
+    half = parse_algebra(HALF_SKEW_DOC)
+    assert half._is_skew("binary") and not half._is_skew("ternary")
+    for kinds in SKEW_KINDS:
+        alg = skewed(_algebra(3, 2, symbolic=True), kinds)
+        assert [alg._is_skew(kind) for kind, _ in PRODUCTS] == [kind in kinds for kind, _ in PRODUCTS]
+    bol = malcev_to_bol(octonions())
+    assert bol._is_skew("binary") and bol._is_skew("ternary")
+    assert tampered_skew(bol)._is_skew("ternary")
+    # a nonzero cell at (i, i, ...) of either product is not skew
+    assert not tampered(bol)._is_skew("ternary")
+    alg = skewed(_algebra(3, 1, symbolic=False), ("binary",))
+    diagonal = alg.replace(binary=tensor(3, 2, lambda idx: (1, 0, 0) if idx == (2, 2) else cell_at(alg.binary, idx)))
+    assert not diagonal._is_skew("binary")
+
+
+def test_an_algebra_skew_only_in_its_binary_product_keeps_its_counterexamples():
+    alg = parse_algebra(HALF_SKEW_DOC)
+    report = dict(new.check_suite(alg, "bol").results)
+    for name, assignment, residual in [
+        ("binary_derivation", "x=e1, y=e2, u=e2, v=e1", (-1, 0, 0)),
+        ("ternary_derivation", "x=e1, y=e2, u=e2, v=e1, w=e3", (0, -1, 0)),
+    ]:
+        assert (report[name].assignment(alg.basis), report[name].residual) == (assignment, Vector(residual))
+    assert_checks_agree(alg)
+
+
+def test_malcev_linearized_keeps_a_failure_where_x_equals_w():
+    # the swap of x and w fixes the sides with sign +1, so tuples with
+    # x == w are checked; this algebra first fails at one
+    alg = _algebra(3, 1, symbolic=False)
+    got = new.check_identity(alg, SUITES["malcev"].identities[1])
+    assert got == check_identity(alg, SUITES["malcev"].identities[1])
+    assert got.variables == ("x", "y", "w", "z") and got.indices == (0, 0, 0, 1)
+
+
+@pytest.mark.parametrize("kinds", SKEW_KINDS, ids="+".join)
+@pytest.mark.parametrize("dim, seed, symbolic", [(dim, seed, False) for dim, seed in CASES] + [(3, 1, True)])
+def test_seeded_skew_tensors_check_like_the_per_tuple_evaluator(dim, seed, symbolic, kinds):
+    alg = skewed(_algebra(dim, seed, symbolic), kinds)
+    exponents = EXPONENTS if dim == 3 else (1,)
+    assert_checks_agree(alg, exponents)
+    assert_checks_agree(tampered_skew(alg), exponents)
+
+
+def test_tampered_skew_octonion_bol_fails_late_like_the_per_tuple_evaluator():
+    # both products stay skew, so every derivation identity skips the tuples
+    # out of order and still finds the least failing one
+    bol = tampered_skew(malcev_to_bol(octonions(), sign_automorphism()))
+    for suite in ("bol", "hom_bol"):
+        for ident in SUITES[suite].identities:
+            assert new.check_identity(bol, ident) == check_identity(bol, ident), ident.name
 
 
 # --- tables and values ---------------------------------------------------------------
