@@ -134,6 +134,10 @@ class Vector:
     def is_zero(self):
         return not self._d
 
+    def __bool__(self):
+        """Whether some coordinate is nonzero, as for a Scalar."""
+        return bool(self._d)
+
     def scale(self, s):
         return Vector._of(_scale(self._d, _as_scalar(s)), self.dim)
 
@@ -303,10 +307,23 @@ def _has_shape(t, dim, arity):
     return len(t) == dim and (arity == 1 or all(_has_shape(s, dim, arity - 1) for s in t))
 
 
+def _skew_cells(t, dim, arity):
+    """Whether the nested cells t change sign when their first two indices
+    swap: each cell at (j, i, ...) is minus the one at (i, j, ...), so a
+    cell at (i, i, ...) is zero.  The product is multilinear, so it then
+    does so on all vectors."""
+    rests = list(itertools.product(range(dim), repeat=arity - 2))
+    return all(
+        cell_at(t, (j, i) + rest) == {k: -c for k, c in cell_at(t, (i, j) + rest).items()}
+        for i, j in itertools.combinations_with_replacement(range(dim), 2)
+        for rest in rests
+    )
+
+
 class HomAlgebra:
     """A binary-ternary algebra with a twisting map, stored by sparse product cell."""
 
-    __slots__ = ("dim", "basis", "params", "twist", "_products")
+    __slots__ = ("dim", "basis", "params", "twist", "_products", "_skew")
 
     def __init__(self, dim, basis=None, params=(), binary=None, ternary=None, twist=None):
         if dim < 1:
@@ -337,6 +354,7 @@ class HomAlgebra:
         self.dim, self.basis, self.params, self.twist = dim, basis, params, twist
         # per kind, the cells nested [i][j] or [i][j][k] as the kernels index them
         self._products = {kind: tensor(dim, r, lambda idx: cells[kind].get(idx, _EMPTY)) for kind, r in PRODUCTS}
+        self._skew = {}  # _is_skew's answers, by kind
 
     def _tensor(self, kind):
         cells = self._products[kind]
@@ -413,17 +431,10 @@ class HomAlgebra:
 
     def _is_skew(self, kind):
         """Whether the product of this kind changes sign when its first two
-        arguments swap: each cell at (j, i, ...) is minus the one at
-        (i, j, ...), so a cell at (i, i, ...) is zero.  The product is
-        multilinear, so it then does so on all vectors."""
-        t = self._products[kind]
-        pairs = itertools.combinations_with_replacement(range(self.dim), 2)
-        rests = list(itertools.product(range(self.dim), repeat=dict(PRODUCTS)[kind] - 2))
-        return all(
-            cell_at(t, (j, i) + rest) == {k: -c for k, c in cell_at(t, (i, j) + rest).items()}
-            for i, j in pairs
-            for rest in rests
-        )
+        arguments swap (_skew_cells), decided once per algebra and kind."""
+        if kind not in self._skew:
+            self._skew[kind] = _skew_cells(self._products[kind], self.dim, dict(PRODUCTS)[kind])
+        return self._skew[kind]
 
     def is_multiplicative(self):
         """Whether the twist preserves both products (is a weak self-morphism)."""

@@ -7,6 +7,7 @@ Exit codes: 0 success or Pass, 1 a check failed (counterexample printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -208,6 +209,9 @@ def _add_entry_params(sp, sign_default=None):
                     help="sign of [e1,e2,e2] for the A3 family (use --sign=-)")
 
 
+# built on the first main call and kept for the process: parse_args leaves
+# the parser as it was, and importing the module stays as cheap as it was
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hombol",

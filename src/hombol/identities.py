@@ -727,9 +727,8 @@ def check_identity(alg, identity, twist_exponent=1):
     """
     names = identity.variables
     tables = _Tables(alg, twist_exponent)
-    skew = functools.cache(alg._is_skew)
     pairs = tuple(
-        (names[p], names[q], sign < 0) for p, q, sign, kinds in _symmetries(identity) if all(map(skew, kinds))
+        (names[p], names[q], sign < 0) for p, q, sign, kinds in _symmetries(identity) if all(map(alg._is_skew, kinds))
     )
     keep = _in_order(names, pairs)
     # pin leading variables to 0 for nested blocks that grow dim-fold from the

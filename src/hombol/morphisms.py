@@ -11,11 +11,13 @@ Solving over a grid finds every assignment of grid values to the unknowns
 that satisfies the system, in lexicographic order.  It is a depth-first
 search by exact elimination, not an exhaustive scan: the grid is scaled by
 the lcm of its denominators to a lattice of ints, the equations are compiled
-once to integer rows over it, and unknowns are bound one at a time in their
-listed order.  Each equation is decided as soon as its last unknown is
-next: one that is linear in that unknown gives its only value by one exact
-division, and a partial assignment that fails an equation is pruned with
-everything below it.
+once to integer rows over it, and unknowns are bound one at a time in an
+order chosen from those rows: next, the unknown that completes the most
+equations.  Each equation is decided as soon as its last unknown in that
+order is bound: one that is linear in that unknown gives its only value by
+one exact division, and a partial assignment that fails an equation is
+pruned with everything below it.  The solutions are then sorted back into
+lexicographic order of the listed unknowns.
 
 The unknowns are theta's entries, source-major and target-minor, a layout
 that _theta and its inverse _entries alone spell out.  Dimension 2 names them
@@ -161,43 +163,124 @@ def verify_candidate(system, candidate):
     return None
 
 
+def _forces_zero(terms):
+    """Whether an equation is c*y_k^e = 0, which only y_k = 0 solves."""
+    return len(terms) == 1 and len(terms[0][1]) == 1
+
+
+def _drop_forced_zeros(equations):
+    """The equations without their terms in an unknown that some equation
+    c*y_k^e = 0 forces to zero: every branch that binds y_k keeps only 0
+    for it, so those terms vanish wherever they are decided.  A dropped
+    term may leave another such equation, or one that vanishes and is
+    dropped.  None when one is left a nonzero constant, which nothing
+    solves."""
+    zero = set()
+    while True:
+        forced = {terms[0][1][0][0] for terms in equations if _forces_zero(terms)} - zero
+        if not forced:
+            return equations
+        zero |= forced
+        kept = []
+        for terms in equations:
+            if not _forces_zero(terms):
+                terms = tuple((c, f) for c, f in terms if not any(k in zero for k, _ in f))
+                if not terms:
+                    continue
+                if not any(f for _, f in terms):
+                    return None
+            kept.append(terms)
+        equations = kept
+
+
+def _binding_order(supports, size):
+    """The order in which to bind unknowns 0..size-1, given the set of
+    unknowns of each equation: greedily, the unknown that completes the
+    most equations next.  Ties go to the unknown whose pending equations
+    come nearest to completion (most left with one unknown unbound, then
+    two, ...), then to the first listed; an unknown in no equation comes
+    after every constrained one."""
+    holding = [[] for _ in range(size)]
+    for e, support in enumerate(supports):
+        for k in support:
+            holding[k].append(e)
+    unbound = [len(support) for support in supports]
+
+    def urgency(k):
+        left = [0] * size
+        for e in holding[k]:
+            if unbound[e]:
+                left[unbound[e] - 1] += 1
+        return left, -k
+
+    order, free = [], set(range(size))
+    while free:
+        k = max(free, key=urgency)
+        order.append(k)
+        free.discard(k)
+        for e in holding[k]:
+            unbound[e] -= 1
+    return order
+
+
 def _compile(system, bindings, scale):
-    """The equations with the parameters bound, over the lattice y = scale*x,
-    filed by their last unknown: ``filed[k]`` lists the equations to decide
-    once unknowns 0..k are bound, each as ``(exponents, rows)``: the
-    ascending exponents of y_k in it, and its terms, each an ``(int
-    coefficient, ((unknown index, exponent), ...), slot)`` row whose factors
-    are unknowns before k and whose power of y_k is ``exponents[slot]``.  An
-    equation of top degree D is multiplied by scale^D, which turns each term
-    of degree t into one in y times scale^(D - t), then by the lcm of its
-    denominators, and then divided by the gcd of its coefficients, with the
-    sign that makes its first coefficient positive; its zero set stays as it
-    is, and an equation that only differs from another by a factor is filed
-    once.  None when some equation is a nonzero constant, which nothing
-    solves.
+    """``(order, filed)``: the order to bind the unknowns in, and the
+    equations with the parameters bound, over the lattice y = scale*x, filed
+    by the depth of their last unknown in that order.  ``order[d]`` is the
+    listed index of the unknown bound at depth d, and y_d its value.
+    ``filed[d]`` lists the equations to decide once depths 0..d are bound,
+    each as ``(exponents, rows)``: the ascending exponents of y_d in it, and
+    its terms, each an ``(int coefficient, ((depth, exponent), ...), slot)``
+    row whose factors are bound before d and whose power of y_d is
+    ``exponents[slot]``.  An equation of top degree D is multiplied by
+    scale^D, which turns each term of degree t into one in y times
+    scale^(D - t), then by the lcm of its denominators, and then divided by
+    the gcd of its coefficients, with the sign that makes its first
+    coefficient positive; its zero set stays as it is, and an equation that
+    only differs from another by a factor is filed once.  The parameters
+    are bound term by term in int and Fraction arithmetic, and the order is
+    read off these integer rows after _drop_forced_zeros, so each equation
+    is expanded once.  None when some equation is a nonzero constant, or is
+    left one by _drop_forced_zeros, which nothing solves.
     """
     position = {name: k for k, name in enumerate(system.unknowns)}
-    filed = [{} for _ in system.unknowns]
+    normal = {}
     for eq in system.equations:
-        terms = (eq.substitute(bindings) if bindings else eq).terms()
-        if not terms:
+        # the terms with the parameters bound, by their ((unknown, exponent), ...)
+        merged = {}
+        for mono, c in eq.terms():
+            for name, e in mono:
+                if name not in position:
+                    c *= bindings[name] ** e
+            f = tuple((position[name], e) for name, e in mono if name in position)
+            merged[f] = merged[f] + c if f in merged else c
+        monos = [(c, f) for f, c in merged.items() if c]
+        if not monos:
             continue
-        monos = [(Fraction(c), {position[name]: e for name, e in mono}) for mono, c in terms]
-        if not any(factors for _, factors in monos):
+        if not any(f for _, f in monos):
             return None
-        top = max(sum(f.values()) for _, f in monos)
-        scaled = [c * scale ** (top - sum(f.values())) for c, f in monos]
+        degrees = [sum(e for _, e in f) for _, f in monos]
+        scaled = [c * scale ** (max(degrees) - t) for (c, _), t in zip(monos, degrees)]
         clear = math.lcm(*(c.denominator for c in scaled))
         ints = [c.numerator * (clear // c.denominator) for c in scaled]
         common = math.gcd(*ints) * (1 if ints[0] > 0 else -1)
-        last = max(k for _, f in monos for k in f)
+        normal.setdefault(tuple((c // common, f) for c, (_, f) in zip(ints, monos)))
+    equations = _drop_forced_zeros(list(normal))
+    if equations is None:
+        return None
+    order = _binding_order([{k for _, f in terms for k, _ in f} for terms in equations], len(system.unknowns))
+    depth = {k: d for d, k in enumerate(order)}
+    filed = [[] for _ in order]
+    for terms in equations:
+        monos = [(c, {depth[k]: e for k, e in f}) for c, f in terms]
+        last = max(d for _, f in monos for d in f)
         exponents = sorted({f.get(last, 0) for _, f in monos})
         rows = tuple(
-            (c // common, tuple(sorted((k, e) for k, e in f.items() if k != last)), exponents.index(f.get(last, 0)))
-            for c, (_, f) in zip(ints, monos)
+            (c, tuple(sorted((d, e) for d, e in f.items() if d != last)), exponents.index(f.get(last, 0)))
+            for c, f in monos
         )
-        filed[last].setdefault((tuple(exponents), rows))
-    return [list(equations) for equations in filed]
+        filed[last].append((tuple(exponents), rows))
+    return order, filed
 
 
 def _candidates(equations, y, lattice, on_lattice):
@@ -250,18 +333,21 @@ def grid_search(system, values, parameter_bindings=None):
     value must be an int or a Fraction (a float is a TypeError).  The search
     is depth first and exact, over integers: with L the lcm of the grid's
     denominators, it solves for y = L*x on the lattice of the scaled grid,
-    with each equation cleared of denominators (see _compile).  It binds the
-    unknowns in ``system.unknowns`` order and files each equation at its
-    last unknown.  At each depth it evaluates the coefficients of the
-    filed equations once for the bound prefix: a nonzero constant prunes
-    the branch, an equation linear in the unknown there fixes its only
-    candidate by one exact division and a lattice test, and only the
-    surviving values are tested against the other equations.  Far fewer
-    than ``len(grid) ** len(unknowns)`` points are visited; the answer is
-    still every grid point that solves the system.  Solutions come back in
-    lexicographic order of the unknown vector over the ascending grid, the
-    order of an exhaustive scan; the zero map, when it solves the system,
-    is simply one of them.
+    with each equation cleared of denominators (see _compile).  It binds
+    first the unknowns that complete the most equations (_binding_order),
+    drops the terms of an unknown that an equation c*y^e = 0 forces to zero,
+    and files each equation at its last unknown in that order.  At each
+    depth it evaluates the coefficients of the filed equations once for the
+    bound prefix: a nonzero constant prunes the branch, an equation linear
+    in the unknown there fixes its only candidate by one exact division and
+    a lattice test, and only the surviving values are tested against the
+    other equations.  Far fewer than ``len(grid) ** len(unknowns)`` points
+    are visited; the answer is still every grid point that solves the
+    system.  The solutions are collected as lattice tuples, mapped back to
+    ``system.unknowns`` and sorted; the lattice ascends with the grid, so
+    they come back in lexicographic order of the unknown vector over the
+    ascending grid, the order of an exhaustive scan.  The zero map, when it
+    solves the system, is simply one of them.
     """
     bindings = {name: _exact(v, f"parameter {name!r}") for name, v in (parameter_bindings or {}).items()}
     unbound = sorted(system.params - set(bindings))
@@ -271,33 +357,37 @@ def grid_search(system, values, parameter_bindings=None):
     scale = math.lcm(*(v.denominator for v in grid))
     lattice = [v.numerator * (scale // v.denominator) for v in grid]
     on_lattice = set(lattice)
-    filed = _compile(system, bindings, scale)
-    if filed is None:
+    compiled = _compile(system, bindings, scale)
+    if compiled is None:
         return []
+    order, filed = compiled
     if not filed:  # no unknowns: the empty assignment solves the system
         return [_theta([], system.dim)]
 
-    entry = {w: Scalar.rational(v) for w, v in zip(lattice, grid)}
     solutions = []
-    last = len(system.unknowns) - 1
+    last = len(order) - 1
     y = [None] * (last + 1)
-    # stack[k] yields the candidates still to try for unknown k; binding the
-    # last unknown completes a solution
+    at = sorted(range(last + 1), key=order.__getitem__)  # the depth of each listed unknown
+    # stack[d] yields the candidates still to try at depth d; binding the
+    # last depth completes a solution
     stack = [iter(_candidates(filed[0], y, lattice, on_lattice))]
     while stack:
-        k = len(stack) - 1
-        for v in stack[k]:
-            y[k] = v
-            if k == last:
-                solutions.append(_theta([entry[w] for w in y], system.dim))
+        d = len(stack) - 1
+        for v in stack[d]:
+            y[d] = v
+            if d == last:
+                solutions.append(tuple(y[i] for i in at))
             else:
-                candidates = _candidates(filed[k + 1], y, lattice, on_lattice)
+                candidates = _candidates(filed[d + 1], y, lattice, on_lattice)
                 if candidates:
                     stack.append(iter(candidates))
                     break
         else:
             stack.pop()
-    return solutions
+    # the lattice ascends with the grid, so sorting the lattice tuples of the
+    # listed unknowns sorts the maps lexicographically
+    entry = {w: Scalar.rational(v) for w, v in zip(lattice, grid)}
+    return [_theta([entry[w] for w in point], system.dim) for point in sorted(solutions)]
 
 
 # Printed candidate families for dimension 2, by shape.  Free entries are

@@ -35,6 +35,18 @@ def test_vector_basis_refuses_an_index_outside_the_dimension(i):
         Vector.basis(i, 3)
 
 
+def test_a_vector_is_true_when_some_coordinate_is_nonzero():
+    # as for a Scalar, where ZERO is false
+    assert not Vector.zero(3) and not ZERO
+    assert Vector.basis(0, 3) and Vector((0, 0, F(1, 2)))
+    assert not Vector((0, 0)) and not (Vector((1, 2)) - Vector((1, 2)))
+    # residuals of the identity map of A1 are all zero, so none is true
+    a1 = get("A1")
+    residuals = [r for _, _, r in morphism_residuals(LinearMap.identity(2), a1, a1)]
+    assert residuals and not any(residuals)
+    assert any(r for _, _, r in morphism_residuals(LinearMap(((2, 0), (0, 1))), a1, a1))
+
+
 def test_vector_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         Vector((1, 2)) + Vector((1, 2, 3))

@@ -1,11 +1,15 @@
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import hombol
 from hombol.catalog import cross_check, get
-from hombol.cli import main
+from hombol.cli import _build_parser, main
 from hombol.constructions import malcev_to_bol, nth_derived, self_twist
 from hombol.morphisms import generate_constraints
 from hombol.serialization import emit_algebra, emit_constraints, emit_map, parse_algebra
@@ -349,3 +353,53 @@ def test_crosscheck_numeric_binding(capsys):
     assert main(["crosscheck", "HB_A2", "--n", "0", "--b", "2", "--a", "0"]) == 0
     out = capsys.readouterr().out
     assert "quoted -2*e2 | constructed -2*e2 -> match" in out
+
+
+# --- one parser per process ---------------------------------------------------------
+
+
+def _in_process(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def _fresh(argv):
+    """stdout, stderr and exit code of ``hombol argv`` in a new interpreter."""
+    src = str(Path(hombol.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from hombol.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=False,
+    )
+    return run.stdout, run.stderr, run.returncode
+
+
+def test_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
+    so3 = _write(tmp_path, "so3.alg", CROSS_LIE_DOC)
+    a1 = _write(tmp_path, "a1.alg", emit_algebra(get("A1")))
+    a3 = _write(tmp_path, "a3.alg", emit_algebra(get("A3", sign="-")))
+    skew = _write(tmp_path, "skew.ids", "skew : x*y = -y*x\n")
+    calls = [
+        ["morphisms", so3, "--grid=-1,0,1"],
+        ["morphisms", a3, "--bind", "lambda=1/2"],
+        ["morphisms", a1],
+        ["morphisms", a3, "--bind", "lambda=2", "--grid=0,1"],
+        ["check", a1, "--suite", "bol"],
+        ["check", a1, "--identity", skew],
+        # --sign has no default for catalog and "+" for crosscheck
+        ["catalog", "emit", "HB_A3", "--sign=-"],
+        ["crosscheck", "HB_A3", "--n", "1"],
+        # an argparse usage error and a flag error, then a good call
+        ["check", a1],
+        ["morphisms", so3, "--grid=-1,0,1", "--bind", "x=1"],
+        ["catalog", "list"],
+    ]
+    results = [_in_process(argv, capsys) for argv in calls]
+    assert [code for _, _, code in results] == [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 0]
+    assert "usage: hombol check" in results[8][1]
+    assert _build_parser.cache_info().misses == 1
+    for argv, got in zip(calls, results):
+        assert got == _fresh(argv), argv

@@ -25,12 +25,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from hombol import morphisms
 from hombol.algebra import HomAlgebra, LinearMap
 from hombol.catalog import get
 from hombol.errors import ParseError
 from hombol.morphisms import (
     DEFAULT_GRID,
     ConstraintSystem,
+    _compile,
     _entries,
     generate_constraints,
     grid_search,
@@ -439,3 +441,102 @@ def test_fraction_search_agrees_with_brute_force():
         system, bindings = _random_case(2, seed)
         expected = brute_force_grid_search(system, DEFAULT_GRID, bindings)
         assert [m.rows for m in fraction_grid_search(system, DEFAULT_GRID, bindings)] == [m.rows for m in expected]
+
+
+# --- the binding order ------------------------------------------------------------
+
+UNKNOWNS = unknown_names(2)
+
+
+def _seeded_system(seed):
+    """Random polynomial equations in a1, a2, b1, b2 and a parameter p: one
+    unknown is in no equation, the last equation is a multiple of p - 1, and
+    with probability 1/2 an equation c*u^e forces some unknown u to zero."""
+    rng = random.Random(f"binding-order/{seed}")
+    idle = rng.choice(UNKNOWNS)
+    used = [u for u in UNKNOWNS if u != idle]
+    p = Scalar.parameter("p")
+
+    def term():
+        t = Scalar.rational(F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2))))
+        for u in rng.sample(used, rng.choice((0, 1, 1, 2, 2, 2, 3))):
+            t = t * Scalar.parameter(u) ** rng.randint(1, 2)
+        return t * p if rng.random() < 0.2 else t
+
+    equations = [sum((term() for _ in range(rng.randint(2, 3))), ZERO) for _ in range(rng.randint(1, 3))]
+    equations.append((p - 1) * (term() + Scalar.parameter(used[0])))
+    if rng.random() < 0.5:
+        forced = Scalar.rational(rng.choice((-2, 3))) * Scalar.parameter(rng.choice(used)) ** rng.randint(1, 2)
+        equations.insert(rng.randrange(len(equations)), forced)
+    system = ConstraintSystem(dim=2, unknowns=UNKNOWNS, params=frozenset({"p"}), equations=tuple(equations))
+    return system, idle
+
+
+# unsorted, with duplicates and a value written twice over different denominators
+SHUFFLED = (1, F(-1, 2), 0, F(2, 4), -2, 1, F(1, 2), 0, 2)
+
+
+SEEDS = range(16)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_systems_in_the_chosen_order_find_the_brute_force_maps(seed):
+    system, idle = _seeded_system(seed)
+    for p in (1, F(-1, 2)):  # p = 1 cancels the last equation
+        _same(system, SHUFFLED, {"p": p})
+        compiled = _compile(system, {"p": F(p)}, 2)
+        if compiled is not None:
+            # nothing is decided at or after the unknown in no equation
+            order, filed = compiled
+            assert not any(filed[order.index(UNKNOWNS.index(idle)):])
+
+
+def test_the_seeded_systems_reorder_and_solve():
+    # guards the cases above: most bind in an order other than the listed
+    # one, and many find some maps but not every grid point
+    reordered, counts = 0, []
+    for seed in SEEDS:
+        system, _ = _seeded_system(seed)
+        for p in (1, F(-1, 2)):
+            compiled = _compile(system, {"p": p}, 2)
+            reordered += compiled is not None and compiled[0] != [0, 1, 2, 3]
+            counts.append(len(grid_search(system, SHUFFLED, {"p": p})))
+    assert reordered >= 16
+    assert sum(0 < c < len(set(map(F, SHUFFLED))) ** 4 for c in counts) >= 10
+
+
+def test_an_equation_that_forces_a_zero_drops_its_terms_elsewhere():
+    # b1 = 0 leaves a2*b1^2 + a2 as a2 = 0, and a2 = 0 leaves the third
+    # equation as -b2 = 0: each files at its own unknown, and a1 is free
+    system = _system("b1", "a2*b1^2 + a2", "a1*a2 - b2 + a1*b1")
+    order, filed = _compile(system, {}, 1)
+    assert [UNKNOWNS[k] for k in order] == ["a2", "b1", "b2", "a1"]
+    assert [len(equations) for equations in filed] == [1, 1, 1, 0]
+    assert len(_same(system, SHUFFLED)) == len(set(map(F, SHUFFLED)))
+    # a term left a nonzero constant once b1 = 0: nothing solves the system
+    assert _compile(_system("b1^2", "a1*b1 + 3", "a2 - b2"), {}, 1) is None
+    assert _same(_system("b1^2", "a1*b1 + 3", "a2 - b2"), SHUFFLED) == []
+
+
+def test_the_chosen_orders_of_so3_and_a1():
+    # so(3): no equation has fewer than 5 unknowns, and the first one is
+    # decided at depth 4, where the listed order reaches depth 6 first
+    so3 = generate_constraints(parse_algebra(SO3_DOC))
+    order, filed = _compile(so3, {}, 1)
+    assert [so3.unknowns[k] for k in order] == ["t1_1", "t2_2", "t3_3", "t1_2", "t2_1", "t1_3", "t3_1", "t2_3", "t3_2"]
+    assert [len(equations) for equations in filed] == [0, 0, 0, 0, 1, 0, 1, 2, 5]
+    # A1: b1 = 0 first, then a1, and b2 decided by a linear equation in it
+    a1 = generate_constraints(get("A1"))
+    order, filed = _compile(a1, {}, 2)
+    assert [a1.unknowns[k] for k in order] == ["b1", "a1", "b2", "a2"]
+    assert [len(equations) for equations in filed] == [1, 0, 3, 1]
+
+
+def test_the_so3_search_makes_fewer_candidate_calls(monkeypatch):
+    calls = []
+    candidates = morphisms._candidates
+    monkeypatch.setattr(morphisms, "_candidates", lambda *args: calls.append(1) or candidates(*args))
+    found = grid_search(generate_constraints(parse_algebra(SO3_DOC)), (-1, 0, 1))
+    assert len(found) == 25
+    # binding the unknowns in their listed order took 1,911 calls
+    assert len(calls) == 837

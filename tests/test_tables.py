@@ -25,6 +25,7 @@ import pytest
 from test_kernels import CASES
 from test_round_trip import _algebra
 
+from hombol import algebra
 from hombol import identities as new
 from hombol.algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, cell_at, tensor, zero_tensor
 from hombol.catalog import get
@@ -362,6 +363,19 @@ def test_the_skew_test_reads_each_product_kind_from_the_cells():
     alg = skewed(_algebra(3, 1, symbolic=False), ("binary",))
     diagonal = alg.replace(binary=tensor(3, 2, lambda idx: (1, 0, 0) if idx == (2, 2) else cell_at(alg.binary, idx)))
     assert not diagonal._is_skew("binary")
+
+
+def test_each_product_kind_is_tested_for_skewness_once_per_algebra(monkeypatch):
+    tests = []
+    skew_cells = algebra._skew_cells
+    monkeypatch.setattr(algebra, "_skew_cells", lambda t, dim, arity: tests.append(arity) or skew_cells(t, dim, arity))
+    alg = get("A1")
+    # six identities of hom_bol and four of bol have swaps that need skew products
+    assert new.check_suite(alg, "hom_bol").passed and new.check_suite(alg, "bol").passed
+    assert sorted(tests) == [2, 3]
+    # another algebra, even an equal one, decides again
+    assert new.check_suite(alg.replace(), "bol").passed
+    assert sorted(tests) == [2, 2, 3, 3]
 
 
 def test_an_algebra_skew_only_in_its_binary_product_keeps_its_counterexamples():
