@@ -3,33 +3,38 @@
 An algebra is given over a labeled basis by exact structure constants:
 ``binary[i][j][k]`` is the e_k coordinate of e_i * e_j, ``ternary[i][j][k][l]``
 the e_l coordinate of {e_i, e_j, e_k}, and ``twist`` a square matrix whose
-column j is the image of e_j.  All entries are Scalars, so every evaluation
-is exact and symbolic parameters ride along for free.
+column j is the image of e_j.  Every entry is exact: the public views give
+Scalars, so symbolic parameters ride along for free.
 
 A structure tensor of arity r (2 for the binary product, 3 for the ternary
 one) is a dense nested tuple indexed t[i1]...[ir]; ``tensor``, ``cell_at`` and
 ``HomAlgebra.cells`` build, read and walk both arities alike.
 
-A sparse vector is a dict {coordinate: nonzero Scalar}, the one stored form:
+A sparse vector is a dict {coordinate: nonzero value}, the one stored form:
 a Vector is its dimension and one, a LinearMap one per column, a HomAlgebra
-one per product cell, and ``coords``, ``rows``, ``binary`` and ``ternary``
-lay them out densely when read.  The public constructors coerce dense input;
-the builders hand sparse vectors to the trusted ``_of`` constructors.  The
-kernels (``LinearMap._apply``, ``HomAlgebra._binary`` and ``_ternary``, plus
-``_scale`` and ``_add``) loop over the entries of their operands and of the
-columns or cells, multiply and add through Scalar's operators, which
-short-cut a zero or unit side, and return a new dict without the coordinates
-that cancel.  The identity tables call them directly, and the public methods
-wrap them with no copy.  So vectors, columns, cells and table values share
-dicts, which is safe only because no kernel writes to its inputs.
+one per product cell.  A value is an int, a Fraction that is not integral, or
+a Scalar that is not constant (see ``scalars``).  ``coords``, ``rows``,
+``binary``, ``ternary`` and ``cells()`` lay the stored vectors out densely
+when read, each coordinate as a Scalar.  The public constructors coerce dense
+input; the builders hand sparse vectors to the trusted ``_of`` constructors.
+The kernels (``LinearMap._apply``, ``HomAlgebra._binary`` and ``_ternary``,
+plus ``_scale`` and ``_add``) loop over the entries of their operands and of
+the columns or cells, multiply and add with ``*`` and ``+``, which work on
+every mix of numbers and Scalars, drop the coordinates whose sum is zero by
+truth value, make an integral Fraction its int, and return a new dict.
+Where the constants are ints, as in most algebras, that is native int
+arithmetic.  The identity tables call the kernels directly, and the public
+methods wrap them with no copy.  So vectors, columns, cells and table values
+share dicts, which is safe only because no kernel writes to its inputs.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import DimensionMismatch, ExponentLimitError
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, _as_scalar, _canon, _value_of
 
 __all__ = [
     "Vector",
@@ -56,29 +61,29 @@ PRODUCTS = (("binary", 2), ("ternary", 3))
 _EMPTY = {}  # the cell of every zero product: shared, as no cell is ever written to
 
 
-def _as_scalar(x):
-    s = Scalar._coerce(x)
-    if s is None:
+def _as_value(x):
+    """x as a stored value (see the module docstring)."""
+    value = _value_of(x)
+    if value is None:
         raise TypeError(f"expected a scalar-like value, got {x!r}")
-    return s
+    return value
 
 
 def _as_coords(seq, dim):
-    coords = tuple(_as_scalar(x) for x in seq)
+    coords = tuple(_as_value(x) for x in seq)
     if len(coords) != dim:
         raise DimensionMismatch(f"expected {dim} coordinates, got {len(coords)}")
     return coords
 
 
 def _sparse(coords):
-    """The sparse vector of a Scalar sequence; the ZERO singleton is passed
-    over by identity, without a call."""
-    return {k: c for k, c in enumerate(coords) if c is not ZERO and c}
+    """The sparse vector of a sequence of values."""
+    return {k: c for k, c in enumerate(coords) if c}
 
 
 def _dense(v, dim):
-    """The coordinates of the sparse vector v, laid out as a tuple."""
-    return tuple(v.get(k, ZERO) for k in range(dim))
+    """The coordinates of the sparse vector v, laid out as a tuple of Scalars."""
+    return tuple(_as_scalar(v[k]) if k in v else ZERO for k in range(dim))
 
 
 def _add(a, b):
@@ -86,16 +91,16 @@ def _add(a, b):
     out = dict(a)
     for k, c in b.items():
         if k in out:
-            c = out.pop(k) + c
-            if c is ZERO:
+            c = _canon(out.pop(k) + c)
+            if not c:
                 continue
         out[k] = c
     return out
 
 
 def _scale(v, s):
-    """The sparse vector v times the Scalar s."""
-    return {k: c * s for k, c in v.items()} if s else {}
+    """The sparse vector v times the value s."""
+    return {k: _canon(c * s) for k, c in v.items()} if s else {}
 
 
 class Vector:
@@ -105,7 +110,7 @@ class Vector:
     __slots__ = ("dim", "_d")
 
     def __init__(self, coords):
-        coords = [_as_scalar(x) for x in coords]
+        coords = [_as_value(x) for x in coords]
         self.dim = len(coords)
         self._d = _sparse(coords)
 
@@ -125,7 +130,7 @@ class Vector:
     def basis(cls, i, dim):
         if i not in range(dim):
             raise IndexError(f"basis index {i} out of range for dimension {dim}")
-        return cls._of({i: ONE}, dim)
+        return cls._of({i: 1}, dim)
 
     @property
     def coords(self):
@@ -139,7 +144,7 @@ class Vector:
         return bool(self._d)
 
     def scale(self, s):
-        return Vector._of(_scale(self._d, _as_scalar(s)), self.dim)
+        return Vector._of(_scale(self._d, _as_value(s)), self.dim)
 
     def __add__(self, other):
         if not isinstance(other, Vector):
@@ -172,12 +177,12 @@ class Vector:
 
 
 class LinearMap:
-    """A square matrix of Scalars, stored by sparse column; column j is the image of e_j."""
+    """A square matrix of exact values, stored by sparse column; column j is the image of e_j."""
 
     __slots__ = ("_cols",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
+        rows = tuple(tuple(_as_value(x) for x in row) for row in rows)
         if any(len(row) != len(rows) for row in rows):
             raise DimensionMismatch("linear map matrix must be square")
         self._cols = tuple(_sparse(col) for col in zip(*rows))
@@ -191,7 +196,7 @@ class LinearMap:
 
     @classmethod
     def identity(cls, dim):
-        return cls._of(tuple({j: ONE} for j in range(dim)))
+        return cls._of(tuple({j: 1} for j in range(dim)))
 
     @classmethod
     def from_columns(cls, cols):
@@ -212,6 +217,10 @@ class LinearMap:
     def column(self, j):
         return Vector._of(self._cols[j], self.dim)
 
+    def _row(self, i):
+        """Row i as a sparse vector."""
+        return {j: col[i] for j, col in enumerate(self._cols) if i in col}
+
     def apply(self, v):
         if not isinstance(v, Vector):
             v = Vector(v)
@@ -228,8 +237,10 @@ class LinearMap:
                 term = entry * vj
                 if i in out:
                     term = out.pop(i) + term
-                    if term is ZERO:
+                    if not term:
                         continue
+                if term.__class__ is Fraction and term.denominator == 1:
+                    term = term.numerator
                 out[i] = term
         return out
 
@@ -262,11 +273,7 @@ class LinearMap:
         return not any(self._cols)
 
     def variables(self):
-        names = set()
-        for col in self._cols:
-            for entry in col.values():
-                names |= entry.variables()
-        return frozenset(names)
+        return _variables(self._cols)
 
     def __eq__(self, other):
         if not isinstance(other, LinearMap):
@@ -279,6 +286,11 @@ class LinearMap:
     def __repr__(self):
         body = "; ".join(", ".join(str(c) for c in row) for row in self.rows)
         return f"LinearMap([{body}])"
+
+
+def _variables(vectors):
+    """The parameters of the Scalar values of some sparse vectors."""
+    return frozenset().union(*(c.variables() for v in vectors for c in v.values() if c.__class__ is Scalar))
 
 
 def tensor(dim, arity, cell):
@@ -399,8 +411,10 @@ class HomAlgebra:
                     term = factor * c
                     if k in out:
                         term = out.pop(k) + term
-                        if term is ZERO:
+                        if not term:
                             continue
+                    if term.__class__ is Fraction and term.denominator == 1:
+                        term = term.numerator
                     out[k] = term
         return out
 
@@ -424,8 +438,10 @@ class HomAlgebra:
                         term = factor * c
                         if l in out:
                             term = out.pop(l) + term
-                            if term is ZERO:
+                            if not term:
                                 continue
+                        if term.__class__ is Fraction and term.denominator == 1:
+                            term = term.numerator
                         out[l] = term
         return out
 
@@ -453,12 +469,7 @@ class HomAlgebra:
                 yield kind, idx, cell_at(t, idx)
 
     def all_variables(self):
-        names = set(self.params)
-        for _, _, cell in self._cells():
-            for c in cell.values():
-                names |= c.variables()
-        names |= self.twist.variables()
-        return frozenset(names)
+        return self.params | _variables(cell for _, _, cell in self._cells()) | self.twist.variables()
 
     def __eq__(self, other):
         if not isinstance(other, HomAlgebra):
@@ -489,9 +500,9 @@ def morphism_residuals(theta, src, dst):
     for kind, idx, cell in src._cells():
         lhs = theta.apply(Vector._of(cell, n))
         yield kind, idx, lhs - products[kind](*(images[i] for i in idx))
-    lhs, rhs = theta.compose(src.twist).rows, dst.twist.compose(theta).rows
+    lhs, rhs = theta.compose(src.twist), dst.twist.compose(theta)
     for i in range(n):
-        yield "twist", (i,), Vector._of(_sparse(lhs[i]), n) - Vector._of(_sparse(rhs[i]), n)
+        yield "twist", (i,), Vector._of(lhs._row(i), n) - Vector._of(rhs._row(i), n)
 
 
 def first_weak_morphism_failure(theta, src, dst):

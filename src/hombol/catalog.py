@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .algebra import HomAlgebra, LinearMap, Vector
 from .constructions import nth_derived, yau_twist
-from .scalars import ONE, Scalar, ZERO
+from .scalars import Scalar
 from .serialization import format_vector
 
 __all__ = [
@@ -54,9 +54,9 @@ def _scalar_or(value, name):
 
 def _coerce_sign(sign, entry):
     if sign in (1, "+"):
-        return ONE
+        return 1
     if sign in (-1, "-"):
-        return -ONE
+        return -1
     if sign is None:
         raise ValueError(f"{entry} needs sign '+' or '-'")
     raise ValueError(f"bad sign {sign!r}; use '+' or '-'")
@@ -69,45 +69,45 @@ def _vec(c1, c2):
 def _bol(t121, t122):
     """Two-dimensional Bol algebra with the shared binary product e1*e2 = -e2
     and the two defining ternary cells, skew-completed."""
-    cells = {"binary": {(0, 1): {1: -ONE}, (1, 0): {1: ONE}}, "ternary": {}}
+    cells = {"binary": {(0, 1): {1: -1}, (1, 0): {1: 1}}, "ternary": {}}
     for k, v in enumerate((t121, t122)):
         cells["ternary"][0, 1, k], cells["ternary"][1, 0, k] = v._d, (-v)._d
-    params = frozenset().union(*(c.variables() for v in (t121, t122) for c in v._d.values()))
+    params = frozenset().union(*(c.variables() for v in (t121, t122) for c in v.coords))
     return HomAlgebra._of(2, _BASIS, params, cells, LinearMap.identity(2))
 
 
 def _beta_shear_scale(a, b):
     # columns are images of e1, e2
-    return LinearMap.from_columns(((ONE, a), (ZERO, b)))
+    return LinearMap.from_columns(((1, a), (0, b)))
 
 
 def _a2(lam, a, b, sign):
-    return _bol(_vec(ZERO, lam), Vector.zero(2))
+    return _bol(_vec(0, lam), Vector.zero(2))
 
 
 def _a3(lam, a, b, sign):
-    return _bol(_vec(ZERO, lam), _vec(sign, ZERO))
+    return _bol(_vec(0, lam), _vec(sign, 0))
 
 
 def _geometric(b, n):
     """1 + b + ... + b^(2^n - 1), as the product of 1 + b^(2^i) for i < n."""
-    total = ONE
+    total = 1
     for i in range(n):
-        total = total * (ONE + b ** (2**i))
+        total = total * (1 + b ** (2**i))
     return total
 
 
 def _twisted_forms(n, lam, a, b, t122):
     """The closed forms a twisted entry is quoted with; n=None means the base form."""
     if n is None:
-        return (_vec(ZERO, -b), _vec(ZERO, lam * b), t122, _vec(ONE, a), _vec(ZERO, b))
+        return (_vec(0, -b), _vec(0, lam * b), t122, _vec(1, a), _vec(0, b))
     count = 2**n
     return (
-        _vec(ZERO, -(b ** (count - 1))),
-        _vec(ZERO, lam * b ** (2 * count - 1)),
+        _vec(0, -(b ** (count - 1))),
+        _vec(0, lam * b ** (2 * count - 1)),
         t122,
-        _vec(ONE, a * _geometric(b, n)),
-        _vec(ZERO, b**count),
+        _vec(1, a * _geometric(b, n)),
+        _vec(0, b**count),
     )
 
 
@@ -130,7 +130,7 @@ _ENTRIES = (
         (),
         "rigid type: [e1,e2,e1] = e1, [e1,e2,e2] = -e2; "
         "its only self-morphisms are 0 and the identity",
-        lambda lam, a, b, sign: _bol(_vec(ONE, ZERO), _vec(ZERO, -ONE)),
+        lambda lam, a, b, sign: _bol(_vec(1, 0), _vec(0, -1)),
     ),
     CatalogEntry(
         "A2",
@@ -165,8 +165,8 @@ _ENTRIES = (
         ("sign",),
         "A3 twisted along beta(e1) = e1, beta(e2) = b*e2 "
         "(an endomorphism only at b = +1 or -1; built unchecked)",
-        lambda lam, a, b, sign: yau_twist(_a3(lam, a, b, sign), _beta_shear_scale(ZERO, b), check=False),
-        lambda n, lam, a, b, sign: _twisted_forms(n, lam, ZERO, b, _vec(-sign, ZERO)),
+        lambda lam, a, b, sign: yau_twist(_a3(lam, a, b, sign), _beta_shear_scale(0, b), check=False),
+        lambda n, lam, a, b, sign: _twisted_forms(n, lam, 0, b, _vec(-sign, 0)),
     ),
 )
 

@@ -28,12 +28,15 @@ e-th power of the ambient twist.
 
 One evaluator does all evaluation: each node evaluates once to a sparse table
 of its nonzero values on basis tuples, each value itself a sparse vector, a
-dict {coordinate: nonzero Scalar} that the algebra's kernels take and
-return.  ``check_identity`` tabulates the sides on blocks of tuples and
-compares them key by key (both are canonical, so dict equality is exact),
-building a Vector only for the residual it reports; ``tabulate`` wraps a
-table's values as Vectors (the Malcev bridge takes its ternary cells from
-it), and ``evaluate`` uses the dicts of the caller's vectors as the leaves.
+dict {coordinate: nonzero value} that the algebra's kernels take and
+return.  A basis leaf is {i: 1} and a ``ScalarMul`` coefficient scales by
+its native number, so where the structure constants are ints the tables
+are built in int arithmetic.  ``check_identity`` tabulates the sides on
+blocks of tuples and compares them key by key (both are canonical, so dict
+equality is exact), building a Vector only for the residual it reports;
+``tabulate`` wraps a table's values as Vectors (the Malcev bridge takes its
+ternary cells from it), and ``evaluate`` uses the dicts of the caller's
+vectors as the leaves.
 
 The evaluator takes each side factored: ``_factor`` rewrites a*X + b*X in a
 sum as (a + b)*X, for a shared left or right operand, or two shared slots of
@@ -66,7 +69,7 @@ from fractions import Fraction
 
 from .algebra import Vector, _add, _scale, tensor
 from .errors import DimensionMismatch, MultilinearityError, ParseError
-from .scalars import NAME, ONE, Scalar, TokenReader, content_lines, token_pattern
+from .scalars import NAME, TokenReader, _number, content_lines, token_pattern
 
 __all__ = [
     "Var",
@@ -612,7 +615,7 @@ class _Tables:
         if twist_exponent < 0:
             raise ValueError("twist exponent must be nonnegative")
         self.alg = alg
-        self.leaves = [{i: ONE} for i in range(alg.dim)] if leaves is None else leaves
+        self.leaves = [{i: 1} for i in range(alg.dim)] if leaves is None else leaves
         self.map_power = functools.cache(lambda k: alg.twist.power(twist_exponent * k))
         self.memo = {}
 
@@ -635,7 +638,9 @@ class _Tables:
             f = self.map_power(node.power)._apply
             out = {key: f(v) for key, v in self._table(node.arg, dom, pairs)[1].items()}
         elif isinstance(node, ScalarMul):
-            s = Scalar.rational(node.coeff)
+            s = _number(node.coeff)
+            if s is None:
+                raise TypeError(f"a ScalarMul coefficient must be an int or a Fraction, got {node.coeff!r}")
             out = {key: _scale(v, s) for key, v in self._table(node.arg, dom, pairs)[1].items()}
         elif isinstance(node, (Binary, Ternary)):
             parts = [self._table(part, dom, pairs) for part in _children(node)]

@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .algebra import LinearMap, morphism_residuals
 from .errors import PreconditionError, refuse_overlap, refuse_undeclared
-from .scalars import Scalar, ZERO, ONE
+from .scalars import Scalar, ZERO, ONE, _canon, _value_of
 
 __all__ = [
     "ConstraintSystem",
@@ -86,7 +86,7 @@ def unknown_names(dim):
 
 
 def _theta(entries, n):
-    """The map whose entries, source-major and target-minor, are the Scalars
+    """The map whose entries, source-major and target-minor, are the values
     ``entries``: entry j*n + i is the e_i coordinate of theta(e_j)."""
     return LinearMap._of(tuple({i: s for i, s in enumerate(entries[j * n:(j + 1) * n]) if s} for j in range(n)))
 
@@ -139,13 +139,10 @@ def _bindings_from(system, candidate):
         if extra:
             detail.append(f"unexpected {extra}")
         raise ValueError("unknown-name mismatch: " + ", ".join(detail))
-    out = {}
     for name, value in given.items():
-        s = Scalar._coerce(value)
-        if s is None:
+        if _value_of(value) is None:
             raise TypeError(f"cannot bind unknown {name!r} to {value!r}")
-        out[name] = s
-    return out
+    return given
 
 
 def verify_candidate(system, candidate):
@@ -386,7 +383,7 @@ def grid_search(system, values, parameter_bindings=None):
             stack.pop()
     # the lattice ascends with the grid, so sorting the lattice tuples of the
     # listed unknowns sorts the maps lexicographically
-    entry = {w: Scalar.rational(v) for w, v in zip(lattice, grid)}
+    entry = {w: _canon(v) for w, v in zip(lattice, grid)}
     return [_theta([entry[w] for w in point], system.dim) for point in sorted(solutions)]
 
 

@@ -7,6 +7,16 @@ common integer case never pays for Fraction arithmetic.  Because the form is
 canonical, value equality is representation equality; there is no separate
 normalization step to forget.  Scalars are immutable by convention.
 
+A value that is constant (a coordinate, a map entry, a structure constant)
+is kept as a native number: an int, or a Fraction when it is not integral.
+The arithmetic operators take an int or a Fraction on either side and
+return the native number whenever their result is constant, so kernels that
+mix numbers and Scalars through ``*`` and ``+`` store a Scalar only for a
+non-constant polynomial.  Constant Scalars come only from the public
+surface: the constructor, ``rational``, ``ZERO`` and ``ONE``,
+``substitute``, ``parse_scalar`` and the dense views of the algebra layer.
+A constant Scalar equals its number and hashes like it.
+
 The literal grammar (shared by every file format) is sums of signed terms,
 each term a '*'-joined product of rationals ``p`` or ``p/q`` and parameter
 names, names optionally raised to a nonnegative integer power with ``^``::
@@ -36,11 +46,23 @@ NAME = re.compile(_IDENT + r"\Z")
 
 
 def _canon(q):
-    """A coefficient in canonical form: an int when its denominator is 1,
-    else the reduced Fraction."""
-    if q.__class__ is int:
-        return q
-    return q.numerator if q.denominator == 1 else q
+    """A value in canonical form: an integral Fraction as its int, any other
+    value (an int, a Fraction, a Scalar) as it is."""
+    if q.__class__ is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _number(x):
+    """An int or a Fraction as its canonical native number; None for any
+    other value, a Scalar included."""
+    if x.__class__ is int:
+        return x
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return _canon(x)
+    return None
 
 
 def _mono_mul(m, n):
@@ -125,13 +147,13 @@ class Scalar:
         s._terms = {((name, 1),): 1}
         return s
 
-    @classmethod
-    def _coerce(cls, value):
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return cls.rational(value)
-        return None
+    def _value(self):
+        """This scalar as a value: its native number when it is constant,
+        else itself."""
+        t = self._terms
+        if len(t) > 1:
+            return self
+        return t.get(_EMPTY, self) if t else 0
 
     # -- queries ---------------------------------------------------------
 
@@ -162,18 +184,23 @@ class Scalar:
         return tuple(sorted(self._terms.items(), key=lambda kv: _display_key(kv[0])))
 
     # -- arithmetic ------------------------------------------------------
+    #
+    # Each operator takes an int or a Fraction on either side and returns
+    # the native number when its result is constant.
 
     def __add__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar._coerce(other)
-            if other is None:
+            q = _number(other)
+            if q is None:
                 return NotImplemented
-        if not other._terms:
-            return self
-        if not self._terms:
-            return other
-        acc = dict(self._terms)
-        for mono, coeff in other._terms.items():
+            return self._shift(q)
+        a, b = self._terms, other._terms
+        if not b:
+            return self._value()
+        if not a:
+            return other._value()
+        acc = dict(a)
+        for mono, coeff in b.items():
             c = acc.get(mono)
             if c is None:
                 acc[mono] = coeff
@@ -183,51 +210,52 @@ class Scalar:
                     acc[mono] = c
                 else:
                     del acc[mono]
-        if not acc:
-            return ZERO  # the kernels pass over the ZERO singleton without a call
-        out = Scalar.__new__(Scalar)
-        out._terms = acc
-        return out
+        return _from_terms(acc)
 
     __radd__ = __add__
 
+    def _shift(self, q):
+        """self plus the native number q, added to the constant term."""
+        if not q:
+            return self._value()
+        acc = dict(self._terms)
+        c = _canon(acc.get(_EMPTY, 0) + q)
+        if c:
+            acc[_EMPTY] = c
+        else:
+            del acc[_EMPTY]
+        return _from_terms(acc)
+
     def __neg__(self):
-        if not self._terms:
-            return self
-        out = Scalar.__new__(Scalar)
-        out._terms = {mono: -coeff for mono, coeff in self._terms.items()}
-        return out
+        return _from_terms({mono: -coeff for mono, coeff in self._terms.items()})
 
     def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
+        if other.__class__ is Scalar:
+            return self + (-other)
+        q = _number(other)
+        if q is None:
             return NotImplemented
-        return self + (-other)
+        return self._shift(-q)
 
     def __rsub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
+        q = _number(other)
+        if q is None:
             return NotImplemented
-        return other + (-self)
+        return _canon(-self + q)
 
     def __mul__(self, other):
         if other.__class__ is not Scalar:
-            other = Scalar._coerce(other)
-            if other is None:
+            q = _number(other)
+            if q is None:
                 return NotImplemented
+            return self._scaled(q)
         a, b = self._terms, other._terms
-        if not a or not b:
-            return ZERO
-        # a constant factor 1 or -1 costs no coefficient product; in
-        # canonical form a unit coefficient is an int
-        if len(b) == 1:
-            u = b.get(_EMPTY)
-            if u.__class__ is int and (u == 1 or u == -1):
-                return self if u == 1 else -self
-        if len(a) == 1:
-            u = a.get(_EMPTY)
-            if u.__class__ is int and (u == 1 or u == -1):
-                return other if u == 1 else -other
+        # a constant side is a number: scale the other side by it
+        if len(b) < 2 and (not b or _EMPTY in b):
+            return self._scaled(b.get(_EMPTY, 0))
+        if len(a) < 2 and (not a or _EMPTY in a):
+            return other._scaled(a.get(_EMPTY, 0))
+        # two non-constant polynomials: their product is not constant
         acc = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -247,38 +275,56 @@ class Scalar:
 
     __rmul__ = __mul__
 
+    def _scaled(self, q):
+        """self times the native number q, coefficient by coefficient.  A
+        factor 1 gives self back, as the kernels multiply basis leaves and
+        identity columns into polynomial cells, and a factor -1 negates,
+        which costs no Fraction product."""
+        if not q:
+            return 0
+        if q == 1:
+            return self._value()
+        if q == -1:
+            return -self
+        return _from_terms({mono: _canon(c * q) for mono, c in self._terms.items()})
+
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("scalar powers take a nonnegative integer exponent")
-        result = ONE
-        base = self
+        base = self._value()
+        if base.__class__ is not Scalar:
+            return _canon(base**k)
+        result = None
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if k:
+                base = base * base
+        return 1 if result is None else result
 
     # -- substitution ----------------------------------------------------
 
     def substitute(self, bindings):
-        """Replace parameters by scalars (or rationals); unknown names stay symbolic."""
+        """Replace parameters by scalars (or rationals); unknown names stay
+        symbolic.  The result is a Scalar, constant or not."""
         if not bindings or not self._terms:
             return self
-        out = ZERO
+        out = 0
         for mono, coeff in self._terms.items():
-            term = Scalar.rational(coeff)
+            term = coeff
             for name, e in mono:
                 repl = bindings.get(name)
-                if repl is None:
-                    base = Scalar.parameter(name)
-                else:
-                    base = Scalar._coerce(repl)
-                    if base is None:
-                        raise TypeError(f"cannot bind parameter {name!r} to {repl!r}")
-                term = term * base**e
-            out = out + term
-        return out
+                base = Scalar.parameter(name) if repl is None else _value_of(repl)
+                if base is None:
+                    raise TypeError(f"cannot bind parameter {name!r} to {repl!r}")
+                if base.__class__ is int and base in (0, 1):
+                    term = term if base else 0  # no Fraction product for a factor 0 or 1
+                elif term:
+                    term = term * base**e
+            if term:
+                out = out + term
+        return _as_scalar(out)
 
     def evaluate(self, bindings):
         """Fully evaluate to a Fraction; every parameter must be bound to an
@@ -300,12 +346,18 @@ class Scalar:
     # -- structural ------------------------------------------------------
 
     def __eq__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
+        if other.__class__ is Scalar:
+            return self._terms == other._terms
+        q = _number(other)
+        if q is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._terms == ({_EMPTY: q} if q else {})
 
     def __hash__(self):
+        """A constant hashes as its native number, which it equals."""
+        value = self._value()
+        if value is not self:
+            return hash(value)
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
@@ -320,6 +372,38 @@ class Scalar:
 
 ZERO = Scalar.rational(0)
 ONE = Scalar.rational(1)
+
+
+def _from_terms(terms):
+    """The value of a canonical term map: its native number when it is
+    constant, else a Scalar over it."""
+    if len(terms) < 2:
+        if not terms:
+            return 0
+        if _EMPTY in terms:
+            return terms[_EMPTY]
+    s = Scalar.__new__(Scalar)
+    s._terms = terms
+    return s
+
+
+def _value_of(x):
+    """x in stored form: a Scalar as its value (its native number when it is
+    constant), an int or a Fraction as its canonical number; None for any
+    other object."""
+    if x.__class__ is Scalar:
+        return x._value()
+    return _number(x)
+
+
+def _as_scalar(value):
+    """A value as a Scalar, for the public surface: a native number becomes
+    the constant Scalar."""
+    if value.__class__ is Scalar:
+        return value
+    s = Scalar.__new__(Scalar)
+    s._terms = {_EMPTY: _canon(value)} if value else {}
+    return s
 
 
 def format_terms(terms):
@@ -490,4 +574,4 @@ def parse_scalar(text, names=None):
         raise ParseError("empty scalar")
     value = reader.sum()
     reader.expect_end()
-    return value
+    return _as_scalar(value)

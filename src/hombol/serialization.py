@@ -34,7 +34,7 @@ import math
 from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector
 from .errors import ParseError, parse_int, refuse_overlap, refuse_undeclared
 from .morphisms import ConstraintSystem
-from .scalars import NAME, Scalar, ZERO, content_lines, format_terms, parse_scalar
+from .scalars import NAME, Scalar, content_lines, format_terms, parse_scalar
 
 __all__ = [
     "parse_algebra",
@@ -194,7 +194,9 @@ class _DocReader:
             if len(hits) != 1 or hits[0][1] != 1:
                 raise ParseError("right-hand side must be a linear combination of basis vectors", line=lineno)
             i = self.basis.index(hits[0][0])
-            coords[i] = coords.get(i, ZERO) + Scalar({tuple(f for f in mono if f[0] not in self.basis): coeff})
+            rest = tuple(f for f in mono if f[0] not in self.basis)
+            term = Scalar({rest: coeff}) if rest else coeff
+            coords[i] = coords[i] + term if i in coords else term
         return Vector._of({i: c for i, c in sorted(coords.items()) if c}, self.dim)
 
     def twist(self, required):

@@ -18,7 +18,6 @@ from hombol.identities import (
     parse_identity,
     parse_suite,
 )
-from hombol.scalars import Scalar
 
 
 # --- parsing ---------------------------------------------------------------
@@ -192,7 +191,7 @@ def _random_vector(rng, dim):
 def _tamper(alg, i, j, k, delta):
     rows = [list(map(list, plane)) for plane in alg.ternary]
     cell = list(rows[i][j][k])
-    cell[0] = Scalar._coerce(delta) + cell[0]
+    cell[0] = delta + cell[0]
     rows[i][j][k] = tuple(cell)
     return alg.replace(ternary=tuple(tuple(tuple(c) for c in plane) for plane in rows))
 

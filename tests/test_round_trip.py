@@ -16,7 +16,7 @@ from test_kernels import CASES, _coords, _matrix, _tensor
 
 from hombol.algebra import HomAlgebra, LinearMap, Vector
 from hombol.morphisms import generate_constraints
-from hombol.scalars import ZERO, parse_scalar
+from hombol.scalars import ZERO, Scalar, parse_scalar
 from hombol.serialization import (
     emit_algebra,
     emit_constraints,
@@ -34,6 +34,8 @@ def reference_render(scalars_and_labels):
     out unless the term would be empty; nothing at all is '0'."""
     text = ""
     for scalar, label in scalars_and_labels:
+        # an operator gives a constant result as an int or a Fraction
+        scalar = scalar if isinstance(scalar, Scalar) else Scalar.rational(scalar)
         for mono, coeff in scalar.terms():
             names = [name if e == 1 else f"{name}^{e}" for name, e in mono]
             if label is not None:

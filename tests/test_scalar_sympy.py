@@ -1,7 +1,9 @@
 """Scalar ring laws against sympy (needs hypothesis and sympy; skipped without them).
 
 Sums, products, powers, substitutions and evaluations of small random
-polynomials must equal what sympy.expand makes of the same expressions.
+polynomials must equal what sympy.expand makes of the same expressions, also
+where one operand is an int or a Fraction; an operator's result must be a
+native number exactly when it is constant.
 """
 
 from fractions import Fraction
@@ -30,7 +32,10 @@ linear = st.dictionaries(linear_monomials, coefficients, max_size=2).map(Scalar)
 
 
 def to_sympy(s):
-    """The sympy expression of a Scalar, built term by term (no text)."""
+    """The sympy expression of a Scalar, built term by term (no text), or
+    of an int or a Fraction."""
+    if not isinstance(s, Scalar):
+        return sympy.Rational(s.numerator, s.denominator)
     total = sympy.Integer(0)
     for mono, coeff in s.terms():
         term = sympy.Rational(coeff.numerator, coeff.denominator)
@@ -58,7 +63,7 @@ def test_product(x, y):
 
 @given(scalars)
 def test_unit_products(x):
-    # the +-1 short-cut of Scalar.__mul__, on either side, with ints and Scalars
+    # units on either side, as ints and as Scalars
     p = to_sympy(x)
     for unit in (1, -1, Scalar.rational(1), Scalar.rational(-1)):
         sign = 1 if unit == 1 else -1
@@ -81,3 +86,37 @@ def test_substitute(x, bindings):
 def test_evaluate(x, values):
     expected = to_sympy(x).subs({SYMBOLS[n]: sympy.Rational(v.numerator, v.denominator) for n, v in values.items()})
     assert x.evaluate(values) == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+
+
+def native_exactly_when_constant(result):
+    """Whether an operator's result is an int, or a Fraction that is not
+    integral, when it is constant, and a non-constant Scalar otherwise."""
+    if isinstance(result, Scalar):
+        return not result.is_rational()
+    return type(result) is int or (type(result) is Fraction and result.denominator != 1)
+
+
+numbers = st.one_of(st.integers(-20, 20), coefficients)
+
+
+@given(scalars, numbers)
+def test_mixed_operands(x, q):
+    p, r = to_sympy(x), to_sympy(q)
+    cases = [
+        (x * q, p * r),
+        (q * x, p * r),
+        (x + q, p + r),
+        (q + x, p + r),
+        (x - q, p - r),
+        (q - x, r - p),
+        (-x, -p),
+    ]
+    for result, expected in cases:
+        assert same(result, expected)
+        assert native_exactly_when_constant(result)
+
+
+@given(scalars, scalars, st.integers(0, 3))
+def test_results_are_native_exactly_when_constant(x, y, k):
+    for result in (x + y, x - y, x * y, x**k, -x):
+        assert native_exactly_when_constant(result)

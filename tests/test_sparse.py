@@ -1,14 +1,17 @@
 """The sparse form of vectors: the kernels and the identity tables.
 
 The kernels (``LinearMap._apply``, ``HomAlgebra._binary``/``_ternary``,
-``_scale`` and ``_add``) take and return dicts {coordinate: nonzero Scalar}.
+``_scale`` and ``_add``) take and return dicts {coordinate: value}, each
+value a nonzero int, a Fraction that is not integral, or a Scalar that is
+not constant.
 They are checked against the dense references of ``test_kernels`` and the
 public Vector methods, coordinate by coordinate, on random sparse operands
 and on operands whose products cancel.
 
 ``check_identity`` compares the two sides' tables key by key with dict
 equality, which is exact only if every stored value is a non-empty dict
-holding no zero Scalar.  That invariant is checked on every table the engine
+whose values are in that form: no zero, no constant Scalar and no integral
+Fraction.  That invariant is checked on every table the engine
 builds while it checks every built-in suite on the seeded tensors.
 """
 
@@ -16,24 +19,27 @@ import random
 
 import pytest
 
-from test_kernels import CASES, _coords, _matrix, _scalar, _tensor, dense_apply, dense_binary, dense_ternary
+from test_kernels import CASES, _coords, _matrix, _scalar, _tensor, dense_apply, dense_binary, dense_ternary, stored
 from test_round_trip import _algebra
 
 from hombol.algebra import HomAlgebra, LinearMap, Vector, _add, _scale, is_morphism, tensor
 from hombol.catalog import get
 from hombol.constructions import nth_derived
 from hombol.identities import SUITES, _Tables, check_identity, check_suite, evaluate, parse_identity
-from hombol.scalars import ONE, ZERO, Scalar
+from hombol.scalars import ONE, ZERO, Scalar, _value_of
 from hombol.serialization import emit_algebra
 
 
 def sparse(coords):
-    return {k: c for k, c in enumerate(coords) if not c.is_zero()}
+    """The stored form of a sequence of Scalars."""
+    return {k: _value_of(c) for k, c in enumerate(coords) if c}
 
 
 def assert_sparse(v):
+    """v is a sparse vector: every value a nonzero int, a Fraction that is
+    not integral, or a Scalar that is not constant."""
     assert isinstance(v, dict)
-    assert all(isinstance(c, Scalar) and not c.is_zero() for c in v.values()), v
+    assert all(map(stored, v.values())), v
 
 
 def _cancelling_algebra():
@@ -165,7 +171,7 @@ def test_no_kernel_writes_to_the_dicts_that_vectors_share():
     shared += [cell for _, _, cell in alg._cells()]
 
     def snapshot():
-        return [[(k, tuple(c.terms())) for k, c in d.items()] for d in shared]
+        return [[(k, c.terms() if isinstance(c, Scalar) else c) for k, c in d.items()] for d in shared]
 
     before = snapshot()
     u, v, w = operands[:3]

@@ -5,7 +5,9 @@ only that of each product cell; ``rows``, ``binary`` and ``ternary`` are laid
 out from them when read.  The builders hand their sparse vectors to the
 trusted constructors, so each builder's result is checked against what the
 public dense constructors make of the dense form it reads back, and every
-stored entry is checked to be a nonzero Scalar.
+stored entry is checked to be a nonzero int, a Fraction that is not
+integral, or a Scalar that is not constant.  The dense views and the
+identity evaluators still give every coordinate as a Scalar.
 """
 
 import pytest
@@ -13,9 +15,10 @@ import pytest
 from test_sparse import assert_sparse
 from test_tables import SAGLE_DOC
 
-from hombol.algebra import HomAlgebra, LinearMap
+from hombol.algebra import HomAlgebra, LinearMap, Vector
 from hombol.catalog import get, names
 from hombol.constructions import malcev_to_bol, nth_derived, self_twist, yau_twist
+from hombol.identities import SUITES, evaluate, tabulate
 from hombol.scalars import Scalar
 from hombol.serialization import parse_algebra
 
@@ -111,3 +114,41 @@ def test_replace_shares_the_products_it_does_not_replace():
     untwisted = alg.replace(ternary=None)
     assert untwisted._products["binary"] is alg._products["binary"]
     assert not any(cell for kind, _, cell in untwisted._cells() if kind == "ternary")
+
+
+def _flat(t):
+    """The coordinates of nested tuples of Scalars or of Vectors."""
+    if isinstance(t, Vector):
+        return list(t.coords)
+    if isinstance(t, tuple):
+        return [c for part in t for c in _flat(part)]
+    return [t]
+
+
+@pytest.mark.parametrize("builder", sorted(ALGEBRAS))
+def test_the_public_views_give_every_coordinate_as_a_scalar(builder):
+    alg = ALGEBRAS[builder]
+    n = alg.dim
+    basis = [Vector.basis(i, n) for i in range(n)]
+    jacobi = next(i for i in SUITES["hom_lie"].identities if i.name == "hom_jacobi")
+    bracket = next(i for i in SUITES["bol"].identities if i.name == "binary_derivation")
+    env = {name: basis[k % n] + basis[(k + 1) % n] for k, name in enumerate(bracket.variables)}
+    views = {
+        "coords": [alg.eval_binary(u, v) for u in basis for v in basis] + basis,
+        "rows": alg.twist.rows,
+        "binary": alg.binary,
+        "ternary": alg.ternary,
+        "cells": tuple(coords for _, _, coords in alg.cells()),
+        "evaluate": (evaluate(bracket.lhs, alg, env), evaluate(bracket.rhs, alg, env, 2)),
+        "tabulate": tabulate(jacobi.lhs, alg, jacobi.variables),
+    }
+    for view, value in views.items():
+        coords = _flat(tuple(value))
+        assert coords and all(isinstance(c, Scalar) for c in coords), view
+
+
+@pytest.mark.parametrize("builder", sorted(MAPS))
+def test_the_rows_and_columns_of_a_map_are_scalars(builder):
+    m = MAPS[builder]
+    coords = _flat(m.rows) + _flat(tuple(m.column(j) for j in range(m.dim)))
+    assert all(isinstance(c, Scalar) for c in coords)
