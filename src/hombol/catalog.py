@@ -25,6 +25,7 @@ constructor output is always the shipped value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .algebra import HomAlgebra, LinearMap, Vector
 from .constructions import nth_derived, yau_twist
@@ -231,8 +232,11 @@ class DiscrepancyRow:
     quoted: Vector
     constructed: Vector
 
-    @property
+    @cached_property
     def match(self):
+        """Whether the two sides agree, compared once per row: a long entry's
+        sides are Scalars of thousands of terms, and the report reads each
+        verdict twice, in the row's line and in the mismatch count."""
         return self.quoted == self.constructed
 
     def format(self):

@@ -96,42 +96,61 @@ __all__ = [
 RESERVED = ("A", "cyc")
 
 
-@dataclass(frozen=True)
+def _cache_hash(node):
+    object.__setattr__(node, "_hash", node._field_hash())
+
+
+def _cached_hash(node):
+    return node._hash
+
+
+def _node(cls):
+    """A frozen dataclass node whose hash is worked out once, when the node is
+    made.  It is the field hash that dataclass gives, and equality is
+    unchanged; but the evaluator's memos look a node up many times, and a
+    field hash recurses through the whole subtree each time."""
+    cls.__post_init__ = _cache_hash
+    cls = dataclass(frozen=True)(cls)
+    cls._field_hash, cls.__hash__ = cls.__hash__, _cached_hash
+    return cls
+
+
+@_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class MapApp:
     power: int
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Binary:
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Ternary:
     first: "Node"
     second: "Node"
     third: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class ScalarMul:
     coeff: Fraction
     arg: "Node"
 
 
-@dataclass(frozen=True)
+@_node
 class Sum:
     terms: tuple
 
 
-@dataclass(frozen=True)
+@_node
 class CyclicSum:
     names: tuple
     body: "Node"

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ParseError, int_digit_limit, parse_int, refuse_undeclared
 
@@ -71,6 +72,11 @@ def _mono_mul(m, n):
         return n
     if not n:
         return m
+    if len(m) == 1 == len(n):
+        (a, e), (b, f) = m[0], n[0]
+        if a == b:
+            return ((a, e + f),)
+        return m + n if a < b else n + m
     out = []
     i = j = 0
     while i < len(m) and j < len(n):
@@ -102,13 +108,11 @@ def _mono_canon(mono):
     return tuple(sorted((name, e) for name, e in acc.items() if e))
 
 
-def _mono_degree(m):
-    return sum(e for _, e in m)
-
-
-def _display_key(m):
-    # graded order: higher total degree first, ties broken name-lexicographically
-    return (-_mono_degree(m), m)
+def _display_key(item):
+    """The display order of a (monomial, coefficient) pair: graded, higher
+    total degree first, ties broken name-lexicographically."""
+    m = item[0]
+    return (-sum(map(itemgetter(1), m)), m)
 
 
 class Scalar:
@@ -181,7 +185,7 @@ class Scalar:
     def terms(self):
         """The canonical (monomial, coefficient) pairs in display order; a
         coefficient is an int or a Fraction."""
-        return tuple(sorted(self._terms.items(), key=lambda kv: _display_key(kv[0])))
+        return tuple(sorted(self._terms.items(), key=_display_key))
 
     # -- arithmetic ------------------------------------------------------
     #
@@ -250,12 +254,16 @@ class Scalar:
                 return NotImplemented
             return self._scaled(q)
         a, b = self._terms, other._terms
-        # a constant side is a number: scale the other side by it
-        if len(b) < 2 and (not b or _EMPTY in b):
-            return self._scaled(b.get(_EMPTY, 0))
-        if len(a) < 2 and (not a or _EMPTY in a):
-            return other._scaled(a.get(_EMPTY, 0))
-        # two non-constant polynomials: their product is not constant
+        if len(a) < 2 <= len(b):
+            self, a, b = other, b, a  # a side of one term or none goes right
+        if len(b) < 2:
+            # a single term c*m, a number c when m is empty
+            if not b:
+                return 0
+            ((m, c),) = b.items()
+            return self._times_term(m, c)
+        # two polynomials of two or more terms each: their product is not
+        # constant, but its terms may merge and cancel
         acc = {}
         for m1, c1 in a.items():
             for m2, c2 in b.items():
@@ -274,6 +282,22 @@ class Scalar:
         return out
 
     __rmul__ = __mul__
+
+    def _times_term(self, m, c):
+        """self times the single term c*m, c a nonzero native number.  The
+        product with a fixed monomial m is injective and c*c1 is never zero,
+        so no terms merge or cancel: each monomial shifts by m and each
+        coefficient scales by c, as in _scaled, which is the case m empty."""
+        if not m:
+            return self._scaled(c)
+        t = self._terms
+        if c == 1:
+            terms = {_mono_mul(k, m): v for k, v in t.items()}
+        elif c == -1:
+            terms = {_mono_mul(k, m): -v for k, v in t.items()}
+        else:
+            terms = {_mono_mul(k, m): _canon(v * c) for k, v in t.items()}
+        return _from_terms(terms)
 
     def _scaled(self, q):
         """self times the native number q, coefficient by coefficient.  A
@@ -409,15 +433,24 @@ def _as_scalar(value):
 def format_terms(terms):
     """Lay out signed terms, given as (monomial, coefficient, trailing
     factors): '-2*b^2*x + a - 1/3'.  A magnitude of 1 is dropped unless the
-    term has no other factor; no terms is '0'."""
+    term has no other factor; no terms is '0'.  Each distinct coefficient's
+    sign, magnitude and unit test are worked out once per call, keyed by its
+    (numerator, denominator): a long polynomial repeats a few coefficients,
+    and hashing a Fraction costs about as much as one Fraction operation."""
     parts = []
+    rendered = {}
     for mono, coeff, tail in terms:
+        key = coeff.as_integer_ratio()
+        r = rendered.get(key)
+        if r is None:
+            mag = abs(coeff)
+            r = rendered[key] = (coeff < 0, str(mag), mag == 1)
+        negative, mag, unit = r
         factors = [f"{name}^{e}" if e > 1 else name for name, e in mono]
         factors.extend(tail)
-        mag = abs(coeff)
-        if not factors or mag != 1:
-            factors.insert(0, str(mag))
-        sign = ("- " if coeff < 0 else "+ ") if parts else ("-" if coeff < 0 else "")
+        if not factors or not unit:
+            factors.insert(0, mag)
+        sign = ("- " if negative else "+ ") if parts else ("-" if negative else "")
         parts.append(sign + "*".join(factors))
     return " ".join(parts) or "0"
 

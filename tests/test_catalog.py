@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol import catalog
-from hombol.algebra import LinearMap
+from hombol.algebra import LinearMap, Vector
 from hombol.catalog import cross_check, entries, get, names
 from hombol.constructions import yau_twist
 from hombol.identities import check_suite
@@ -99,6 +99,22 @@ def test_build_dispatches_by_name():
 
 
 # --- cross-check reports ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_cross_check_compares_each_row_once(monkeypatch, n):
+    report = cross_check("HB_A2", n)
+    compared = []
+    eq = Vector.__eq__
+
+    def counting_eq(self, other):
+        compared.append(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(Vector, "__eq__", counting_eq)
+    text = report.format()
+    assert len(report.mismatches) == text.count("-> MISMATCH")
+    assert len(compared) == len(report.rows)
 
 
 def test_cross_check_order_zero_carries_base_and_derived_rows():

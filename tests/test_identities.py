@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from hombol.errors import MultilinearityError, ParseError
 from hombol.identities import (
     SUITES,
     Binary,
+    Node,
     Sum,
     Var,
     check_identity,
@@ -21,6 +23,55 @@ from hombol.identities import (
 
 
 # --- parsing ---------------------------------------------------------------
+
+
+class _CountingHash:
+    """A node field that counts how often it is hashed."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 7
+
+
+@pytest.mark.parametrize("cls", Node, ids=lambda cls: cls.__name__)
+def test_node_hash_is_computed_once_when_the_node_is_made(cls):
+    probe = _CountingHash()
+    values = [(probe,) if f.type == "tuple" else probe for f in fields(cls)]
+    node = cls(*values)
+    made = probe.calls
+    assert made == len(values)
+    memo = {node: 1}
+    for _ in range(5):
+        assert memo[node] == 1 and hash(node) == hash(node)
+    assert probe.calls == made
+    # the field hash, and equality by fields, as dataclass gives them
+    assert hash(node) == hash(tuple(values))
+    assert node == cls(*values)
+    assert node != replace(node, **{fields(cls)[0].name: Var("other")})
+
+
+def _subtrees(node):
+    yield node
+    for f in fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Node):
+                yield from _subtrees(child)
+
+
+def test_parsed_node_hashes_are_field_hashes():
+    seen = 0
+    for suite in SUITES.values():
+        for ident in suite.identities:
+            for side in (ident.lhs, ident.rhs):
+                for node in _subtrees(side):
+                    assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields(node)))
+                    seen += 1
+    assert seen > 100
+
 
 
 def test_parse_simple_identity_shape():

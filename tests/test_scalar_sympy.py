@@ -3,7 +3,9 @@
 Sums, products, powers, substitutions and evaluations of small random
 polynomials must equal what sympy.expand makes of the same expressions, also
 where one operand is an int or a Fraction; an operator's result must be a
-native number exactly when it is constant.
+native number exactly when it is constant.  A product with a single-term
+side, which shifts the other side's monomials instead of accumulating term
+products, must also equal the general accumulation.
 """
 
 from fractions import Fraction
@@ -14,12 +16,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 sympy = pytest.importorskip("sympy")
 
-from hombol.scalars import Scalar
+from hombol.scalars import Scalar, _mono_canon, _mono_mul
 
 given = hypothesis.given
 
 NAMES = ("a", "b", "lambda")
-SYMBOLS = {name: sympy.Symbol(name) for name in NAMES}
+OTHER_NAMES = ("c", "d")  # names that the polynomials of ``scalars`` never use
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES + OTHER_NAMES}
 
 monomials = st.lists(st.tuples(st.sampled_from(NAMES), st.integers(1, 3)), max_size=3).map(
     lambda pairs: tuple(sorted(dict(pairs).items()))
@@ -120,3 +123,81 @@ def test_mixed_operands(x, q):
 def test_results_are_native_exactly_when_constant(x, y, k):
     for result in (x + y, x - y, x * y, x**k, -x):
         assert native_exactly_when_constant(result)
+
+
+# -- products with a single-term side ------------------------------------
+
+unit_coefficients = st.sampled_from((1, -1))
+int_coefficients = st.integers(-20, 20).filter(lambda c: c not in (-1, 0, 1))
+fraction_coefficients = coefficients.filter(lambda c: c.denominator != 1)
+term_coefficients = st.one_of(unit_coefficients, int_coefficients, fraction_coefficients)
+
+
+def monomials_over(names):
+    return st.lists(st.tuples(st.sampled_from(names), st.integers(1, 3)), max_size=3).map(
+        lambda pairs: tuple(sorted(dict(pairs).items()))
+    )
+
+
+def single_term(mono, coeff):
+    return Scalar({mono: coeff})
+
+
+def accumulated(x, y):
+    """x*y by the general accumulation: every pair of terms multiplied and
+    summed, the monomials concatenated and left to the constructor to merge."""
+    acc = {}
+    for m1, c1 in x.terms():
+        for m2, c2 in y.terms():
+            acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
+    return Scalar(acc)
+
+
+def check_single_term_product(x, term):
+    p, t = to_sympy(x), to_sympy(term)
+    for result in (x * term, term * x):
+        assert same(result, p * t)
+        assert result == accumulated(x, term)
+        assert native_exactly_when_constant(result)
+
+
+@given(scalars, st.data())
+def test_single_term_products_sharing_names(x, data):
+    shared = tuple(sorted(x.variables())) or NAMES
+    term = single_term(data.draw(monomials_over(shared)), data.draw(term_coefficients))
+    check_single_term_product(x, term)
+
+
+@given(scalars, monomials_over(OTHER_NAMES), term_coefficients)
+def test_single_term_products_with_new_names(x, mono, coeff):
+    check_single_term_product(x, single_term(mono, coeff))
+
+
+@given(
+    st.dictionaries(monomials.filter(bool), coefficients, min_size=1, max_size=4),
+    term_coefficients,
+    monomials_over(NAMES + OTHER_NAMES),
+    term_coefficients,
+)
+def test_single_term_times_a_polynomial_with_a_constant_term(terms, constant, mono, coeff):
+    x = Scalar({**terms, (): constant})
+    check_single_term_product(x, single_term(mono, coeff))
+
+
+@given(monomials_over(NAMES), term_coefficients, monomials_over(NAMES), term_coefficients)
+def test_two_single_terms(m, c, n, d):
+    check_single_term_product(single_term(m, c), single_term(n, d))
+
+
+single_factors = st.tuples(st.sampled_from(NAMES), st.integers(1, 5)).map(lambda pair: (pair,))
+
+
+@given(st.one_of(single_factors, monomials), st.one_of(single_factors, monomials))
+def test_monomial_products(m, n):
+    assert _mono_mul(m, n) == _mono_mul(n, m) == _mono_canon(m + n)
+
+
+def test_single_factor_monomial_products():
+    assert _mono_mul((("b", 2),), (("b", 3),)) == (("b", 5),)
+    assert _mono_mul((("b", 2),), (("a", 3),)) == (("a", 3), ("b", 2))
+    assert _mono_mul((("a", 3),), (("b", 2),)) == (("a", 3), ("b", 2))
