@@ -31,6 +31,7 @@ share dicts, which is safe only because no kernel writes to its inputs.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .errors import DimensionMismatch, ExponentLimitError
@@ -55,6 +56,11 @@ __all__ = [
 # largest derived order n = 16, and since an entry of a symbolic map power can
 # gain a term per factor, it also bounds the size of a twisted algebra
 POWER_LIMIT = 2**17
+
+# the work that finding and using an algebra's signed-permutation symmetries
+# may take before a check settles for the trivial group: search nodes, group
+# elements, and steps that list the basis tuples a check keeps
+SYMMETRY_BUDGET = 5_000
 
 # (kind, arity) of the two structure tensors, in the order they are walked
 PRODUCTS = (("binary", 2), ("ternary", 3))
@@ -332,10 +338,134 @@ def _skew_cells(t, dim, arity):
     )
 
 
+def _index_group(alg):
+    """The index permutations pi of the signed permutations g e_i = s_i e_pi(i)
+    that are automorphisms of both products and commute with the twist, as a
+    sorted tuple with the identity first.
+
+    g is such a map iff every coordinate c of a cell or of the twist matrix,
+    at the index tuple t (a cell's indices, then its output coordinate; a
+    twist entry's row and column), is the product of s over t times the
+    coordinate at pi(t).  A search assigns pi(i), pi(i+1), ... in turn, each
+    to an index of the same invariants (how often an index takes each place
+    of a nonzero coordinate of each magnitude and index pattern), checks each
+    coordinate once its indices are assigned, and solves for the signs over
+    GF(2) on the way (McKay and Piperno, "Practical graph isomorphism, II",
+    J. Symbolic Comput. 60, 2014).  For i from the last index down, with
+    pi fixing every index below i, it looks for one map sending i to each j
+    not yet in the orbit of i under the maps found: these generate the group.
+    Every map found is a candidate only, which ``_generated`` verifies.  Past
+    SYMMETRY_BUDGET search nodes, or group elements, the group is taken to be
+    trivial."""
+    dim = alg.dim
+    coords = {(kind, idx + (k,)): c for kind, idx, cell in alg._cells() for k, c in cell.items()}
+    coords.update((("twist", (i, j)), c) for j, col in enumerate(alg.twist._cols) for i, c in col.items())
+    invariants = [Counter() for _ in range(dim)]
+    due = [[] for _ in range(dim)]  # the coordinates whose last index is i
+    for (kind, t), c in coords.items():
+        shape = (kind, tuple(map(t.index, t)), abs(c) if c.__class__ is not Scalar else frozenset((c, -c)))
+        mask = 0
+        for place, i in enumerate(t):
+            invariants[i][shape, place] += 1
+            mask ^= 1 << i
+        due[max(t)].append((kind, t, c, mask))
+    classes = {}
+    kind_of = [classes.setdefault(frozenset(inv.items()), len(classes)) for inv in invariants]
+    fixing = [{}]  # the sign system of the identity on the indices below i
+    for i in range(dim):
+        fixing.append(dict(fixing[-1]))
+        for _, _, _, mask in due[i]:
+            _solve(fixing[-1], mask, 0)
+    image, work = list(range(dim)), 0
+
+    def extend(i, system, targets):
+        """The first (pi, s) that keeps image[:i] and sends i into targets."""
+        nonlocal work
+        for j in targets:
+            if kind_of[j] != kind_of[i] or j in image[:i]:
+                continue
+            work += 1
+            if work > SYMMETRY_BUDGET:
+                return None
+            image[i], eqs = j, dict(system)
+            for kind, t, c, mask in due[i]:
+                moved = coords.get((kind, tuple(image[x] for x in t)))
+                if moved is None or not _solve(eqs, mask, 0 if moved == c else 1 if moved == -c else None):
+                    break
+            else:
+                found = (tuple(image), _signs(eqs, dim)) if i + 1 == dim else extend(i + 1, eqs, range(dim))
+                if found:
+                    return found
+        return None
+
+    found, order = [], 1
+    for i in reversed(range(dim)):
+        orbit = {i}
+        for j in range(i + 1, dim):
+            if j not in orbit and (hit := extend(i, fixing[i], (j,))):
+                found.append(hit)
+                size = 0
+                while size < len(orbit):
+                    size = len(orbit)
+                    orbit |= {p[x] for p, _ in found for x in orbit}
+        order *= len(orbit)  # the group's order is the product of these orbits' sizes
+        if work > SYMMETRY_BUDGET or order > SYMMETRY_BUDGET:
+            return (tuple(range(dim)),)
+    return _generated(alg, found[::-1])
+
+
+def _solve(eqs, mask, eps):
+    """Add the equation prod of s_i over the bits of mask = (-1)^eps to a
+    GF(2) system {leading bit: (mask, eps)}; False when eps is None or the
+    system then has no solution."""
+    if eps is None:
+        return False
+    while mask:
+        top = 1 << (mask.bit_length() - 1)
+        if top not in eqs:
+            eqs[top] = (mask, eps)
+            return True
+        m, e = eqs[top]
+        mask, eps = mask ^ m, eps ^ e
+    return not eps
+
+
+def _signs(eqs, dim):
+    """A solution s of a system of ``_solve``, each free sign +1."""
+    bits = 0
+    for top in sorted(eqs):
+        mask, eps = eqs[top]
+        if eps ^ (mask & bits).bit_count() & 1:
+            bits |= top
+    return tuple(-1 if bits >> i & 1 else 1 for i in range(dim))
+
+
+def _generated(alg, candidates):
+    """The index permutations of the group generated by the candidate
+    signed permutations (pi, s) that ``is_morphism`` verifies as
+    automorphisms commuting with the twist; a candidate whose pi is in the
+    group so far is passed over unverified."""
+    group, gens = {tuple(range(alg.dim))}, []
+    for perm, signs in candidates:
+        if perm in group or not is_morphism(_signed(perm, signs), alg, alg):
+            continue
+        gens.append(perm)
+        frontier = group
+        while frontier:
+            frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in gens} - group
+            group = group | frontier
+    return tuple(sorted(group))
+
+
+def _signed(perm, signs):
+    """The signed permutation e_i -> signs[i] e_perm[i]."""
+    return LinearMap._of(tuple({p: s} for p, s in zip(perm, signs)))
+
+
 class HomAlgebra:
     """A binary-ternary algebra with a twisting map, stored by sparse product cell."""
 
-    __slots__ = ("dim", "basis", "params", "twist", "_products", "_skew")
+    __slots__ = ("dim", "basis", "params", "twist", "_products", "_skew", "_group")
 
     def __init__(self, dim, basis=None, params=(), binary=None, ternary=None, twist=None):
         if dim < 1:
@@ -367,6 +497,7 @@ class HomAlgebra:
         # per kind, the cells nested [i][j] or [i][j][k] as the kernels index them
         self._products = {kind: tensor(dim, r, lambda idx: cells[kind].get(idx, _EMPTY)) for kind, r in PRODUCTS}
         self._skew = {}  # _is_skew's answers, by kind
+        self._group = None  # _symmetry's answer
 
     def _tensor(self, kind):
         cells = self._products[kind]
@@ -452,6 +583,14 @@ class HomAlgebra:
             self._skew[kind] = _skew_cells(self._products[kind], self.dim, dict(PRODUCTS)[kind])
         return self._skew[kind]
 
+    def _symmetry(self):
+        """The index permutations of the signed-permutation automorphisms
+        that commute with the twist (``_index_group``), found once per
+        algebra."""
+        if self._group is None:
+            self._group = _index_group(self)
+        return self._group
+
     def is_multiplicative(self):
         """Whether the twist preserves both products (is a weak self-morphism)."""
         return first_weak_morphism_failure(self.twist, self, self) is None
@@ -464,9 +603,10 @@ class HomAlgebra:
     def _cells(self):
         """(kind, index tuple, sparse vector) for every cell, in the order of ``cells``."""
         for kind, arity in PRODUCTS:
-            t = self._products[kind]
-            for idx in itertools.product(range(self.dim), repeat=arity):
-                yield kind, idx, cell_at(t, idx)
+            flat = self._products[kind]
+            for _ in range(arity - 1):
+                flat = [cell for part in flat for cell in part]
+            yield from zip(itertools.repeat(kind), itertools.product(range(self.dim), repeat=arity), flat)
 
     def all_variables(self):
         return self.params | _variables(cell for _, _, cell in self._cells()) | self.twist.variables()
@@ -486,23 +626,31 @@ class HomAlgebra:
         return f"HomAlgebra(dim={self.dim}, basis={self.basis})"
 
 
+def _residuals(theta, src, dst):
+    """``morphism_residuals`` with each residual as a sparse vector."""
+    if src.dim != dst.dim or theta.dim != src.dim:
+        raise DimensionMismatch("morphism check needs equal dimensions")
+    images = theta._cols
+    products = {"binary": dst._binary, "ternary": dst._ternary}
+    for kind, idx, cell in src._cells():
+        yield kind, idx, _sub(theta._apply(cell) if cell else cell, products[kind](*[images[i] for i in idx]))
+    lhs, rhs = theta.compose(src.twist), dst.twist.compose(theta)
+    for i in range(src.dim):
+        yield "twist", (i,), _sub(lhs._row(i), rhs._row(i))
+
+
+def _sub(a, b):
+    """The difference of two sparse vectors."""
+    return {} if a == b else _add(a, {k: -c for k, c in b.items()})
+
+
 def morphism_residuals(theta, src, dst):
     """theta(x*y) - theta(x)*theta(y) on every basis pair, then
     theta({x,y,z}) - {theta(x),theta(y),theta(z)} on every basis triple, in
     lexicographic index order, as ("binary"|"ternary", index tuple, residual
     Vector); then ("twist", (i,), row i of theta.alpha_src - alpha_dst.theta)
     for every row i."""
-    if src.dim != dst.dim or theta.dim != src.dim:
-        raise DimensionMismatch("morphism check needs equal dimensions")
-    n = src.dim
-    images = [theta.column(j) for j in range(n)]
-    products = {"binary": dst.eval_binary, "ternary": dst.eval_ternary}
-    for kind, idx, cell in src._cells():
-        lhs = theta.apply(Vector._of(cell, n))
-        yield kind, idx, lhs - products[kind](*(images[i] for i in idx))
-    lhs, rhs = theta.compose(src.twist), dst.twist.compose(theta)
-    for i in range(n):
-        yield "twist", (i,), Vector._of(lhs._row(i), n) - Vector._of(rhs._row(i), n)
+    return ((kind, idx, Vector._of(r, src.dim)) for kind, idx, r in _residuals(theta, src, dst))
 
 
 def first_weak_morphism_failure(theta, src, dst):
@@ -511,8 +659,8 @@ def first_weak_morphism_failure(theta, src, dst):
     Returns None when theta is a weak morphism, else the first nonzero
     product entry of ``morphism_residuals``; the twist rows are not read.
     """
-    products = itertools.islice(morphism_residuals(theta, src, dst), src.dim**2 + src.dim**3)
-    return next((r for r in products if not r[2].is_zero()), None)
+    products = itertools.islice(_residuals(theta, src, dst), src.dim**2 + src.dim**3)
+    return next(((kind, idx, Vector._of(r, src.dim)) for kind, idx, r in products if r), None)
 
 
 def is_weak_morphism(theta, src, dst):
@@ -522,4 +670,4 @@ def is_weak_morphism(theta, src, dst):
 
 def is_morphism(theta, src, dst):
     """A weak morphism that also intertwines the twists."""
-    return all(r[2].is_zero() for r in morphism_residuals(theta, src, dst))
+    return not any(r for _, _, r in _residuals(theta, src, dst))

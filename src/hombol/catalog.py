@@ -91,10 +91,12 @@ def _a3(lam, a, b, sign):
 
 
 def _geometric(b, n):
-    """1 + b + ... + b^(2^n - 1), as the product of 1 + b^(2^i) for i < n."""
+    """1 + b + ... + b^(2^n - 1), doubled n times as total + total * b^(2^i):
+    each product has a single-term side, which shifts the other side's terms
+    instead of merging term products."""
     total = 1
     for i in range(n):
-        total = total * (1 + b ** (2**i))
+        total = total + total * b ** (2**i)
     return total
 
 

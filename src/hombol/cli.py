@@ -2,12 +2,15 @@
 
 Exit codes: 0 success or Pass, 1 a check failed (counterexample printed),
 2 parse or usage error, 3 precondition violation (bad map, order limit, ...).
+The ``hombol`` command (``console``) ends quietly with 141, the status of a
+program that SIGPIPE ends, when its stdout is closed early, as by ``| head``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -284,6 +287,8 @@ def main(argv=None):
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        raise  # a closed stdout is not bad input: console handles it
     except (ValueError, KeyError, OSError) as exc:
         message = exc.args[0] if exc.args else exc
         # Python's message when an int is too long to print; reading one too
@@ -297,5 +302,17 @@ def main(argv=None):
         return 2
 
 
+def console():
+    """The ``hombol`` command: main, ending quietly when stdout is closed."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit; let that write go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

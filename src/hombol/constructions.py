@@ -10,7 +10,7 @@ DERIVED_ORDER_LIMIT because its twist powers grow like 2^(n+1).
 
 from __future__ import annotations
 
-from .algebra import POWER_LIMIT, PRODUCTS, HomAlgebra, LinearMap, cell_at, morphism_residuals
+from .algebra import POWER_LIMIT, PRODUCTS, HomAlgebra, LinearMap, Vector, _residuals, cell_at
 from .errors import ExponentLimitError, PreconditionError
 from .identities import SUITES, check_suite, parse_identity, tabulate
 
@@ -28,15 +28,15 @@ DERIVED_ORDER_LIMIT = POWER_LIMIT.bit_length() - 2
 
 
 def _require_endomorphism(beta, alg, who):
-    for kind, indices, residual in morphism_residuals(beta, alg, alg):
-        if residual.is_zero():
+    for kind, indices, residual in _residuals(beta, alg, alg):
+        if not residual:
             continue
         if kind == "twist":
             raise PreconditionError(f"{who}: the map does not commute with the twist")
         labels = ", ".join(alg.basis[i] for i in indices)
         raise PreconditionError(
             f"{who}: map is not an endomorphism; {kind} product at ({labels}) "
-            f"differs by {residual}"
+            f"differs by {Vector._of(residual, alg.dim)}"
         )
 
 

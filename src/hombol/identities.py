@@ -45,17 +45,21 @@ multilinear and the arithmetic exact, so every table is the same; the
 identity's text, ``lhs``/``rhs`` and the multilinearity check stay as
 written.  Of the built-in sides only ``malcev_linearized``'s factor.
 
-``check_identity`` evaluates one basis tuple per symmetry orbit.
-``_symmetries`` expands lhs - rhs algebra-free (``_expand``) and finds each
-swap of two variables p < q that maps it to plus or minus itself: formally,
-or modulo skew binary and/or skew ternary products, which it decides by
-sorting the first two slots of every such product, with a sign.  A swap
-modulo skew products is used only where the algebra's cells are skew for
-each kind it needs (``HomAlgebra._is_skew``); the products are multilinear,
-so they are then skew on all vectors.  The tuples with t[p] > t[q], or
-t[p] == t[q] when the sign is -1, are skipped, and the verdict, the failing
-tuple and its residual stay those of a check of every tuple.  ``evaluate``
-and ``tabulate`` skip nothing.
+``check_identity`` evaluates one basis tuple per symmetry orbit
+(``_Orbits``).  Two kinds of symmetry make the orbits.  ``_symmetries``
+expands lhs - rhs algebra-free (``_expand``) and finds each swap of two
+variables p < q that maps it to plus or minus itself: formally, or modulo
+skew binary and/or skew ternary products, which it decides by sorting the
+first two slots of every such product, with a sign.  A swap modulo skew
+products is used only where the algebra's cells are skew for each kind it
+needs (``HomAlgebra._is_skew``); the products are multilinear, so they are
+then skew on all vectors.  And for an identity of four or more variables,
+the algebra's signed-permutation automorphisms that commute with the twist
+(``HomAlgebra._symmetry``) permute the basis indices of a tuple.  The
+outermost products of each side and the comparison of the sides take only
+the least tuple of each orbit, less the tuples that a swap of sign -1 fixes;
+the verdict, the failing tuple and its residual stay those of a check of
+every tuple.  ``evaluate`` and ``tabulate`` skip nothing.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import Vector, _add, _scale, tensor
+from .algebra import SYMMETRY_BUDGET, Vector, _add, _scale, tensor
 from .errors import DimensionMismatch, MultilinearityError, ParseError
 from .scalars import NAME, TokenReader, _number, content_lines, token_pattern
 
@@ -94,6 +98,13 @@ __all__ = [
 ]
 
 RESERVED = ("A", "cyc")
+
+# the deepest nesting of expressions (in brackets, A(...) or cyc(...)) an
+# identity may have: parsing it and each recursive walk of its nodes
+# (_factor, _expand, _appearance_order, format_node, the evaluator) take a
+# few Python frames per level, and this keeps them far below the recursion
+# limit
+NESTING_LIMIT = 32
 
 
 def _cache_hash(node):
@@ -208,9 +219,13 @@ class SuiteReport:
 
 class _Reader(TokenReader):
     pattern = token_pattern("{}(),;*^+=/-")
+    depth = 0  # the expressions open at the cursor
 
     # expr := ['-'] term (('+'|'-') term)*
     def expr(self):
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise ParseError(f"expressions nested more than {NESTING_LIMIT} deep", column=self.peek()[2])
         terms = []
         while True:
             term = _scaled(Fraction(self.sign()), self.term())
@@ -218,11 +233,8 @@ class _Reader(TokenReader):
                 terms.append(term)
             if not self.at_op("+", "-"):
                 break
-        if not terms:
-            return Sum(())
-        if len(terms) == 1:
-            return terms[0]
-        return Sum(tuple(terms))
+        self.depth -= 1
+        return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     # term := rational | [rational ['*']] product ; returns None for a 0 term
     def term(self):
@@ -622,83 +634,204 @@ class _Tables:
     """The one evaluator of identity nodes over an algebra.  A node's table
     maps the leaf indices of its free variables, in order of appearance, to
     its nonzero value there, a non-empty sparse vector; ``dom`` maps each
-    variable to the indices it ranges over.  ``pairs`` holds (a, b, strict)
-    over variable names: a product's table skips the keys where a > b, or
-    a == b when strict, for each pair over its variables, and so a table
-    holds every nonzero value at keys in that order but may hold or miss
-    the others.  A ``cyc`` body is evaluated with no pairs, since its names
-    are rotated.  Tables are memoized on the node, those domains and
-    pairs."""
+    variable to the indices it ranges over.  A check passes its ``_Orbits``
+    and, as ``scope``, the identity's variables as the node names them: then
+    the outermost products, those over all of them, take only the keys that
+    the orbits keep.  So a table holds every nonzero value at those keys but
+    may hold or miss the others, and the tables of the products' operands
+    are full.  Tables are memoized on the node, those domains and the
+    scope."""
 
-    def __init__(self, alg, twist_exponent, leaves=None):
+    def __init__(self, alg, twist_exponent, leaves=None, orbits=None):
         if twist_exponent < 0:
             raise ValueError("twist exponent must be nonnegative")
         self.alg = alg
         self.leaves = [{i: 1} for i in range(alg.dim)] if leaves is None else leaves
         self.map_power = functools.cache(lambda k: alg.twist.power(twist_exponent * k))
+        self.orbits = orbits
         self.memo = {}
 
-    def table(self, node, dom, pairs=()):
+    def table(self, node, dom, scope=None):
         """(free variables, table) of a node, evaluated as ``_factor`` rewrites it."""
-        return self._table(_factor(node), dom, pairs)
+        return self._table(_factor(node), dom, scope)
 
-    def _table(self, node, dom, pairs):
+    def _table(self, node, dom, scope):
         names = _appearance_order(node)
-        pairs = tuple(pair for pair in pairs if pair[0] in names and pair[1] in names)
-        key = (node, tuple(dom[n] for n in names), pairs)
+        key = (node, tuple(dom[n] for n in names), scope)
         if key not in self.memo:
-            self.memo[key] = self._tabulate(node, names, dom, pairs)
+            self.memo[key] = self._tabulate(node, names, dom, scope)
         return names, self.memo[key]
 
-    def _tabulate(self, node, names, dom, pairs):
+    def _tabulate(self, node, names, dom, scope):
         if isinstance(node, Var):
             out = {(i,): self.leaves[i] for i in dom[node.name]}
         elif isinstance(node, MapApp):
             f = self.map_power(node.power)._apply
-            out = {key: f(v) for key, v in self._table(node.arg, dom, pairs)[1].items()}
+            out = {key: f(v) for key, v in self._table(node.arg, dom, scope)[1].items()}
         elif isinstance(node, ScalarMul):
             s = _number(node.coeff)
             if s is None:
                 raise TypeError(f"a ScalarMul coefficient must be an int or a Fraction, got {node.coeff!r}")
-            out = {key: _scale(v, s) for key, v in self._table(node.arg, dom, pairs)[1].items()}
+            out = {key: _scale(v, s) for key, v in self._table(node.arg, dom, scope)[1].items()}
         elif isinstance(node, (Binary, Ternary)):
-            parts = [self._table(part, dom, pairs) for part in _children(node)]
+            parts = [self._table(part, dom, None) for part in _children(node)]
             mul = self.alg._binary if isinstance(node, Binary) else self.alg._ternary
             src = sum((p for p, _ in parts), ())
-            # the operands' tables keep the order of a pair within one operand
-            split = [pair for pair in pairs if not any(pair[0] in p and pair[1] in p for p, _ in parts)]
-            keep = _in_order(src, split)
+            outermost = scope is not None and sorted(src) == sorted(scope)
+            keep = self.orbits.keep(tuple(map(src.index, scope))) if outermost else None
             rows = [((), ())]  # (joined key, values) over all operands but the last
             for _, t in parts[:-1]:
                 rows = [(key + k, values + (v,)) for key, values in rows for k, v in t.items()]
             last = parts[-1][1].items()
-            out = {key + k: mul(*values, v) for key, values in rows for k, v in last if not split or keep(key + k)}
+            out = {key + k: mul(*values, v) for key, values in rows for k, v in last if keep is None or keep(key + k)}
             out = _rekey(src, out, names, dom)
         else:
             if isinstance(node, Sum):
-                terms = [(term, {}, pairs) for term in node.terms]
+                terms = [(term, {}, scope) for term in node.terms]
             elif isinstance(node, CyclicSum):
                 a, b, c = node.names
-                # in each rotation the body's variable t stands for the outer turn(t)
-                terms = [(node.body, turn, ()) for turn in ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b})]
+                # in each rotation the body's variable t stands for the outer turn(t),
+                # so the outer scope's u is the body's back(u)
+                turns = ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b})
+                backs = ({}, {b: a, c: b, a: c}, {c: a, a: b, b: c})
+                terms = [
+                    (node.body, turn, scope and tuple(back.get(u, u) for u in scope))
+                    for turn, back in zip(turns, backs)
+                ]
             else:
                 raise TypeError(f"not an identity node: {node!r}")
             out = {}
-            for term, turn, term_pairs in terms:
-                term_names, table = self._table(term, {**dom, **{t: dom[u] for t, u in turn.items()}}, term_pairs)
+            for term, turn, term_scope in terms:
+                term_names, table = self._table(term, {**dom, **{t: dom[u] for t, u in turn.items()}}, term_scope)
                 for key, v in _rekey(tuple(turn.get(n, n) for n in term_names), table, names, dom).items():
                     out[key] = _add(out[key], v) if key in out else v
         return {key: v for key, v in out.items() if v}
 
 
-def _in_order(src, pairs):
-    """Whether a key over the variables ``src`` is in the order of each
-    (a, b, strict) of ``pairs``: a < b when strict, else a <= b."""
-    checks = [(src.index(a), src.index(b), strict) for a, b, strict in pairs]
-    if len(checks) == 1:  # the common case, tested once per product taken
-        (i, j, strict), = checks
-        return (lambda key: key[i] < key[j]) if strict else (lambda key: key[i] <= key[j])
-    return lambda key: all(key[i] < key[j] if strict else key[i] <= key[j] for i, j, strict in checks)
+class _Orbits:
+    """The basis tuples at which a check tabulates the outermost products
+    and compares the sides: the least tuple of each orbit of the group G
+    that the algebra's symmetries and the identity's swaps generate, less
+    those that a swap of sign -1 fixes.
+
+    Let g e_i = s_i e_pi(i) be a signed permutation that is an automorphism
+    commuting with the twist (``HomAlgebra._symmetry``).  The sides are
+    built from the products and twist powers, so the residual at pi(t) is
+    plus or minus g of the residual at t.  A swap of the variables p < q
+    that maps lhs - rhs to sign * (lhs - rhs), formally or modulo products
+    that this algebra's cells make skew (``_symmetries``), maps the residual
+    at t to sign times the one at the swapped tuple, and a tuple that a swap
+    of sign -1 fixes has a zero residual.  So failing tuples are unions of
+    orbits; the least failing tuple is the least of its orbit, and it is the
+    first failing tuple kept.  This is isomorph-free generation (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+
+    The swaps join the variable positions into components, and G permutes
+    the positions within each component.  When every pi is the identity, a
+    tuple is least in its orbit iff its indices rise weakly along each
+    component, so ``keep`` compares neighbours, and the two of a swap of
+    sign -1 strictly.  Otherwise ``_least`` lists the kept tuples; past
+    SYMMETRY_BUDGET steps the check keeps to the swaps alone."""
+
+    def __init__(self, alg, identity):
+        m = self.m = len(identity.variables)
+        self.dim = alg.dim
+        swaps = [(p, q, sign < 0) for p, q, sign, kinds in _symmetries(identity) if all(map(alg._is_skew, kinds))]
+        part = {p: (p,) for p in range(m)}
+        for p, q, _ in swaps:
+            joined = tuple(sorted(set(part[p] + part[q])))
+            part.update(dict.fromkeys(joined, joined))
+        components = sorted({c for c in part.values() if len(c) > 1})
+        # (a, b, strict): t[a] <= t[b], or t[a] < t[b] when strict
+        checks = {(a, b): False for c in components for a, b in zip(c, c[1:])}
+        checks.update(((p, q), True) for p, q, strict in swaps if strict)
+        self.checks = tuple((a, b, strict) for (a, b), strict in checks.items())
+        # at most dim^3 tuples cost less than verifying one symmetry, which
+        # reads the dim^2 + dim^3 cells
+        perms = alg._symmetry() if m > 3 else ()
+        self.reps = _least(perms, m, self.dim, components, self.checks) if len(perms) > 1 else None
+        if self.reps is not None:
+            self.prefixes = {r[:k] for r in self.reps for k in range(m + 1)}
+        self.keep = functools.cache(self._keep)
+
+    def _keep(self, order):
+        """The test of a key at which position p of the identity's variables
+        takes the index key[order[p]], or None to keep every key."""
+        if self.reps is not None:
+            reps = self.reps
+            if order == tuple(range(self.m)):
+                return reps.__contains__
+            pick = operator.itemgetter(*order)
+            return lambda key: pick(key) in reps
+        checks = [(order[a], order[b], strict) for a, b, strict in self.checks]
+        if not checks:
+            return None
+        if len(checks) == 1:  # the common case, tested once per product taken
+            (i, j, strict), = checks
+            return (lambda key: key[i] < key[j]) if strict else (lambda key: key[i] <= key[j])
+        return lambda key: all(key[i] < key[j] if strict else key[i] <= key[j] for i, j, strict in checks)
+
+    def admits(self, prefix):
+        """Whether a kept tuple starts with the pinned indices prefix."""
+        prefix = prefix[: self.m]
+        if self.reps is not None:
+            return prefix in self.prefixes
+        top = prefix + (self.dim - 1,) * (self.m - len(prefix))  # the largest index at each position
+        return all(prefix[a] + strict <= top[b] for a, b, strict in self.checks if a < len(prefix))
+
+
+def _least(perms, m, dim, components, checks):
+    """The m-tuples over range(dim) that pass the checks of ``_Orbits`` and
+    are least in their orbits under the index permutations perms and the
+    position permutations within components; None past SYMMETRY_BUDGET
+    steps.
+
+    The tuples least under perms alone are built level by level: a prefix
+    extended by i stays least iff no perm that fixes the prefix sends i
+    lower.  Such a tuple t is least under G iff no position permutation
+    sends it to a tuple u whose least image under perms is below t; that
+    image is found among the perms that send u's first index to the least
+    of its orbit."""
+    floors = [[] for _ in range(m)]  # the checks that bound each position from below
+    for a, b, strict in checks:
+        floors[b].append((a, strict))
+    work = 0
+    level = [((), perms)]  # (prefix, the perms that fix it)
+    for k in range(m):
+        work += dim * sum(len(fixing) for _, fixing in level)
+        if work > SYMMETRY_BUDGET:
+            return None
+        level = [
+            (prefix + (i,), [g for g in fixing if g[i] == i])
+            for prefix, fixing in level
+            for i in range(max((prefix[a] + strict for a, strict in floors[k]), default=0), dim)
+            if all(g[i] >= i for g in fixing)
+        ]
+    shuffles = []
+    for parts in itertools.product(*map(itertools.permutations, components)):
+        sigma = list(range(m))
+        for c, part in zip(components, parts):
+            for p, q in zip(c, part):
+                sigma[p] = q
+        shuffles.append(tuple(sigma))
+    if len(level) * len(shuffles) > SYMMETRY_BUDGET:
+        return None
+    floor = [min(g[i] for g in perms) for i in range(dim)]
+    to_floor = [[g for g in perms if g[i] == floor[i]] for i in range(dim)]
+    return frozenset(
+        t for t, _ in level if not any(_below(tuple(t[p] for p in sigma), t, to_floor) for sigma in shuffles[1:])
+    )
+
+
+def _below(u, t, to_floor):
+    """Whether the least image of u under the perms is below t."""
+    cands = to_floor[u[0]]
+    for k, i in enumerate(u):
+        v = min(g[i] for g in cands)
+        if v != t[k]:
+            return v < t[k]
+        cands = [g for g in cands if g[i] == v]
+    return False
 
 
 def _rekey(src, table, dst, dom):
@@ -740,30 +873,24 @@ def check_identity(alg, identity, twist_exponent=1):
     smallest failing index tuple.  With symbolic structure constants Pass
     means the residual is the zero polynomial at every tuple.
 
-    Only one tuple per symmetry orbit is evaluated.  A swap of the
-    variables p < q that maps lhs - rhs to sign * (lhs - rhs), formally or
-    modulo products that this algebra's cells make skew (``_symmetries``),
-    maps failing tuples to failing tuples, and a tuple it fixes has a zero
-    residual when the sign is -1.  So the least failing tuple t has
-    t[p] <= t[q], and t[p] < t[q] when the sign is -1: the products and
-    the comparison of the sides skip the keys out of that order, and so the
-    verdict, the tuple and the residual are those of a check of every tuple.
+    Only the least tuple of each symmetry orbit is evaluated (``_Orbits``):
+    the outermost products and the comparison of the sides skip every other
+    key.  Failing tuples are unions of orbits, so the verdict, the tuple and
+    the residual are those of a check of every tuple.
     """
     names = identity.variables
-    tables = _Tables(alg, twist_exponent)
-    pairs = tuple(
-        (names[p], names[q], sign < 0) for p, q, sign, kinds in _symmetries(identity) if all(map(alg._is_skew, kinds))
-    )
-    keep = _in_order(names, pairs)
+    orbits = _Orbits(alg, identity)
+    tables = _Tables(alg, twist_exponent, orbits=orbits)
+    keep = orbits.keep(tuple(range(len(names)))) or (lambda key: True)
     # pin leading variables to 0 for nested blocks that grow dim-fold from the
     # first tuple, so that a failure there is found early, then pin the first
     # variable to each index in turn; a tuple may be checked twice
     for prefix in [(0,) * m for m in range(len(names), 1, -1)] + [(i,) for i in range(alg.dim)]:
+        if not orbits.admits(prefix):
+            continue  # no tuple of the block is kept
         pinned = dict(zip(names, prefix))
         dom = {**dict.fromkeys(names, range(alg.dim)), **{n: range(i, i + 1) for n, i in pinned.items()}}
-        if any(a in pinned and pinned[a] + strict > dom[b][-1] for a, b, strict in pairs):
-            continue  # no tuple of the block is in order
-        lhs, rhs = (_rekey(*tables.table(side, dom, pairs), names, dom) for side in (identity.lhs, identity.rhs))
+        lhs, rhs = (_rekey(*tables.table(side, dom, names), names, dom) for side in (identity.lhs, identity.rhs))
         if lhs != rhs:
             bad = [key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key) and keep(key)]
             if bad:

@@ -403,3 +403,35 @@ def test_calls_in_one_process_match_fresh_interpreters(tmp_path, capsys):
     assert _build_parser.cache_info().misses == 1
     for argv, got in zip(calls, results):
         assert got == _fresh(argv), argv
+
+
+def test_an_identity_nested_too_deep_is_a_usage_error(tmp_path, capsys):
+    # 250 brackets used to end in a RecursionError traceback and exit 1,
+    # the exit code of a FAIL verdict
+    so3 = _write(tmp_path, "so3.alg", CROSS_LIE_DOC)
+    deep = _write(tmp_path, "deep.id", "deep : " + "(" * 250 + "x*y" + ")" * 250 + " = 0\n")
+    out, err, code = _in_process(["check", so3, "--identity", deep], capsys)
+    assert (out, err, code) == ("", "error: expressions nested more than 32 deep (line 1, column 40)\n", 2)
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    # the reading end is closed before hombol writes, as `| head -1` closes
+    # it after one line; main reported that as "error: 32" with exit 2
+    so3 = _write(tmp_path, "so3.alg", CROSS_LIE_DOC)
+    src = str(Path(hombol.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from hombol.cli import console; sys.exit(console())",
+         "morphisms", so3, "--grid=-1,0,1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (err, proc.returncode) == (b"", 141)
+    # an open stdout gets everything, with main's exit code
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from hombol.cli import console; sys.exit(console())",
+         "morphisms", so3, "--grid=-1,0,1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60, check=False,
+    )
+    assert (run.stdout, run.stderr, run.returncode) == _fresh(["morphisms", so3, "--grid=-1,0,1"])
+    assert run.returncode == 0 and "grid search: 25 solution(s)\n" in run.stdout

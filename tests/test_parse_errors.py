@@ -15,7 +15,7 @@ the start of the right-hand side or identity body.
 import pytest
 
 from hombol.errors import MultilinearityError, ParseError
-from hombol.identities import parse_identity, parse_suite
+from hombol.identities import NESTING_LIMIT, SUITES, parse_identity, parse_suite
 from hombol.scalars import parse_scalar
 from hombol.serialization import DIM_LIMIT, parse_algebra, parse_constraints, parse_map
 
@@ -162,6 +162,11 @@ CASES = [
     ('constraints', 'unknowns a1 a1x 1b b2', ParseError, "bad unknown name '1b' (line 1)"),
     # a params line after the basis is checked against it too
     ('algebra', H + 'params e1', ParseError, 'basis labels and parameters overlap (line 3)'),
+    # NESTING_LIMIT counts the side itself, so 31 brackets still parse; the
+    # 32nd opens the 33rd expression, read from the next column
+    ('identity', '(' * 32 + 'x*y' + ')' * 32 + ' = 0', ParseError, 'expressions nested more than 32 deep (column 33)'),
+    ('identity', 'x*y = ' + 'A(' * 250 + 'y*x' + ')' * 250, ParseError, 'expressions nested more than 32 deep (column 71)'),
+    ('suite', 'deep : ' + '{x,y,' * 40 + 'z' + '}' * 40 + ' = 0', ParseError, 'expressions nested more than 32 deep (line 1, column 164)'),
 ]
 
 
@@ -178,6 +183,20 @@ def test_error_text(reader, text, error, message):
 def test_the_largest_dim_parses():
     labels = " ".join(f"e{i + 1}" for i in range(DIM_LIMIT))
     assert parse_algebra(f"dim {DIM_LIMIT}\nbasis {labels}\n").dim == DIM_LIMIT == 32
+
+
+def test_nesting_up_to_the_limit_parses_and_every_built_in_suite_is_far_below_it():
+    deepest = "(" * (NESTING_LIMIT - 1) + "x*y" + ")" * (NESTING_LIMIT - 1)
+    assert parse_identity(f"{deepest} = -y*x").variables == ("x", "y")
+    assert parse_identity("x*y = " + "A(" * (NESTING_LIMIT - 1) + "y*x" + ")" * (NESTING_LIMIT - 1))
+
+    def depth(node):
+        kids = [getattr(node, f) for f in ("arg", "left", "right", "first", "second", "third", "body") if hasattr(node, f)]
+        kids += list(getattr(node, "terms", ()))
+        return 1 + max(map(depth, kids), default=0)
+
+    deepest_built_in = max(depth(side) for suite in SUITES.values() for i in suite.identities for side in (i.lhs, i.rhs))
+    assert deepest_built_in <= 6 < NESTING_LIMIT
 
 
 def test_every_reader_is_covered():
