@@ -242,11 +242,14 @@ class DiscrepancyRow:
         return self.quoted == self.constructed
 
     def format(self):
-        verdict = "match" if self.match else "MISMATCH"
-        return (
-            f"{self.label} [{self.source}]: quoted {format_vector(self.quoted, _BASIS)}"
-            f" | constructed {format_vector(self.constructed, _BASIS)} -> {verdict}"
-        )
+        """The row's line.  Equal vectors have one canonical text, so a
+        matching row renders its quoted side once and reuses it."""
+        quoted = format_vector(self.quoted, _BASIS)
+        if self.match:
+            constructed, verdict = quoted, "match"
+        else:
+            constructed, verdict = format_vector(self.constructed, _BASIS), "MISMATCH"
+        return f"{self.label} [{self.source}]: quoted {quoted} | constructed {constructed} -> {verdict}"
 
 
 @dataclass(frozen=True)

@@ -561,13 +561,18 @@ def _symmetries(identity):
     names = identity.variables
     diff = _expand(identity.lhs)
     diff.subtract(_expand(identity.rhs))
+    # the unswapped side of every comparison, reduced once per kinds
+    reductions = []
+    for kinds in ((), ("binary",), ("ternary",), ("binary", "ternary")):
+        before = _reduced(diff, kinds)
+        reductions.append((kinds, before, {m: -c for m, c in before.items()}))
     found = []
     for p, q in itertools.combinations(range(len(names)), 2):
         swap = {names[p]: names[q], names[q]: names[p]}
         swapped = Counter({_renamed(m, swap): c for m, c in diff.items()})
-        for kinds in ((), ("binary",), ("ternary",), ("binary", "ternary")):
-            before, after = _reduced(diff, kinds), _reduced(swapped, kinds)
-            sign = 1 if after == before else -1 if after == {m: -c for m, c in before.items()} else 0
+        for kinds, before, negated in reductions:
+            after = _reduced(swapped, kinds)
+            sign = 1 if after == before else -1 if after == negated else 0
             if sign:
                 found.append((p, q, sign, kinds))
                 break

@@ -95,6 +95,60 @@ def _mono_mul(m, n):
     return tuple(out)
 
 
+def _shifted(monos, m):
+    """Each monomial times the single-factor monomial m = ((name, e),), as a
+    list: the exponent of name grows by e, or the factor goes in where name
+    sorts.  A name at either end of a monomial is found by one comparison;
+    only a name between its first and last factors takes a scan."""
+    ((name, e),) = m
+    out = []
+    append = out.append
+    for k in monos:
+        if not k:
+            append(m)
+            continue
+        last, f = k[-1]
+        if last == name:
+            append(k[:-1] + ((name, f + e),))
+        elif last < name:
+            append(k + m)
+        else:
+            first, f = k[0]
+            if first > name:
+                append(m + k)
+            elif first == name:
+                append(((name, f + e),) + k[1:])
+            else:
+                # k[0] sorts before name and k[-1] after it
+                i = len(k) - 1
+                while k[i - 1][0] > name:
+                    i -= 1
+                if k[i - 1][0] == name:
+                    append(k[: i - 1] + ((name, k[i - 1][1] + e),) + k[i:])
+                else:
+                    append(k[:i] + m + k[i:])
+    return out
+
+
+def _scaled_values(terms, q):
+    """The coefficients of a term map times the native number q, canonical
+    and in the map's order, with one product per distinct coefficient: a
+    long polynomial repeats a few coefficients, so most terms take a lookup
+    instead of a Fraction product.  The lookup is keyed on an int itself and
+    on a Fraction's (numerator, denominator), as hashing a Fraction costs
+    about as much as one Fraction operation."""
+    products = {}
+    out = []
+    append = out.append
+    for c in terms.values():
+        key = c if c.__class__ is int else c.as_integer_ratio()
+        v = products.get(key)
+        if v is None:
+            v = products[key] = _canon(c * q)
+        append(v)
+    return out
+
+
 def _mono_canon(mono):
     """A monomial given as (name, exponent) pairs in canonical form: sorted
     by name, repeated names merged, zero exponents dropped."""
@@ -287,10 +341,15 @@ class Scalar:
         """self times the single term c*m, c a nonzero native number.  The
         product with a fixed monomial m is injective and c*c1 is never zero,
         so no terms merge or cancel: each monomial shifts by m and each
-        coefficient scales by c, as in _scaled, which is the case m empty."""
+        coefficient scales by c, as in _scaled, which is the case m empty.
+        A polynomial of three or more terms shifts by a single-factor m
+        without a merge and scales each distinct coefficient once."""
         if not m:
             return self._scaled(c)
         t = self._terms
+        if len(t) > 2:
+            monos = _shifted(t, m) if len(m) == 1 else [_mono_mul(k, m) for k in t]
+            return _from_terms(dict(zip(monos, t.values() if c == 1 else _scaled_values(t, c))))
         if c == 1:
             terms = {_mono_mul(k, m): v for k, v in t.items()}
         elif c == -1:
@@ -302,15 +361,20 @@ class Scalar:
     def _scaled(self, q):
         """self times the native number q, coefficient by coefficient.  A
         factor 1 gives self back, as the kernels multiply basis leaves and
-        identity columns into polynomial cells, and a factor -1 negates,
-        which costs no Fraction product."""
+        identity columns into polynomial cells.  A polynomial of three or
+        more terms makes one product per distinct coefficient
+        (_scaled_values); a shorter one, as in the kernels' products, skips
+        that lookup, and a factor -1 negates it with no Fraction product."""
         if not q:
             return 0
         if q == 1:
             return self._value()
+        t = self._terms
+        if len(t) > 2:
+            return _from_terms(dict(zip(t, _scaled_values(t, q))))
         if q == -1:
             return -self
-        return _from_terms({mono: _canon(c * q) for mono, c in self._terms.items()})
+        return _from_terms({mono: _canon(c * q) for mono, c in t.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:

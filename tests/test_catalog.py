@@ -8,6 +8,7 @@ from hombol.catalog import cross_check, entries, get, names
 from hombol.constructions import yau_twist
 from hombol.identities import check_suite
 from hombol.scalars import ONE, ZERO, Scalar
+from hombol.serialization import format_vector
 
 
 def test_catalog_names():
@@ -115,6 +116,40 @@ def test_cross_check_compares_each_row_once(monkeypatch, n):
     text = report.format()
     assert len(report.mismatches) == text.count("-> MISMATCH")
     assert len(compared) == len(report.rows)
+
+
+def two_render_text(row):
+    """A row's line with both sides rendered, as it was written before a
+    matching row rendered its quoted side once."""
+    verdict = "match" if row.match else "MISMATCH"
+    return (
+        f"{row.label} [{row.source}]: quoted {format_vector(row.quoted, catalog._BASIS)}"
+        f" | constructed {format_vector(row.constructed, catalog._BASIS)} -> {verdict}"
+    )
+
+
+@pytest.mark.parametrize(
+    "name, n, params",
+    [("HB_A2", 0, {}), ("HB_A2", 3, {}), ("HB_A2", 5, {"lam": F(3, 7), "a": F(1, 8)}), ("HB_A3", 2, {"sign": "-"})],
+)
+def test_a_matching_row_renders_its_quoted_side_once(monkeypatch, name, n, params):
+    report = cross_check(name, n, **params)
+    assert report.mismatches and len(report.mismatches) < len(report.rows)
+    rendered = []
+
+    def counting_format_vector(v, labels):
+        rendered.append(v)
+        return format_vector(v, labels)
+
+    monkeypatch.setattr(catalog, "format_vector", counting_format_vector)
+    for row in report.rows:
+        rendered.clear()
+        text = row.format()
+        if row.match:
+            assert rendered == [row.quoted]
+        else:
+            assert rendered == [row.quoted, row.constructed]
+        assert text == two_render_text(row)
 
 
 def test_cross_check_order_zero_carries_base_and_derived_rows():

@@ -5,7 +5,9 @@ product path and the per-call coefficient renderings.
 products with a single-term side and rendered with a few coefficients
 repeated thousands of times.  The digests below are of the output of the
 general product accumulation and the per-term renderer, recorded before
-either changed; CI pins the ``--n 16`` outputs the same way.
+either changed (the last one before the distinct-coefficient scaling, the
+single-name shift and the single rendering of a matching row); CI pins the
+``--n 16`` outputs the same way.
 """
 
 import hashlib
@@ -23,10 +25,14 @@ from hombol.serialization import format_vector
     [
         ("--a=1/8", "8c0f37f0429b579b761cb6eb9ed96921087d5f43a1a8675f02263f268ceb60b9"),
         ("--lambda=3/7", "292b206a636aef81513175143803ebf65b70dabc5dc8b919db7d64b45e8a8691"),
+        # lambda and a bound together, b free: both long quoted entries carry
+        # a Fraction; recorded before the distinct-coefficient scaling, the
+        # single-name shift and the single rendering of a matching row
+        ("--lambda=3/7 --a=1/8", "41197e6ed1aa5ee84d8b860f1de4d13b2205288dab72584428aab4081b52197e"),
     ],
 )
 def test_order_13_crosscheck_output_is_pinned(capsys, flag, digest):
-    assert main(["crosscheck", "HB_A2", "--n", "13", flag]) == 0
+    assert main(["crosscheck", "HB_A2", "--n", "13", *flag.split()]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 

@@ -5,7 +5,9 @@ polynomials must equal what sympy.expand makes of the same expressions, also
 where one operand is an int or a Fraction; an operator's result must be a
 native number exactly when it is constant.  A product with a single-term
 side, which shifts the other side's monomials instead of accumulating term
-products, must also equal the general accumulation.
+products, must also equal the general accumulation, on both sides of the
+three-term guard behind which a long polynomial scales each distinct
+coefficient once and shifts by a single name without a merge.
 """
 
 from fractions import Fraction
@@ -16,13 +18,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 sympy = pytest.importorskip("sympy")
 
-from hombol.scalars import Scalar, _mono_canon, _mono_mul
+from hombol.scalars import Scalar, _mono_canon, _mono_mul, _shifted
 
 given = hypothesis.given
 
 NAMES = ("a", "b", "lambda")
 OTHER_NAMES = ("c", "d")  # names that the polynomials of ``scalars`` never use
-SYMBOLS = {name: sympy.Symbol(name) for name in NAMES + OTHER_NAMES}
+SYMBOLS = {name: sympy.Symbol(name) for name in NAMES + OTHER_NAMES + ("aa",)}
 
 monomials = st.lists(st.tuples(st.sampled_from(NAMES), st.integers(1, 3)), max_size=3).map(
     lambda pairs: tuple(sorted(dict(pairs).items()))
@@ -201,3 +203,126 @@ def test_single_factor_monomial_products():
     assert _mono_mul((("b", 2),), (("b", 3),)) == (("b", 5),)
     assert _mono_mul((("b", 2),), (("a", 3),)) == (("a", 3), ("b", 2))
     assert _mono_mul((("a", 3),), (("b", 2),)) == (("a", 3), ("b", 2))
+
+
+# -- long polynomials: distinct-coefficient scaling and single-name shifts --
+#
+# A side of three or more terms scales each distinct coefficient once and
+# shifts by a single-factor monomial without a merge; one or two terms keep
+# the per-term comprehension.  Both sides of that guard are checked against
+# sympy and against a general accumulation written here.
+
+# coefficients drawn from a few values, so that a long polynomial repeats
+# ints and non-integral Fractions, as distinct but equal objects too
+repeated_coefficients = st.sampled_from(
+    (1, -1, 2, -3, Fraction(1, 8), Fraction(-1, 8), Fraction(3, 7), Fraction(-5, 2))
+).map(lambda c: Fraction(c.numerator, c.denominator) if type(c) is Fraction else c)
+scale_factors = st.sampled_from((1, -1, 2, -3, 7, Fraction(1, 8), Fraction(-3, 7), Fraction(5, 2)))
+
+
+def polynomials(sizes):
+    """Polynomials with exactly one of the given numbers of terms, over
+    monomials that may have one, two or three factors."""
+    return st.sampled_from(sizes).flatmap(
+        lambda n: st.dictionaries(monomials, repeated_coefficients, min_size=n, max_size=n).map(Scalar)
+    )
+
+
+# 1 and 2 terms take the short path, 3 and 12 the long one
+short_or_long = polynomials((1, 2, 3, 12))
+
+
+def scaled_by_accumulation(x, q):
+    """x*q term by term, summed into a fresh map."""
+    acc = {}
+    for mono, c in x.terms():
+        acc[mono] = acc.get(mono, 0) + c * q
+    return Scalar(acc)
+
+
+@given(short_or_long, scale_factors)
+def test_scaled_polynomials(x, q):
+    for result in (x * q, q * x, x._scaled(q)):
+        assert same(result, to_sympy(x) * to_sympy(q))
+        assert result == scaled_by_accumulation(x, q)
+        assert native_exactly_when_constant(result)
+        if isinstance(result, Scalar):
+            assert all(type(c) is int or c.denominator != 1 for _, c in result.terms())
+
+
+def test_scaling_a_long_polynomial_makes_one_product_per_distinct_coefficient():
+    x = Scalar({(("b", k),): Fraction(1, 8) for k in range(1, 40)})  # equal, distinct objects
+    assert len({id(c) for _, c in x.terms()}) == 39
+    y = x * Fraction(-3, 7)
+    assert y == Scalar({(("b", k),): Fraction(-3, 56) for k in range(1, 40)})
+    assert len({id(c) for _, c in y.terms()}) == 1
+    z = Scalar({(("b", 3),): 3, (("b", 2),): 1, (("b", 1),): 1, (): 1}) * Fraction(1, 2)
+    half = Fraction(1, 2)
+    assert z.terms() == (((("b", 3),), Fraction(3, 2)), ((("b", 2),), half), ((("b", 1),), half), ((), half))
+    # products that are integral are stored as ints
+    assert (z * 2).terms() == (((("b", 3),), 3), ((("b", 2),), 1), ((("b", 1),), 1), ((), 1))
+    assert all(type(c) is int for _, c in (z * 2).terms())
+
+
+single_factor_terms = st.tuples(st.sampled_from(NAMES + OTHER_NAMES), st.integers(1, 5), term_coefficients).map(
+    lambda t: single_term(((t[0], t[1]),), t[2])
+)
+
+
+@given(short_or_long, single_factor_terms)
+def test_single_name_shifts(x, term):
+    # the name is one the polynomial has or one it lacks, sorting before,
+    # between or after its names
+    check_single_term_product(x, term)
+
+
+@given(short_or_long, st.data())
+def test_single_name_shifts_by_a_name_the_polynomial_has(x, data):
+    name = data.draw(st.sampled_from(sorted(x.variables()) or NAMES))
+    term = single_term(((name, data.draw(st.integers(1, 5))),), data.draw(term_coefficients))
+    check_single_term_product(x, term)
+
+
+@given(short_or_long, monomials_over(NAMES + OTHER_NAMES).filter(lambda m: len(m) > 1), term_coefficients)
+def test_multi_factor_shifts(x, mono, coeff):
+    # check_single_term_product puts the single term on either side
+    check_single_term_product(x, single_term(mono, coeff))
+
+
+def test_single_name_shifts_of_a_long_polynomial():
+    # monomials of one and two factors, and none
+    x = Scalar({(("a", 1), ("b", 1)): 1, (("a", 2),): 1, (("b", 3),): 1, (("a", 1), ("lambda", 1)): 1, (): 5})
+    expected = {
+        # the first of two factors, merged; inserted before b
+        "a": {(("a", 2), ("b", 1)): 1, (("a", 3),): 1, (("a", 1), ("b", 3)): 1,
+              (("a", 2), ("lambda", 1)): 1, (("a", 1),): 5},
+        # the last factor, merged; appended after a, inserted before lambda
+        "b": {(("a", 1), ("b", 2)): 1, (("a", 2), ("b", 1)): 1, (("b", 4),): 1,
+              (("a", 1), ("b", 1), ("lambda", 1)): 1, (("b", 1),): 5},
+        # a name before every other one, and one between b and lambda
+        "aa": {(("a", 1), ("aa", 1), ("b", 1)): 1, (("a", 2), ("aa", 1)): 1, (("aa", 1), ("b", 3)): 1,
+               (("a", 1), ("aa", 1), ("lambda", 1)): 1, (("aa", 1),): 5},
+        "c": {(("a", 1), ("b", 1), ("c", 1)): 1, (("a", 2), ("c", 1)): 1, (("b", 3), ("c", 1)): 1,
+              (("a", 1), ("c", 1), ("lambda", 1)): 1, (("c", 1),): 5},
+    }
+    for name, terms in expected.items():
+        term = Scalar.parameter(name)
+        assert x._times_term(((name, 1),), 1) == x * term == term * x == Scalar(terms) == accumulated(x, term)
+        assert same(x * term, to_sympy(x) * SYMBOLS[name])
+
+
+@given(st.lists(monomials, min_size=1, max_size=6), st.sampled_from(NAMES + OTHER_NAMES + ("aa",)), st.integers(1, 4))
+def test_shifted_monomials_are_the_merged_ones(monos, name, e):
+    m = ((name, e),)
+    assert _shifted(monos, m) == [_mono_mul(k, m) for k in monos] == [_mono_canon(k + m) for k in monos]
+
+
+def test_shifted_monomials_at_each_position():
+    k = (("a", 1), ("b", 2), ("lambda", 1))
+    assert _shifted([(), k], (("a", 2),)) == [(("a", 2),), (("a", 3), ("b", 2), ("lambda", 1))]
+    assert _shifted([k], (("aa", 1),)) == [(("a", 1), ("aa", 1), ("b", 2), ("lambda", 1))]
+    assert _shifted([k], (("b", 3),)) == [(("a", 1), ("b", 5), ("lambda", 1))]
+    assert _shifted([k], (("c", 1),)) == [(("a", 1), ("b", 2), ("c", 1), ("lambda", 1))]
+    assert _shifted([k], (("lambda", 2),)) == [(("a", 1), ("b", 2), ("lambda", 3))]
+    assert _shifted([k], (("A", 1),)) == [(("A", 1),) + k]
+    assert _shifted([k], (("z", 1),)) == [k + (("z", 1),)]
