@@ -130,17 +130,35 @@ def _shifted(monos, m):
     return out
 
 
+# A side of at least this many terms takes the long path of Scalar._scaled and
+# Scalar._times_term: monomials shifted by a single name in one loop
+# (_shifted) and coefficients scaled once per distinct value
+# (_scaled_values).  Every long side that the benchmark's workloads scale by
+# a number other than 1 or -1 has a single distinct coefficient, where the
+# lookup is faster than a Fraction product per term from two terms on; the
+# one-term sides of the kernels' products, most of them single-factor
+# monomials, are faster with a comprehension of _mono_mul up to about four
+# terms.
+_LONG = 3
+
+
 def _scaled_values(terms, q):
-    """The coefficients of a term map times the native number q, canonical
-    and in the map's order, with one product per distinct coefficient: a
-    long polynomial repeats a few coefficients, so most terms take a lookup
-    instead of a Fraction product.  The lookup is keyed on an int itself and
-    on a Fraction's (numerator, denominator), as hashing a Fraction costs
-    about as much as one Fraction operation."""
+    """The coefficients of a term map times the nonzero native number q,
+    canonical and in the map's order.  A factor 1 or -1 makes no product;
+    any other makes one per distinct coefficient: a long polynomial repeats
+    a few coefficients, so most terms take a lookup instead of a product.
+    The lookup is keyed on an int itself and on a Fraction's (numerator,
+    denominator), as hashing a Fraction costs about as much as one Fraction
+    operation."""
+    values = terms.values()
+    if q == 1:
+        return values
+    if q == -1:
+        return [-c for c in values]
     products = {}
     out = []
     append = out.append
-    for c in terms.values():
+    for c in values:
         key = c if c.__class__ is int else c.as_integer_ratio()
         v = products.get(key)
         if v is None:
@@ -342,14 +360,14 @@ class Scalar:
         product with a fixed monomial m is injective and c*c1 is never zero,
         so no terms merge or cancel: each monomial shifts by m and each
         coefficient scales by c, as in _scaled, which is the case m empty.
-        A polynomial of three or more terms shifts by a single-factor m
-        without a merge and scales each distinct coefficient once."""
+        A side of _LONG or more terms shifts by a single factor without a
+        merge (_shifted) and scales by _scaled_values."""
         if not m:
             return self._scaled(c)
         t = self._terms
-        if len(t) > 2:
+        if len(t) >= _LONG:
             monos = _shifted(t, m) if len(m) == 1 else [_mono_mul(k, m) for k in t]
-            return _from_terms(dict(zip(monos, t.values() if c == 1 else _scaled_values(t, c))))
+            return _from_terms(dict(zip(monos, _scaled_values(t, c))))
         if c == 1:
             terms = {_mono_mul(k, m): v for k, v in t.items()}
         elif c == -1:
@@ -361,19 +379,18 @@ class Scalar:
     def _scaled(self, q):
         """self times the native number q, coefficient by coefficient.  A
         factor 1 gives self back, as the kernels multiply basis leaves and
-        identity columns into polynomial cells.  A polynomial of three or
-        more terms makes one product per distinct coefficient
-        (_scaled_values); a shorter one, as in the kernels' products, skips
-        that lookup, and a factor -1 negates it with no Fraction product."""
+        identity columns into polynomial cells, and a factor -1 negates with
+        no product.  A side of _LONG or more terms scales by
+        _scaled_values."""
         if not q:
             return 0
         if q == 1:
             return self._value()
-        t = self._terms
-        if len(t) > 2:
-            return _from_terms(dict(zip(t, _scaled_values(t, q))))
         if q == -1:
             return -self
+        t = self._terms
+        if len(t) >= _LONG:
+            return _from_terms(dict(zip(t, _scaled_values(t, q))))
         return _from_terms({mono: _canon(c * q) for mono, c in t.items()})
 
     def __pow__(self, k):

@@ -18,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 sympy = pytest.importorskip("sympy")
 
-from hombol.scalars import Scalar, _mono_canon, _mono_mul, _shifted
+from hombol.scalars import _LONG, Scalar, _mono_canon, _mono_mul, _shifted
 
 given = hypothesis.given
 
@@ -207,7 +207,7 @@ def test_single_factor_monomial_products():
 
 # -- long polynomials: distinct-coefficient scaling and single-name shifts --
 #
-# A side of three or more terms scales each distinct coefficient once and
+# A side of three or more terms scales once per distinct coefficient and
 # shifts by a single-factor monomial without a merge; one or two terms keep
 # the per-term comprehension.  Both sides of that guard are checked against
 # sympy and against a general accumulation written here.
@@ -228,8 +228,8 @@ def polynomials(sizes):
     )
 
 
-# 1 and 2 terms take the short path, 3 and 12 the long one
-short_or_long = polynomials((1, 2, 3, 12))
+# one term and _LONG - 1 take the short path, _LONG and 12 the long one
+short_or_long = polynomials((1, _LONG - 1, _LONG, 12))
 
 
 def scaled_by_accumulation(x, q):

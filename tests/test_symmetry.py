@@ -65,36 +65,10 @@ def test_every_built_in_identity_has_the_swaps_of_the_table():
     assert set(IDENTITIES) == set(TABLE)
     for name, ident in IDENTITIES.items():
         assert named(ident) == TABLE[name], name
-
-
-# name: _symmetries(identity) as recorded before the unswapped side was
-# reduced once per kinds instead of once per variable pair: the same swaps
-# in the same order, as variable positions
-RECORDED = {
-    "akivis_balance": ((0, 1, -1, B), (0, 2, -1, B), (1, 2, -1, B)),
-    "alt_first_pair": ((0, 1, 1, ()), (0, 2, 1, T), (1, 2, 1, T)),
-    "alt_last_pair": ((1, 2, 1, ()),),
-    "binary_derivation": ((0, 1, -1, BT), (2, 3, -1, BT)),
-    "flex_polarized": ((0, 2, 1, ()),),
-    "hom_jacobi": ((0, 1, -1, B), (0, 2, -1, B), (1, 2, -1, B)),
-    "hom_nambu": ((0, 1, -1, T), (2, 3, -1, T)),
-    "malcev_linearized": ((0, 2, 1, ()),),
-    "skew_binary": ((0, 1, 1, ()),),
-    "skew_ternary": ((0, 1, 1, ()), (0, 2, 1, T), (1, 2, 1, T)),
-    "ternary_derivation": ((0, 1, -1, T), (2, 3, -1, T)),
-    "ternary_jacobi": ((0, 1, -1, T), (0, 2, -1, T), (1, 2, -1, T)),
-    "twist_respects_binary": ((0, 1, -1, B),),
-    "twist_respects_ternary": ((0, 1, -1, T),),
-    "twisted_binary_derivation": ((0, 1, -1, BT), (2, 3, -1, BT)),
-    "twisted_ternary_derivation": ((0, 1, -1, T), (2, 3, -1, T)),
-}
-
-
-def test_every_built_in_identity_has_the_recorded_swaps():
-    for suite in SUITES.values():
-        for ident in suite.identities:
-            assert _symmetries(ident) == RECORDED[ident.name], (suite.name, ident.name)
-    assert set(IDENTITIES) == set(RECORDED)
+        # at most one swap per pair of positions, in the order of the pairs,
+        # so the table fixes the tuple
+        pairs = [(p, q) for p, q, _, _ in _symmetries(ident)]
+        assert pairs == sorted(set(pairs)), name
 
 
 def test_a_variable_named_like_a_product_kind_is_swapped_as_a_variable():
