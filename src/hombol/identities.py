@@ -57,9 +57,11 @@ then skew on all vectors.  And for an identity of four or more variables,
 the algebra's signed-permutation automorphisms that commute with the twist
 (``HomAlgebra._symmetry``) permute the basis indices of a tuple.  The
 outermost products of each side and the comparison of the sides take only
-the least tuple of each orbit, less the tuples that a swap of sign -1 fixes;
-the verdict, the failing tuple and its residual stay those of a check of
-every tuple.  ``evaluate`` and ``tabulate`` skip nothing.
+the least tuple of each orbit, less the tuples that a swap of sign -1 fixes,
+and where the automorphisms make the orbits, each block of tuples builds its
+tables only on the indices that its kept tuples use; the verdict, the
+failing tuple and its residual stay those of a check of every tuple.
+``evaluate`` and ``tabulate`` skip nothing.
 """
 
 from __future__ import annotations
@@ -644,8 +646,8 @@ class _Tables:
     the outermost products, those over all of them, take only the keys that
     the orbits keep.  So a table holds every nonzero value at those keys but
     may hold or miss the others, and the tables of the products' operands
-    are full.  Tables are memoized on the node, those domains and the
-    scope."""
+    hold every nonzero value on the domains.  Tables are memoized on the
+    node, those domains and the scope."""
 
     def __init__(self, alg, twist_exponent, leaves=None, orbits=None):
         if twist_exponent < 0:
@@ -755,8 +757,6 @@ class _Orbits:
         # reads the dim^2 + dim^3 cells
         perms = alg._symmetry() if m > 3 else ()
         self.reps = _least(perms, m, self.dim, components, self.checks) if len(perms) > 1 else None
-        if self.reps is not None:
-            self.prefixes = {r[:k] for r in self.reps for k in range(m + 1)}
         self.keep = functools.cache(self._keep)
 
     def _keep(self, order):
@@ -776,13 +776,20 @@ class _Orbits:
             return (lambda key: key[i] < key[j]) if strict else (lambda key: key[i] <= key[j])
         return lambda key: all(key[i] < key[j] if strict else key[i] <= key[j] for i, j, strict in checks)
 
-    def admits(self, prefix):
-        """Whether a kept tuple starts with the pinned indices prefix."""
+    def domains(self, prefix):
+        """The indices that each position ranges over in the block of tuples
+        that start with the pinned indices prefix, or None when no kept tuple
+        does.  With listed representatives, a position ranges over the
+        indices it takes in the block's kept tuples, so a check builds every
+        table of the block, inner ones included, only on that box."""
         prefix = prefix[: self.m]
         if self.reps is not None:
-            return prefix in self.prefixes
+            block = [r for r in self.reps if r[: len(prefix)] == prefix]
+            return [tuple(sorted(set(column))) for column in zip(*block)] if block else None
         top = prefix + (self.dim - 1,) * (self.m - len(prefix))  # the largest index at each position
-        return all(prefix[a] + strict <= top[b] for a, b, strict in self.checks if a < len(prefix))
+        if not all(prefix[a] + strict <= top[b] for a, b, strict in self.checks if a < len(prefix)):
+            return None
+        return [range(i, i + 1) for i in prefix] + [range(self.dim)] * (self.m - len(prefix))
 
 
 def _least(perms, m, dim, components, checks):
@@ -880,8 +887,10 @@ def check_identity(alg, identity, twist_exponent=1):
 
     Only the least tuple of each symmetry orbit is evaluated (``_Orbits``):
     the outermost products and the comparison of the sides skip every other
-    key.  Failing tuples are unions of orbits, so the verdict, the tuple and
-    the residual are those of a check of every tuple.
+    key, and where the orbits list their kept tuples, each block builds its
+    tables, inner ones included, only on the indices that its kept tuples
+    use (``_Orbits.domains``).  Failing tuples are unions of orbits, so the
+    verdict, the tuple and the residual are those of a check of every tuple.
     """
     names = identity.variables
     orbits = _Orbits(alg, identity)
@@ -891,10 +900,10 @@ def check_identity(alg, identity, twist_exponent=1):
     # first tuple, so that a failure there is found early, then pin the first
     # variable to each index in turn; a tuple may be checked twice
     for prefix in [(0,) * m for m in range(len(names), 1, -1)] + [(i,) for i in range(alg.dim)]:
-        if not orbits.admits(prefix):
+        box = orbits.domains(prefix)
+        if box is None:
             continue  # no tuple of the block is kept
-        pinned = dict(zip(names, prefix))
-        dom = {**dict.fromkeys(names, range(alg.dim)), **{n: range(i, i + 1) for n, i in pinned.items()}}
+        dom = dict(zip(names, box))
         lhs, rhs = (_rekey(*tables.table(side, dom, names), names, dom) for side in (identity.lhs, identity.rhs))
         if lhs != rhs:
             bad = [key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key) and keep(key)]
@@ -902,7 +911,7 @@ def check_identity(alg, identity, twist_exponent=1):
                 key = min(bad)
                 residual = Vector._of(lhs.get(key, {}), alg.dim) - Vector._of(rhs.get(key, {}), alg.dim)
                 return Counterexample(identity=identity.name, variables=names, indices=key, residual=residual)
-        if len(prefix) == 1:  # keep the tables made with no variable pinned
+        if len(prefix) == 1:  # keep the tables over full domains, which later blocks may share
             tables.memo = {e: t for e, t in tables.memo.items() if all(len(d) == alg.dim for d in e[1])}
     return None
 

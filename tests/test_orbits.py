@@ -16,6 +16,7 @@ with a nontrivial group.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -312,15 +313,77 @@ def averaged(rng, dim, gens, skew):
     return HomAlgebra(dim, binary=cells(2), ternary=cells(3), twist=twist)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_random_algebras_with_a_signed_permutation_group_check_like_every_tuple(seed):
+def seeded_group_algebras(seed):
+    """Two random algebras, the second skew, invariant under one seeded
+    signed permutation of dimension 3 + seed % 3."""
     rng = random.Random(f"orbits/{seed}")
     dim = 3 + seed % 3
     perm = tuple(rng.sample(range(dim), dim))
     if perm == tuple(range(dim)):
         perm = perm[1:] + perm[:1]
     gens = [(perm, tuple(rng.choice((1, -1)) for _ in range(dim)))]
-    for skew in (False, True):
-        alg = averaged(rng, dim, gens, skew)
+    return [averaged(rng, dim, gens, skew) for skew in (False, True)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_algebras_with_a_signed_permutation_group_check_like_every_tuple(seed):
+    for skew, alg in enumerate(seeded_group_algebras(seed)):
         assert len(alg._symmetry()) > 1 and alg._is_skew("ternary") >= skew
         assert_like_every_tuple(alg, [i for i in IDENTITIES if len(i.variables) > 3] + EXTRA, exponents=(1, 2))
+
+
+# --- the blocks ---------------------------------------------------------------------
+
+
+def kernel_calls(monkeypatch, alg, ident):
+    """The binary and ternary products of one passing check, made after the
+    algebra's symmetry is found."""
+    alg._symmetry()
+    calls = Counter()
+    for kind in ("_binary", "_ternary"):
+        kernel = getattr(HomAlgebra, kind)
+        monkeypatch.setattr(HomAlgebra, kind, lambda self, *args, k=kind, f=kernel: calls.update([k]) or f(self, *args))
+    assert check_identity(alg, ident) is None
+    monkeypatch.undo()
+    return dict(calls)
+
+
+def test_a_block_builds_its_tables_only_on_the_indices_of_its_kept_tuples(monkeypatch):
+    malcev, derivation = SUITES["malcev"].identities[1], SUITES["bol"].identities[4]
+    assert kernel_calls(monkeypatch, OCTONIONS, malcev) == {"_binary": 551}
+    assert kernel_calls(monkeypatch, octonions(), malcev) == {"_binary": 494}
+    assert kernel_calls(monkeypatch, malcev_to_bol(OCTONIONS), derivation) == {"_ternary": 119}
+
+
+def blocks(orbits, dim):
+    """The pinned prefixes of check_identity's blocks, with their domains."""
+    for prefix in [(0,) * k for k in range(orbits.m, 1, -1)] + [(i,) for i in range(dim)]:
+        yield prefix, orbits.domains(prefix)
+
+
+BOX_ALGEBRAS = {
+    **{f"octonions/{k}": OCTONIONS.replace(twist=diagonal(s)) for k, s in enumerate(SIGNS)},
+    **{f"octonion-bol/{k}": malcev_to_bol(OCTONIONS, diagonal(s)) for k, s in enumerate(SIGNS)},
+    "octonion-bol-lie-triple": with_lie_triple(malcev_to_bol(OCTONIONS)),
+    **{f"seeded/{seed}/{k}": alg for seed in range(6) for k, alg in enumerate(seeded_group_algebras(seed))},
+}
+
+
+@pytest.mark.parametrize("alg", BOX_ALGEBRAS.values(), ids=BOX_ALGEBRAS)
+def test_every_kept_tuple_lies_in_the_domains_of_its_block_and_each_index_there_is_used(alg):
+    listed = 0
+    for ident in [i for i in IDENTITIES if len(i.variables) > 3] + EXTRA:
+        orbits = identities._Orbits(alg, ident)
+        m = orbits.m
+        for prefix, box in blocks(orbits, alg.dim):
+            if orbits.reps is None:  # only the pinned indices narrow the domains
+                assert box is None or box == [range(i, i + 1) for i in prefix] + [range(alg.dim)] * (m - len(prefix))
+                continue
+            block = [r for r in orbits.reps if r[: len(prefix)] == prefix]
+            if not block:
+                assert box is None
+                continue
+            assert all(r[p] in box[p] for r in block for p in range(m)), (ident.name, prefix)
+            assert all(any(r[p] == i for r in block) for p in range(m) for i in box[p]), (ident.name, prefix)
+        listed += orbits.reps is not None
+    assert listed
