@@ -496,7 +496,7 @@ class HomAlgebra:
         self.dim, self.basis, self.params, self.twist = dim, basis, params, twist
         # per kind, the cells nested [i][j] or [i][j][k] as the kernels index them
         self._products = {kind: tensor(dim, r, lambda idx: cells[kind].get(idx, _EMPTY)) for kind, r in PRODUCTS}
-        self._skew = {}  # _is_skew's answers, by kind
+        self._skew = None  # _skew_kinds's answer
         self._group = None  # _symmetry's answer
 
     def _tensor(self, kind):
@@ -576,12 +576,12 @@ class HomAlgebra:
                         out[l] = term
         return out
 
-    def _is_skew(self, kind):
-        """Whether the product of this kind changes sign when its first two
-        arguments swap (_skew_cells), decided once per algebra and kind."""
-        if kind not in self._skew:
-            self._skew[kind] = _skew_cells(self._products[kind], self.dim, dict(PRODUCTS)[kind])
-        return self._skew[kind]
+    def _skew_kinds(self):
+        """The product kinds that change sign when their first two arguments
+        swap (_skew_cells), in the order of PRODUCTS, found once per algebra."""
+        if self._skew is None:
+            self._skew = tuple(kind for kind, r in PRODUCTS if _skew_cells(self._products[kind], self.dim, r))
+        return self._skew
 
     def _symmetry(self):
         """The index permutations of the signed-permutation automorphisms

@@ -48,12 +48,11 @@ written.  Of the built-in sides only ``malcev_linearized``'s factor.
 ``check_identity`` evaluates one basis tuple per symmetry orbit
 (``_Orbits``).  Two kinds of symmetry make the orbits.  ``_symmetries``
 expands lhs - rhs algebra-free (``_expand``) and finds each swap of two
-variables p < q that maps it to plus or minus itself: formally, or modulo
-skew binary and/or skew ternary products, which it decides by sorting the
-first two slots of every such product, with a sign.  A swap modulo skew
-products is used only where the algebra's cells are skew for each kind it
-needs (``HomAlgebra._is_skew``); the products are multilinear, so they are
-then skew on all vectors.  And for an identity of four or more variables,
+variables p < q that maps it to plus or minus itself modulo skew products of
+the kinds whose cells the algebra makes skew (``HomAlgebra._skew_kinds``),
+formally when there are none; it sorts the first two slots of every such
+product, with a sign.  The products are multilinear, so they are skew on all
+vectors.  And for an identity of four or more variables,
 the algebra's signed-permutation automorphisms that commute with the twist
 (``HomAlgebra._symmetry``) permute the basis indices of a tuple.  The
 outermost products of each side and the comparison of the sides take only
@@ -516,68 +515,54 @@ def _expand(node):
     else:
         a, b, c = node.names
         for turn in ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b}):
-            out.update({_renamed(m, turn): k for m, k in _expand(node.body).items()})
+            out.update({_normal(m, (), turn)[1]: k for m, k in _expand(node.body).items()})
     return out
 
 
-def _renamed(mono, turn):
-    """A monomial with each variable t renamed turn.get(t, t); a tag or a
+def _normal(mono, kinds, rename):
+    """(sign, monomial): the monomial with each variable t renamed
+    rename.get(t, t), and the first two slots of every product of the given
+    kinds in sorted order, the sign counting the swaps; where those products
+    are skew, the renamed monomial is the sign times the result.  A tag or a
     power is never renamed."""
     if isinstance(mono, str):
-        return turn.get(mono, mono)
-    return mono[:1] + tuple(part if isinstance(part, int) else _renamed(part, turn) for part in mono[1:])
-
-
-def _skew_normal(mono, kinds):
-    """(sign, monomial) with the first two slots of every product of the
-    given kinds in sorted order, the sign counting the swaps: where those
-    products are skew, the monomial is the sign times the result."""
-    if isinstance(mono, str):
-        return 1, mono
+        return 1, rename.get(mono, mono)
     sign, parts = 1, list(mono)
     for pos, part in enumerate(parts[1:], 1):
         if not isinstance(part, int):
-            s, parts[pos] = _skew_normal(part, kinds)
+            s, parts[pos] = _normal(part, kinds, rename)
             sign *= s
     if parts[0] in kinds and repr(parts[2]) < repr(parts[1]):
         parts[1], parts[2], sign = parts[2], parts[1], -sign
     return sign, tuple(parts)
 
 
-def _reduced(terms, kinds):
-    """A sum of monomials modulo skew products of the given kinds, without
-    zero coefficients."""
-    out = Counter()
-    for mono, c in terms.items():
-        sign, normal = _skew_normal(mono, kinds)
-        out[normal] += sign * c
-    return {m: c for m, c in out.items() if c}
-
-
 @functools.cache
-def _symmetries(identity):
-    """The transpositions (p, q, sign, kinds), p < q, of the identity's
-    variables that map lhs - rhs to sign * (lhs - rhs) over the expansion,
-    modulo skew products of the ``kinds`` it names: the first of none
-    (formally), binary, ternary and both under which the swap holds."""
+def _symmetries(identity, kinds):
+    """The transpositions (p, q, sign), p < q, of the identity's variables
+    that map lhs - rhs to sign * (lhs - rhs) over the expansion, modulo skew
+    products of the given kinds (formally when there are none).  The normal
+    form of ``_normal`` is canonical, so a swap that holds modulo fewer
+    kinds holds modulo these too."""
     names = identity.variables
     diff = _expand(identity.lhs)
     diff.subtract(_expand(identity.rhs))
-    # the unswapped side of every comparison, reduced once per kinds
-    reductions = []
-    for kinds in ((), ("binary",), ("ternary",), ("binary", "ternary")):
-        before = _reduced(diff, kinds)
-        reductions.append((kinds, before, {m: -c for m, c in before.items()}))
+
+    def reduced(rename):
+        out = Counter()
+        for mono, c in diff.items():
+            sign, normal = _normal(mono, kinds, rename)
+            out[normal] += sign * c
+        return {m: c for m, c in out.items() if c}
+
+    before = reduced({})
+    negated = {m: -c for m, c in before.items()}
     found = []
     for p, q in itertools.combinations(range(len(names)), 2):
-        swap = {names[p]: names[q], names[q]: names[p]}
-        swapped = Counter({_renamed(m, swap): c for m, c in diff.items()})
-        for kinds, before, negated in reductions:
-            after = _reduced(swapped, kinds)
-            sign = 1 if after == before else -1 if after == negated else 0
-            if sign:
-                found.append((p, q, sign, kinds))
-                break
+        after = reduced({names[p]: names[q], names[q]: names[p]})
+        sign = 1 if after == before else -1 if after == negated else 0
+        if sign:
+            found.append((p, q, sign))
     return tuple(found)
 
 
@@ -743,7 +728,7 @@ class _Orbits:
     def __init__(self, alg, identity):
         m = self.m = len(identity.variables)
         self.dim = alg.dim
-        swaps = [(p, q, sign < 0) for p, q, sign, kinds in _symmetries(identity) if all(map(alg._is_skew, kinds))]
+        swaps = [(p, q, sign < 0) for p, q, sign in _symmetries(identity, alg._skew_kinds())]
         part = {p: (p,) for p in range(m)}
         for p, q, _ in swaps:
             joined = tuple(sorted(set(part[p] + part[q])))
@@ -860,8 +845,17 @@ def _rekey(src, table, dst, dom):
     return {pick(key + fill): table[key] for key in agree for fill in fills}
 
 
+def _refuse_unbound(node, names):
+    """Refuse a node with a free variable missing from ``names``, naming the
+    first in order of appearance."""
+    for name in _appearance_order(node):
+        if name not in names:
+            raise ValueError(f"no value given for variable {name!r}")
+
+
 def evaluate(node, alg, env, twist_exponent=1):
     """Evaluate a node on arbitrary vectors; env maps variable name -> Vector."""
+    _refuse_unbound(node, env)
     if any(v.dim != alg.dim for v in env.values()):
         raise DimensionMismatch("operands do not match the algebra dimension")
     tables = _Tables(alg, twist_exponent, [v._d for v in env.values()])
@@ -874,6 +868,7 @@ def tabulate(node, alg, variables, twist_exponent=1):
     ``variables``: nested tuples of Vectors, indexed [i][j]... in the order
     of ``variables``."""
     dom = dict.fromkeys(variables, range(alg.dim))
+    _refuse_unbound(node, dom)
     table = _rekey(*_Tables(alg, twist_exponent).table(node, dom), tuple(variables), dom)
     return tensor(alg.dim, len(variables), lambda idx: Vector._of(table.get(idx, {}), alg.dim))
 

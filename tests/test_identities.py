@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from hombol import identities
 from hombol.algebra import LinearMap, Vector, zero_tensor
 from hombol.catalog import get
 from hombol.errors import MultilinearityError, ParseError
@@ -19,6 +20,7 @@ from hombol.identities import (
     format_node,
     parse_identity,
     parse_suite,
+    tabulate,
 )
 
 
@@ -160,6 +162,23 @@ def test_evaluate_cyclic_sum():
     env = {"x": Vector((1, 0)), "y": Vector((0, 1)), "z": Vector((1, 0))}
     # [e1,e2,e1] + [e2,e1,e1] + [e1,e1,e2] = e1 - e1 + 0 = 0
     assert evaluate(node, a1, env).is_zero()
+
+
+def test_a_variable_without_a_value_is_refused_by_name_before_any_table_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(identities, "_Tables", refuse)
+    a1, e1 = get("A1"), Vector((1, 0))
+    node = parse_identity("A(y)*{x,w,z} = 0").lhs
+    with pytest.raises(ValueError, match="^no value given for variable 'y'$"):
+        evaluate(node, a1, {"x": e1, "z": e1})
+    with pytest.raises(ValueError, match="^no value given for variable 'w'$"):
+        tabulate(node, a1, ["z", "y", "x"])
+    # the variables a cyclic sum rotates are free variables of it
+    cyclic = parse_identity("cyc(x,y,z; {x,y,z}) = 0").lhs
+    with pytest.raises(ValueError, match="^no value given for variable 'z'$"):
+        tabulate(cyclic, a1, ["x", "y"])
 
 
 # --- basis checking --------------------------------------------------------

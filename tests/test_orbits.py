@@ -271,11 +271,14 @@ def test_seeded_algebras_check_like_every_tuple(dim, seed, symbolic):
         assert_like_every_tuple(skewed(alg, kinds) if kinds else alg)
 
 
+# its swap of x and y holds modulo skew binary or skew ternary products
+EITHER_SKEW = parse_identity("{x*y,z,w} + {z,y*x,w} = 0", "either_skew")
 # identities of four or more variables with other swaps and nestings
 EXTRA = [
     parse_identity("(x*y)*(z*w) + (z*w)*(x*y) = 0", "commuting_products"),
     parse_identity("{x,y,{z,w,v}} + {y,x,{z,w,v}} = 0", "skew_outer_pair"),
     parse_identity("cyc(x,y,z; {x,y,A(z*u)}) = cyc(x,y,z; u*{x,y,z})", "cyclic_mix"),
+    EITHER_SKEW,
 ]
 
 
@@ -325,10 +328,20 @@ def seeded_group_algebras(seed):
     return [averaged(rng, dim, gens, skew) for skew in (False, True)]
 
 
+@pytest.mark.parametrize("dim, seed, symbolic", [(3, 1, False), (4, 1, False), (3, 2, True)])
+def test_a_swap_modulo_skew_ternary_products_alone_checks_like_every_tuple(dim, seed, symbolic):
+    alg = skewed(_algebra(dim, seed, symbolic), ("ternary",))
+    assert alg._skew_kinds() == ("ternary",)
+    # the swap of sign -1 keeps the tuples with x < y only
+    assert identities._Orbits(alg, EITHER_SKEW).checks == ((0, 1, True),)
+    assert_like_every_tuple(alg, [EITHER_SKEW], exponents=(1, 2))
+    assert check_identity(alg, EITHER_SKEW) is not None
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_algebras_with_a_signed_permutation_group_check_like_every_tuple(seed):
     for skew, alg in enumerate(seeded_group_algebras(seed)):
-        assert len(alg._symmetry()) > 1 and alg._is_skew("ternary") >= skew
+        assert len(alg._symmetry()) > 1 and ("ternary" in alg._skew_kinds()) >= skew
         assert_like_every_tuple(alg, [i for i in IDENTITIES if len(i.variables) > 3] + EXTRA, exponents=(1, 2))
 
 
@@ -336,23 +349,31 @@ def test_random_algebras_with_a_signed_permutation_group_check_like_every_tuple(
 
 
 def kernel_calls(monkeypatch, alg, ident):
-    """The binary and ternary products of one passing check, made after the
-    algebra's symmetry is found."""
+    """The result of one check and the binary and ternary products it makes
+    after the algebra's symmetry is found."""
     alg._symmetry()
     calls = Counter()
     for kind in ("_binary", "_ternary"):
         kernel = getattr(HomAlgebra, kind)
         monkeypatch.setattr(HomAlgebra, kind, lambda self, *args, k=kind, f=kernel: calls.update([k]) or f(self, *args))
-    assert check_identity(alg, ident) is None
+    got = check_identity(alg, ident)
     monkeypatch.undo()
-    return dict(calls)
+    return got, dict(calls)
 
 
 def test_a_block_builds_its_tables_only_on_the_indices_of_its_kept_tuples(monkeypatch):
     malcev, derivation = SUITES["malcev"].identities[1], SUITES["bol"].identities[4]
-    assert kernel_calls(monkeypatch, OCTONIONS, malcev) == {"_binary": 551}
-    assert kernel_calls(monkeypatch, octonions(), malcev) == {"_binary": 494}
-    assert kernel_calls(monkeypatch, malcev_to_bol(OCTONIONS), derivation) == {"_ternary": 119}
+    assert kernel_calls(monkeypatch, OCTONIONS, malcev) == (None, {"_binary": 551})
+    assert kernel_calls(monkeypatch, octonions(), malcev) == (None, {"_binary": 494})
+    assert kernel_calls(monkeypatch, malcev_to_bol(OCTONIONS), derivation) == (None, {"_ternary": 119})
+
+
+def test_the_blocks_pinned_to_zero_find_a_failure_there_first(monkeypatch):
+    # the nested blocks that pin the leading indices to 0 come first, so a
+    # failure at the zero tuple is found before any full block is built;
+    # without them this check makes 876 binary products before it fails
+    got, calls = kernel_calls(monkeypatch, _algebra(4, 1, symbolic=True), SUITES["malcev"].identities[1])
+    assert got.indices == (0, 0, 0, 0) and calls == {"_binary": 24}
 
 
 def blocks(orbits, dim):

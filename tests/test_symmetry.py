@@ -1,12 +1,14 @@
 """The variable swaps that let ``check_identity`` skip basis tuples.
 
 ``identities._symmetries`` expands lhs - rhs algebra-free and finds each
-transposition of two variables that maps it to plus or minus itself,
-formally or modulo skew binary and/or ternary products.  The table of the
-built-in identities is pinned here, and every claimed swap is checked on
-seeded algebras: the values of lhs - rhs at the swapped tuple are the sign
-times those at the tuple, on tensors skew in the products the swap needs,
-and a swap that needs skew products fails on tensors that are not skew.
+transposition of two variables that maps it to plus or minus itself modulo
+skew products of the kinds it is given, formally when there are none.  The
+table of the built-in identities pins the fewest kinds each swap needs, and
+each identity's swaps under every set of kinds must be the rows whose kinds
+lie in it.  Every row is checked on seeded algebras: the values of lhs - rhs
+at the swapped tuple are the sign times those at the tuple, on tensors skew
+in each set of kinds that holds the row's, and a swap that needs skew
+products fails on tensors skew in any set that does not.
 """
 
 import itertools
@@ -21,6 +23,7 @@ from hombol.algebra import cell_at
 from hombol.identities import SUITES, ScalarMul, Sum, _symmetries, parse_identity, tabulate
 
 B, T, BT = ("binary",), ("ternary",), ("binary", "ternary")
+KINDS = ((), B, T, BT)
 VANISHING = ("skew_ternary", "alt_first_pair")  # lhs - rhs is zero modulo skew ternary products
 
 
@@ -33,7 +36,8 @@ def derivation(kinds):
 
 
 # name: {(a, b, sign, kinds)}, swapping a and b maps lhs - rhs to sign times
-# itself, formally when kinds is empty, else modulo skew products of kinds
+# itself modulo skew products of kinds, and of no fewer kinds: formally when
+# kinds is empty
 TABLE = {
     "malcev_linearized": {("x", "w", 1, ())},
     "binary_derivation": derivation(BT),
@@ -56,33 +60,49 @@ TABLE = {
 IDENTITIES = {ident.name: ident for suite in SUITES.values() for ident in suite.identities}
 
 
-def named(ident):
+def named(ident, kinds):
     names = ident.variables
-    return {(names[p], names[q], sign, kinds) for p, q, sign, kinds in _symmetries(ident)}
+    return {(names[p], names[q], sign) for p, q, sign in _symmetries(ident, kinds)}
+
+
+def holding(rows, kinds):
+    """The (a, b, sign) of the rows that hold modulo skew products of kinds."""
+    return {(a, b, sign) for a, b, sign, needs in rows if set(needs) <= set(kinds)}
 
 
 def test_every_built_in_identity_has_the_swaps_of_the_table():
     assert set(IDENTITIES) == set(TABLE)
     for name, ident in IDENTITIES.items():
-        assert named(ident) == TABLE[name], name
-        # at most one swap per pair of positions, in the order of the pairs,
-        # so the table fixes the tuple
-        pairs = [(p, q) for p, q, _, _ in _symmetries(ident)]
-        assert pairs == sorted(set(pairs)), name
+        for kinds in KINDS:
+            assert named(ident, kinds) == holding(TABLE[name], kinds), (name, kinds)
+            # at most one swap per pair of positions, in the order of the
+            # pairs, so the table fixes the tuple
+            pairs = [(p, q) for p, q, _ in _symmetries(ident, kinds)]
+            assert pairs == sorted(set(pairs)), (name, kinds)
 
 
 def test_a_variable_named_like_a_product_kind_is_swapped_as_a_variable():
-    ident = parse_identity("binary*ternary = ternary*binary")
-    assert named(ident) == {("binary", "ternary", -1, ())}
-    assert named(parse_identity("{binary,ternary,A(w)} = 0")) == {("binary", "ternary", -1, T)}
+    for kinds in KINDS:
+        assert named(parse_identity("binary*ternary = ternary*binary"), kinds) == {("binary", "ternary", -1)}
+        got = named(parse_identity("{binary,ternary,A(w)} = 0"), kinds)
+        assert got == holding({("binary", "ternary", -1, T)}, kinds), kinds
 
 
 def test_a_swap_that_is_no_symmetry_is_not_claimed():
     # modulo skew products y*z is skew in y, z and the associator in x, z,
     # but a multiple of the associator is fixed by no swap
-    assert _symmetries(parse_identity("x*(y*z) = 0")) == ((1, 2, -1, B),)
-    assert _symmetries(parse_identity("x*(y*z) = (x*y)*z")) == ((0, 2, -1, B),)
-    assert _symmetries(parse_identity("x*(y*z) = 2 (x*y)*z")) == ()
+    for kinds in KINDS:
+        skew = "binary" in kinds
+        assert _symmetries(parse_identity("x*(y*z) = 0"), kinds) == ((1, 2, -1),) * skew
+        assert _symmetries(parse_identity("x*(y*z) = (x*y)*z"), kinds) == ((0, 2, -1),) * skew
+        assert _symmetries(parse_identity("x*(y*z) = 2 (x*y)*z"), kinds) == ()
+
+
+def test_a_swap_that_holds_modulo_either_skew_kind_holds_modulo_each():
+    # y*x = -x*y and {z,y*x,w} = -{y*x,z,w} each turn the swapped sum into
+    # minus itself, so skew ternary products alone suffice
+    ident = parse_identity("{x*y,z,w} + {z,y*x,w} = 0")
+    assert [_symmetries(ident, kinds) for kinds in KINDS] == [(), ((0, 1, -1),), ((0, 1, -1),), ((0, 1, -1),)]
 
 
 def residuals(alg, ident, e):
@@ -98,7 +118,11 @@ def swapped(idx, p, q):
     return tuple(out)
 
 
-CLAIMS = [(name, p, q, sign, kinds) for name, ident in IDENTITIES.items() for p, q, sign, kinds in _symmetries(ident)]
+CLAIMS = [
+    (name, IDENTITIES[name].variables.index(a), IDENTITIES[name].variables.index(b), sign, kinds)
+    for name, rows in TABLE.items()
+    for a, b, sign, kinds in sorted(rows)
+]
 SKEW_CLAIMS = [claim for claim in CLAIMS if claim[4]]
 
 
@@ -111,18 +135,26 @@ def claim_id(claim):
 @pytest.mark.parametrize("seed, symbolic", [(1, False), (2, True)])
 def test_each_swap_maps_the_residual_to_its_sign_times_itself(name, p, q, sign, kinds, seed, symbolic):
     ident = IDENTITIES[name]
-    alg = skewed(_algebra(3, seed, symbolic), kinds)
-    shown = False
-    for e in (1,) if symbolic else (1, 2):
-        values = residuals(alg, ident, e)
-        shown |= any(not value.is_zero() for value in values.values())
-        for idx, value in values.items():
-            assert values[swapped(idx, p, q)] == value.scale(sign), (idx, e)
-    # a swap of zero residuals shows nothing
-    assert shown != (name in VANISHING and "ternary" in kinds)
+    for skew in KINDS:
+        if not set(kinds) <= set(skew):
+            continue
+        alg = skewed(_algebra(3, seed, symbolic), skew)
+        shown = False
+        for e in (1,) if symbolic else (1, 2):
+            values = residuals(alg, ident, e)
+            shown |= any(not value.is_zero() for value in values.values())
+            for idx, value in values.items():
+                assert values[swapped(idx, p, q)] == value.scale(sign), (skew, idx, e)
+        # a swap of zero residuals shows nothing; skew in more kinds than the
+        # swap needs, an identity may hold outright
+        if skew == kinds:
+            assert shown != (name in VANISHING and "ternary" in kinds)
 
 
 @pytest.mark.parametrize("name, p, q, sign, kinds", SKEW_CLAIMS, ids=map(claim_id, SKEW_CLAIMS))
 def test_a_swap_modulo_skew_products_fails_where_they_are_not_skew(name, p, q, sign, kinds):
-    values = residuals(_algebra(3, 1, symbolic=False), IDENTITIES[name], 1)
-    assert any(values[swapped(idx, p, q)] != value.scale(sign) for idx, value in values.items())
+    for skew in KINDS:
+        if set(kinds) <= set(skew):
+            continue
+        values = residuals(skewed(_algebra(3, 1, symbolic=False), skew), IDENTITIES[name], 1)
+        assert any(values[swapped(idx, p, q)] != value.scale(sign) for idx, value in values.items()), skew
