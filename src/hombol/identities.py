@@ -38,12 +38,11 @@ equality is exact), building a Vector only for the residual it reports;
 ternary cells from it), and ``evaluate`` uses the dicts of the caller's
 vectors as the leaves.
 
-The evaluator takes each side factored: ``_factor`` rewrites a*X + b*X in a
-sum as (a + b)*X, for a shared left or right operand, or two shared slots of
-a ternary product, so the products with X are taken once.  The products are
-multilinear and the arithmetic exact, so every table is the same; the
-identity's text, ``lhs``/``rhs`` and the multilinearity check stay as
-written.  Of the built-in sides only ``malcev_linearized``'s factor.
+The evaluator takes each side as written and memoizes a node's table by
+its shape, the node with its free variables renamed to their positions in
+order of appearance (``_shape``), with their domains in that order: terms
+that differ only in the names of their variables, such as (x*y)*z, (y*z)*x
+and (z*x)*y, or the three rotations of a ``cyc``, are evaluated once.
 
 ``check_identity`` evaluates one basis tuple per symmetry orbit
 (``_Orbits``).  Two kinds of symmetry make the orbits.  ``_symmetries``
@@ -69,7 +68,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import SYMMETRY_BUDGET, Vector, _add, _scale, tensor
@@ -102,7 +101,7 @@ RESERVED = ("A", "cyc")
 
 # the deepest nesting of expressions (in brackets, A(...) or cyc(...)) an
 # identity may have: parsing it and each recursive walk of its nodes
-# (_factor, _expand, _appearance_order, format_node, the evaluator) take a
+# (_expand, _appearance_order, _renamed, format_node, the evaluator) take a
 # few Python frames per level, and this keeps them far below the recursion
 # limit
 NESTING_LIMIT = 32
@@ -571,55 +570,22 @@ def _symmetries(identity, kinds):
 
 
 @functools.cache
-def _factor(node):
-    """The node with shared operands factored out of its sums: terms
-    a*X + b*X become (a + b)*X, and likewise for a shared left operand and
-    for ternary terms that share two of their three slots.  A term's scalar
-    prefix moves into the summed operand.  The largest group goes first, and
-    the summed operands are factored in turn.  The products are multilinear,
-    so the value is unchanged; a node with nothing to factor comes back as
-    itself."""
-    parts = _children(node)
-    kids = tuple(_factor(part) for part in parts)
-    if isinstance(node, Sum):
-        kids = _grouped(list(kids))
-        if len(kids) == 1 < len(parts):
-            return kids[0]
-    if kids == parts:
-        return node
+def _shape(node):
+    """The node with its free variables renamed to their positions in order of
+    appearance: one for all nodes that differ only in their variables' names."""
+    return _renamed(node, {n: Var(p) for p, n in enumerate(_appearance_order(node))})
+
+
+def _renamed(node, rename):
+    """The node with each free variable named in ``rename`` replaced by the Var it maps to."""
+    if isinstance(node, Var):
+        return rename.get(node.name, node)
+    kids = [_renamed(part, rename) for part in _children(node)]
     if isinstance(node, (MapApp, ScalarMul)):
-        return replace(node, arg=kids[0])
+        return type(node)(node.power if isinstance(node, MapApp) else node.coeff, *kids)
     if isinstance(node, CyclicSum):
-        return replace(node, body=kids[0])
-    return Sum(kids) if isinstance(node, Sum) else type(node)(*kids)
-
-
-def _grouped(terms):
-    """Sum terms with shared operands factored out, largest group first."""
-    while True:
-        groups = {}
-        for pos, term in enumerate(terms):
-            _, core = _split(term)
-            if isinstance(core, (Binary, Ternary)):
-                slots = _children(core)
-                for free in range(len(slots)):
-                    groups.setdefault((type(core), free, slots[:free] + slots[free + 1:]), []).append(pos)
-        key = max(groups, key=lambda k: len(groups[k]), default=None)
-        if key is None or len(groups[key]) < 2:
-            return tuple(terms)
-        kind, free, _ = key
-        members = [_split(terms[pos]) for pos in groups[key]]
-        slots = list(_children(members[0][1]))
-        slots[free] = _factor(Sum(tuple(_scaled(coeff, _children(core)[free]) for coeff, core in members)))
-        first, *rest = groups[key]
-        terms[first] = kind(*slots)
-        for pos in reversed(rest):
-            del terms[pos]
-
-
-def _split(term):
-    """(coefficient, product) of a sum term."""
-    return (term.coeff, term.arg) if isinstance(term, ScalarMul) else (1, term)
+        return CyclicSum(tuple(rename[n].name if n in rename else n for n in node.names), *kids)
+    return Sum(tuple(kids)) if isinstance(node, Sum) else type(node)(*kids)
 
 
 class _Tables:
@@ -631,8 +597,8 @@ class _Tables:
     the outermost products, those over all of them, take only the keys that
     the orbits keep.  So a table holds every nonzero value at those keys but
     may hold or miss the others, and the tables of the products' operands
-    hold every nonzero value on the domains.  Tables are memoized on the
-    node, those domains and the scope."""
+    hold every nonzero value on the domains.  Tables are memoized on the node's
+    shape (``_shape``) and on the domains and the scope in its order."""
 
     def __init__(self, alg, twist_exponent, leaves=None, orbits=None):
         if twist_exponent < 0:
@@ -644,33 +610,31 @@ class _Tables:
         self.memo = {}
 
     def table(self, node, dom, scope=None):
-        """(free variables, table) of a node, evaluated as ``_factor`` rewrites it."""
-        return self._table(_factor(node), dom, scope)
-
-    def _table(self, node, dom, scope):
+        """(free variables, table) of a node."""
         names = _appearance_order(node)
-        key = (node, tuple(dom[n] for n in names), scope)
-        if key not in self.memo:
-            self.memo[key] = self._tabulate(node, names, dom, scope)
-        return names, self.memo[key]
+        if scope is not None and len(names) < len(scope):
+            scope = None  # the scope holds all of a check's variables: a node without one has no outermost product
+        key = (_shape(node), tuple(dom[n] for n in names), scope and tuple(map(names.index, scope)))
+        if (table := self.memo.get(key)) is None:
+            table = self.memo[key] = self._tabulate(node, names, dom, scope)
+        return names, table
 
     def _tabulate(self, node, names, dom, scope):
         if isinstance(node, Var):
             out = {(i,): self.leaves[i] for i in dom[node.name]}
         elif isinstance(node, MapApp):
             f = self.map_power(node.power)._apply
-            out = {key: f(v) for key, v in self._table(node.arg, dom, scope)[1].items()}
+            out = {key: f(v) for key, v in self.table(node.arg, dom, scope)[1].items()}
         elif isinstance(node, ScalarMul):
             s = _number(node.coeff)
             if s is None:
                 raise TypeError(f"a ScalarMul coefficient must be an int or a Fraction, got {node.coeff!r}")
-            out = {key: _scale(v, s) for key, v in self._table(node.arg, dom, scope)[1].items()}
+            out = {key: _scale(v, s) for key, v in self.table(node.arg, dom, scope)[1].items()}
         elif isinstance(node, (Binary, Ternary)):
-            parts = [self._table(part, dom, None) for part in _children(node)]
+            parts = [self.table(part, dom) for part in _children(node)]
             mul = self.alg._binary if isinstance(node, Binary) else self.alg._ternary
             src = sum((p for p, _ in parts), ())
-            outermost = scope is not None and sorted(src) == sorted(scope)
-            keep = self.orbits.keep(tuple(map(src.index, scope))) if outermost else None
+            keep = self.orbits.keep(tuple(map(src.index, scope))) if scope is not None else None
             rows = [((), ())]  # (joined key, values) over all operands but the last
             for _, t in parts[:-1]:
                 rows = [(key + k, values + (v,)) for key, values in rows for k, v in t.items()]
@@ -679,23 +643,17 @@ class _Tables:
             out = _rekey(src, out, names, dom)
         else:
             if isinstance(node, Sum):
-                terms = [(term, {}, scope) for term in node.terms]
+                terms = node.terms
             elif isinstance(node, CyclicSum):
-                a, b, c = node.names
-                # in each rotation the body's variable t stands for the outer turn(t),
-                # so the outer scope's u is the body's back(u)
-                turns = ({}, {a: b, b: c, c: a}, {a: c, b: a, c: b})
-                backs = ({}, {b: a, c: b, a: c}, {c: a, a: b, b: c})
-                terms = [
-                    (node.body, turn, scope and tuple(back.get(u, u) for u in scope))
-                    for turn, back in zip(turns, backs)
-                ]
+                # in each rotation the body's variable t stands for the outer turn(t)
+                a, b, c = map(Var, node.names)
+                terms = [node.body] + [_renamed(node.body, dict(zip(node.names, turn))) for turn in ((b, c, a), (c, a, b))]
             else:
                 raise TypeError(f"not an identity node: {node!r}")
             out = {}
-            for term, turn, term_scope in terms:
-                term_names, table = self._table(term, {**dom, **{t: dom[u] for t, u in turn.items()}}, term_scope)
-                for key, v in _rekey(tuple(turn.get(n, n) for n in term_names), table, names, dom).items():
+            for term in terms:
+                term_names, table = self.table(term, dom, scope)
+                for key, v in _rekey(term_names, table, names, dom).items():
                     out[key] = _add(out[key], v) if key in out else v
         return {key: v for key, v in out.items() if v}
 
@@ -833,9 +791,11 @@ def _below(u, t, to_floor):
 
 def _rekey(src, table, dst, dom):
     """A table over the variables ``src`` re-keyed over ``dst``, which holds
-    them all.  A variable missing from ``src`` takes every index of its
-    domain; one that ``src`` repeats (only outside a multilinear identity)
-    keeps the keys where its repeats agree."""
+    them all, or the table itself where they are equal.  A variable missing
+    from ``src`` takes every index of its domain; one that ``src`` repeats
+    (only outside a multilinear identity) keeps the keys where its repeats agree."""
+    if src == dst:
+        return table
     full = src + tuple(n for n in dst if n not in src)
     pos = [full.index(n) for n in dst]
     pick = operator.itemgetter(*pos) if len(pos) > 1 else lambda key: tuple(key[p] for p in pos)

@@ -94,11 +94,21 @@ def _read_params(words, lineno, declared, taken, taken_what):
 
 def _header(key, words, params, basis=()):
     """The header lines of every document format: '<key> <words>', then the
-    sorted params and the basis, each only when it has names.  A dim over
-    DIM_LIMIT, a label or parameter that is not an identifier, and parameters
-    that repeat a basis label are refused, as the parsers refuse them."""
-    if key == "dim" and int(words[0]) > DIM_LIMIT:
-        raise ParseError(f"dim may not exceed {DIM_LIMIT}")
+    sorted params and the basis, each only when it has names.  What the
+    parsers refuse in a header, a dim over DIM_LIMIT, a bad basis or bad
+    unknowns, a name that is not an identifier and parameters that repeat a
+    basis label, is refused with their messages."""
+    if key == "dim":
+        if int(words[0]) > DIM_LIMIT:
+            raise ParseError(f"dim may not exceed {DIM_LIMIT}")
+        if len(basis) != int(words[0]) or len(set(basis)) != len(basis):
+            raise ParseError(f"basis needs {words[0]} distinct labels")
+    elif not words or len(set(words)) != len(words):
+        raise ParseError("unknowns takes distinct names")
+    else:
+        _require_names(words, "unknown name")
+        if math.isqrt(len(words)) ** 2 != len(words):
+            raise ParseError("the number of unknowns must be a perfect square")
     _require_names(basis, "basis label")
     _require_names(params, "parameter name")
     refuse_overlap(basis, params, "basis labels")

@@ -211,6 +211,35 @@ def test_emitters_refuse_a_dim_over_the_document_limit():
     assert parse_algebra(emit_algebra(largest)) == largest
 
 
+def test_emit_map_refuses_a_basis_that_is_not_dim_distinct_labels():
+    # parse_map refuses 'basis e1 e1' and three labels for dim 2; one label
+    # for dim 2 raised a bare IndexError
+    for basis in (("e1", "e1"), ("e1", "e2", "e3"), ("e1",)):
+        with pytest.raises(ParseError, match="^basis needs 2 distinct labels$"):
+            emit_map(LinearMap.identity(2), basis)
+    with pytest.raises(ParseError, match=r"^basis needs 2 distinct labels \(line 2\)$"):
+        parse_map("dim 2\nbasis e1 e1\nalpha e1 = e1\n")
+
+
+@pytest.mark.parametrize(
+    "unknowns, message",
+    [
+        ((), "unknowns takes distinct names"),
+        (("t", "t"), "unknowns takes distinct names"),
+        (("a", "b", "c"), "the number of unknowns must be a perfect square"),
+        (("1x",), "bad unknown name '1x'"),
+    ],
+)
+def test_emit_constraints_refuses_unknowns_that_parse_constraints_refuses(unknowns, message):
+    # such systems were written as a document with no unknowns line, or one
+    # that parse_constraints refuses with these messages
+    system = ConstraintSystem(dim=1, unknowns=unknowns, params=frozenset(), equations=())
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        emit_constraints(system)
+    with pytest.raises(ParseError, match=f"^{message}"):
+        parse_constraints(f"unknowns {' '.join(unknowns)}\n")
+
+
 def test_map_document_rejects_products():
     doc = "dim 2\nbasis e1 e2\nbinary e1 e2 = e1\nalpha e1 = e1\nalpha e2 = e2\n"
     with pytest.raises(ParseError, match="only header and alpha lines"):
