@@ -23,7 +23,7 @@ import pytest
 
 from test_kernels import CASES
 from test_round_trip import _algebra
-from test_tables import SAGLE_DOC, check_identity, evaluate, octonions, tabulate
+from test_tables import EXPONENTS, SAGLE_DOC, catalog, check_identity, evaluate, octonions, tabulate
 
 from hombol import identities as new
 from hombol.algebra import HomAlgebra, Vector, tensor
@@ -59,6 +59,8 @@ FACTORING = [
 ]
 
 JACOBIANS = ["(x*y)*z + (y*z)*x + (z*x)*y", "cyc(x,y,z; (x*y)*z)"]
+
+CATALOG = catalog()
 
 
 def _monomials(node):
@@ -175,6 +177,19 @@ def test_factoring_identities_check_like_the_per_tuple_evaluator(text):
     for alg in (_algebra(3, 1, symbolic=False), _algebra(3, 2, symbolic=True), parse_algebra(SAGLE_DOC)):
         for e in (0, 1, 2):
             assert new.check_identity(alg, ident, e) == check_identity(alg, ident, e)
+
+
+@pytest.mark.parametrize("name, alg", CATALOG, ids=[name for name, _ in CATALOG])
+def test_repeated_shapes_check_and_tabulate_like_the_per_tuple_evaluator_on_the_catalog(name, alg):
+    # most of the catalog's twists are not the identity, so terms of one shape with
+    # and without a twisted slot, and at each twist exponent, must keep apart
+    for text in FACTORING + [f"{j} = 0" for j in JACOBIANS]:
+        ident = parse_identity(text)
+        for e in EXPONENTS:
+            assert new.check_identity(alg, ident, e) == check_identity(alg, ident, e), f"{text} at {e}"
+            for side in (ident.lhs, ident.rhs):
+                want = tabulate(side, alg, ident.variables, e)
+                assert new.tabulate(side, alg, ident.variables, e) == want, f"{format_node(side)} at {e}"
 
 
 def test_a_skew_algebra_that_is_not_malcev_fails_where_the_sides_as_written_fail():
