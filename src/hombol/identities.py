@@ -38,11 +38,13 @@ equality is exact), building a Vector only for the residual it reports;
 ternary cells from it), and ``evaluate`` uses the dicts of the caller's
 vectors as the leaves.
 
-The evaluator takes each side as written and memoizes a node's table by
-its shape, the node with its free variables renamed to their positions in
-order of appearance (``_shape``), with their domains in that order: terms
-that differ only in the names of their variables, such as (x*y)*z, (y*z)*x
-and (z*x)*y, or the three rotations of a ``cyc``, are evaluated once.
+Each identity is compiled once, when it is made, into a plan (``_compile``):
+every node is interned modulo the names of its variables as a step over
+their positions, each operand placed at the positions its variables take.
+So terms that differ only in the names of their variables, such as (x*y)*z,
+(y*z)*x and (z*x)*y, are one step, a ``cyc`` is its body under three rotated
+placements, and the evaluator memoizes a step's table with its positions'
+domains: each is evaluated once.
 
 ``check_identity`` evaluates one basis tuple per symmetry orbit
 (``_Orbits``).  Two kinds of symmetry make the orbits.  ``_symmetries``
@@ -68,7 +70,7 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import SYMMETRY_BUDGET, Vector, _add, _scale, tensor
@@ -101,67 +103,47 @@ RESERVED = ("A", "cyc")
 
 # the deepest nesting of expressions (in brackets, A(...) or cyc(...)) an
 # identity may have: parsing it and each recursive walk of its nodes
-# (_expand, _appearance_order, _renamed, format_node, the evaluator) take a
-# few Python frames per level, and this keeps them far below the recursion
-# limit
+# (_compile, _expand, format_node, the evaluator) take a few Python frames
+# per level, and this keeps them far below the recursion limit
 NESTING_LIMIT = 32
 
 
-def _cache_hash(node):
-    object.__setattr__(node, "_hash", node._field_hash())
-
-
-def _cached_hash(node):
-    return node._hash
-
-
-def _node(cls):
-    """A frozen dataclass node whose hash is worked out once, when the node is
-    made.  It is the field hash that dataclass gives, and equality is
-    unchanged; but the evaluator's memos look a node up many times, and a
-    field hash recurses through the whole subtree each time."""
-    cls.__post_init__ = _cache_hash
-    cls = dataclass(frozen=True)(cls)
-    cls._field_hash, cls.__hash__ = cls.__hash__, _cached_hash
-    return cls
-
-
-@_node
+@dataclass(frozen=True)
 class Var:
     name: str
 
 
-@_node
+@dataclass(frozen=True)
 class MapApp:
     power: int
     arg: "Node"
 
 
-@_node
+@dataclass(frozen=True)
 class Binary:
     left: "Node"
     right: "Node"
 
 
-@_node
+@dataclass(frozen=True)
 class Ternary:
     first: "Node"
     second: "Node"
     third: "Node"
 
 
-@_node
+@dataclass(frozen=True)
 class ScalarMul:
     coeff: Fraction
     arg: "Node"
 
 
-@_node
+@dataclass(frozen=True)
 class Sum:
     terms: tuple
 
 
-@_node
+@dataclass(frozen=True)
 class CyclicSum:
     names: tuple
     body: "Node"
@@ -175,7 +157,14 @@ class Identity:
     name: str
     lhs: "Node"
     rhs: "Node"
-    variables: tuple  # free variables, in order of first appearance
+    variables: tuple = field(init=False)  # free variables, in order of first appearance
+    plan: tuple = field(init=False, repr=False, compare=False)  # (steps, (step, names) of lhs, of rhs)
+
+    def __post_init__(self):
+        steps, ids = [], {}
+        sides = _compile(self.lhs, steps, ids), _compile(self.rhs, steps, ids)
+        object.__setattr__(self, "variables", tuple(dict.fromkeys(sides[0][1] + sides[1][1])))
+        object.__setattr__(self, "plan", (tuple(steps), *sides))
 
 
 @dataclass(frozen=True)
@@ -333,8 +322,7 @@ def parse_identity(text, name="identity"):
     reader.expect("=")
     rhs = reader.expr()
     reader.expect_end()
-    variables = tuple(dict.fromkeys(_appearance_order(lhs) + _appearance_order(rhs)))
-    ident = Identity(name=name, lhs=lhs, rhs=rhs, variables=variables)
+    ident = Identity(name=name, lhs=lhs, rhs=rhs)
     _validate_multilinear(ident)
     return ident
 
@@ -360,13 +348,6 @@ def parse_suite(text, name="custom"):
         except MultilinearityError as exc:
             raise MultilinearityError(f"{exc} (line {lineno})") from exc
     return IdentitySuite(name=name, identities=tuple(identities))
-
-
-@functools.cache
-def _appearance_order(node):
-    """A node's free variables, each once, in order of first appearance."""
-    own = (node.name,) if isinstance(node, Var) else node.names if isinstance(node, CyclicSum) else ()
-    return tuple(dict.fromkeys(own + sum(map(_appearance_order, _children(node)), ())))
 
 
 def _children(node):
@@ -569,92 +550,92 @@ def _symmetries(identity, kinds):
 # evaluation
 
 
-@functools.cache
-def _shape(node):
-    """The node with its free variables renamed to their positions in order of
-    appearance: one for all nodes that differ only in their variables' names."""
-    return _renamed(node, {n: Var(p) for p, n in enumerate(_appearance_order(node))})
-
-
-def _renamed(node, rename):
-    """The node with each free variable named in ``rename`` replaced by the Var it maps to."""
+def _compile(node, steps, ids):
+    """(step, names): the node interned into the plan ``steps`` modulo the
+    names of its variables, and its free variables in order of appearance.
+    A step is (node class, payload, operands) over the positions of its
+    variables, and an operand (step, positions) places the operand's
+    variables at those positions of the node; ``ids`` numbers the steps.  So
+    nodes that differ only in their variables' names, such as (x*y)*z,
+    (y*z)*x and (z*x)*y, are one step, and a ``cyc`` is the ``Sum`` of its
+    body under three placements, in which the body's variable t stands for
+    the outer turn(t)."""
     if isinstance(node, Var):
-        return rename.get(node.name, node)
-    kids = [_renamed(part, rename) for part in _children(node)]
-    if isinstance(node, (MapApp, ScalarMul)):
-        return type(node)(node.power if isinstance(node, MapApp) else node.coeff, *kids)
-    if isinstance(node, CyclicSum):
-        return CyclicSum(tuple(rename[n].name if n in rename else n for n in node.names), *kids)
-    return Sum(tuple(kids)) if isinstance(node, Sum) else type(node)(*kids)
+        step, names = (Var, None, ()), (node.name,)
+    elif isinstance(node, Node):
+        parts = [_compile(part, steps, ids) for part in _children(node)]
+        own = node.names if isinstance(node, CyclicSum) else ()
+        names = tuple(dict.fromkeys(own + sum((n for _, n in parts), ())))
+        turns = [dict(zip(own, own[k:] + own[:k])) for k in range(3)] if own else [{}]
+        placed = tuple((part, tuple(names.index(turn.get(t, t)) for t in n)) for turn in turns for part, n in parts)
+        payload = node.power if isinstance(node, MapApp) else None
+        if isinstance(node, ScalarMul) and (payload := _number(node.coeff)) is None:
+            raise TypeError(f"a ScalarMul coefficient must be an int or a Fraction, got {node.coeff!r}")
+        step = (Sum if own else type(node), payload, placed)
+    else:
+        raise TypeError(f"not an identity node: {node!r}")
+    if step not in ids:
+        ids[step] = len(steps)
+        steps.append(step)
+    return ids[step], names
 
 
 class _Tables:
-    """The one evaluator of identity nodes over an algebra.  A node's table
-    maps the leaf indices of its free variables, in order of appearance, to
-    its nonzero value there, a non-empty sparse vector; ``dom`` maps each
-    variable to the indices it ranges over.  A check passes its ``_Orbits``
-    and, as ``scope``, the identity's variables as the node names them: then
-    the outermost products, those over all of them, take only the keys that
-    the orbits keep.  So a table holds every nonzero value at those keys but
-    may hold or miss the others, and the tables of the products' operands
-    hold every nonzero value on the domains.  Tables are memoized on the node's
-    shape (``_shape``) and on the domains and the scope in its order."""
+    """The one evaluator of identity nodes over an algebra: it walks a plan
+    of ``_compile`` by step.  A step's table maps the leaf indices at its
+    positions to its nonzero value there, a non-empty sparse vector; ``dom``
+    holds the indices each position ranges over.  A check passes its
+    ``_Orbits`` and, as ``scope``, the position of each of the identity's
+    variables: then the outermost products, those over all of them, take
+    only the keys that the orbits keep.  So a table holds every nonzero value
+    at those keys but may hold or miss the others, and the tables of the
+    products' operands hold every nonzero value on the domains.  Tables are
+    memoized on (step, domains, scope)."""
 
-    def __init__(self, alg, twist_exponent, leaves=None, orbits=None):
+    def __init__(self, alg, twist_exponent, steps, leaves=None, orbits=None):
         if twist_exponent < 0:
             raise ValueError("twist exponent must be nonnegative")
         self.alg = alg
+        self.steps = steps
         self.leaves = [{i: 1} for i in range(alg.dim)] if leaves is None else leaves
         self.map_power = functools.cache(lambda k: alg.twist.power(twist_exponent * k))
         self.orbits = orbits
         self.memo = {}
 
-    def table(self, node, dom, scope=None):
-        """(free variables, table) of a node."""
-        names = _appearance_order(node)
-        if scope is not None and len(names) < len(scope):
-            scope = None  # the scope holds all of a check's variables: a node without one has no outermost product
-        key = (_shape(node), tuple(dom[n] for n in names), scope and tuple(map(names.index, scope)))
+    def table(self, step, dom, scope=None):
+        key = (step, dom, scope)
         if (table := self.memo.get(key)) is None:
-            table = self.memo[key] = self._tabulate(node, names, dom, scope)
-        return names, table
+            table = self.memo[key] = self._tabulate(step, dom, scope)
+        return table
 
-    def _tabulate(self, node, names, dom, scope):
-        if isinstance(node, Var):
-            out = {(i,): self.leaves[i] for i in dom[node.name]}
-        elif isinstance(node, MapApp):
-            f = self.map_power(node.power)._apply
-            out = {key: f(v) for key, v in self.table(node.arg, dom, scope)[1].items()}
-        elif isinstance(node, ScalarMul):
-            s = _number(node.coeff)
-            if s is None:
-                raise TypeError(f"a ScalarMul coefficient must be an int or a Fraction, got {node.coeff!r}")
-            out = {key: _scale(v, s) for key, v in self.table(node.arg, dom, scope)[1].items()}
-        elif isinstance(node, (Binary, Ternary)):
-            parts = [self.table(part, dom) for part in _children(node)]
-            mul = self.alg._binary if isinstance(node, Binary) else self.alg._ternary
-            src = sum((p for p, _ in parts), ())
+    def _tabulate(self, step, dom, scope):
+        tag, payload, operands = self.steps[step]
+        here = tuple(range(len(dom)))
+        if tag is Var:
+            out = {(i,): self.leaves[i] for i in dom[0]}
+        elif tag is MapApp:
+            f = self.map_power(payload)._apply
+            out = {key: f(v) for key, v in self.table(operands[0][0], dom, scope).items()}
+        elif tag is ScalarMul:
+            out = {key: _scale(v, payload) for key, v in self.table(operands[0][0], dom, scope).items()}
+        elif tag is Sum:
+            out = {}
+            for part, pos in operands:
+                # a term without a scope variable holds no outermost product
+                inner = None if scope is None or len(pos) < len(scope) else tuple(map(pos.index, scope))
+                for key, v in _rekey(pos, self.table(part, tuple(map(dom.__getitem__, pos)), inner), here, dom).items():
+                    out[key] = _add(out[key], v) if key in out else v
+        else:
+            parts = [self.table(part, tuple(map(dom.__getitem__, pos))) for part, pos in operands]
+            mul = self.alg._binary if tag is Binary else self.alg._ternary
+            src = sum((pos for _, pos in operands), ())
             keep = self.orbits.keep(tuple(map(src.index, scope))) if scope is not None else None
             rows = [((), ())]  # (joined key, values) over all operands but the last
-            for _, t in parts[:-1]:
+            for t in parts[:-1]:
                 rows = [(key + k, values + (v,)) for key, values in rows for k, v in t.items()]
-            last = parts[-1][1].items()
+            last = parts[-1].items()
             out = {key + k: mul(*values, v) for key, values in rows for k, v in last if keep is None or keep(key + k)}
-            out = _rekey(src, out, names, dom)
-        else:
-            if isinstance(node, Sum):
-                terms = node.terms
-            elif isinstance(node, CyclicSum):
-                # in each rotation the body's variable t stands for the outer turn(t)
-                a, b, c = map(Var, node.names)
-                terms = [node.body] + [_renamed(node.body, dict(zip(node.names, turn))) for turn in ((b, c, a), (c, a, b))]
-            else:
-                raise TypeError(f"not an identity node: {node!r}")
-            out = {}
-            for term in terms:
-                term_names, table = self.table(term, dom, scope)
-                for key, v in _rekey(term_names, table, names, dom).items():
-                    out[key] = _add(out[key], v) if key in out else v
+            out = _rekey(src, out, here, dom)
         return {key: v for key, v in out.items() if v}
 
 
@@ -805,21 +786,26 @@ def _rekey(src, table, dst, dom):
     return {pick(key + fill): table[key] for key in agree for fill in fills}
 
 
-def _refuse_unbound(node, names):
-    """Refuse a node with a free variable missing from ``names``, naming the
-    first in order of appearance."""
-    for name in _appearance_order(node):
-        if name not in names:
+def _planned(node, given):
+    """(steps, step, names): the node compiled into a plan of its own, refused
+    when a free variable is missing from ``given``, naming the first in order
+    of appearance."""
+    steps = []
+    step, names = _compile(node, steps, {})
+    for name in names:
+        if name not in given:
             raise ValueError(f"no value given for variable {name!r}")
+    return steps, step, names
 
 
 def evaluate(node, alg, env, twist_exponent=1):
     """Evaluate a node on arbitrary vectors; env maps variable name -> Vector."""
-    _refuse_unbound(node, env)
+    steps, step, names = _planned(node, env)
     if any(v.dim != alg.dim for v in env.values()):
         raise DimensionMismatch("operands do not match the algebra dimension")
-    tables = _Tables(alg, twist_exponent, [v._d for v in env.values()])
-    _, table = tables.table(node, {name: (r,) for r, name in enumerate(env)})
+    dom = {name: (r,) for r, name in enumerate(env)}
+    tables = _Tables(alg, twist_exponent, steps, [v._d for v in env.values()])
+    table = tables.table(step, tuple(map(dom.__getitem__, names)))
     return Vector._of(next(iter(table.values()), {}), alg.dim)
 
 
@@ -828,8 +814,9 @@ def tabulate(node, alg, variables, twist_exponent=1):
     ``variables``: nested tuples of Vectors, indexed [i][j]... in the order
     of ``variables``."""
     dom = dict.fromkeys(variables, range(alg.dim))
-    _refuse_unbound(node, dom)
-    table = _rekey(*_Tables(alg, twist_exponent).table(node, dom), tuple(variables), dom)
+    steps, step, names = _planned(node, dom)
+    table = _Tables(alg, twist_exponent, steps).table(step, (range(alg.dim),) * len(names))
+    table = _rekey(names, table, tuple(variables), dom)
     return tensor(alg.dim, len(variables), lambda idx: Vector._of(table.get(idx, {}), alg.dim))
 
 
@@ -848,8 +835,11 @@ def check_identity(alg, identity, twist_exponent=1):
     verdict, the tuple and the residual are those of a check of every tuple.
     """
     names = identity.variables
+    steps, *sides = identity.plan
+    # each side's scope: the position of each of the identity's variables in it
+    scopes = [tuple(map(side.index, names)) if len(side) == len(names) else None for _, side in sides]
     orbits = _Orbits(alg, identity)
-    tables = _Tables(alg, twist_exponent, orbits=orbits)
+    tables = _Tables(alg, twist_exponent, steps, orbits=orbits)
     keep = orbits.keep(tuple(range(len(names)))) or (lambda key: True)
     # pin leading variables to 0 for nested blocks that grow dim-fold from the
     # first tuple, so that a failure there is found early, then pin the first
@@ -859,7 +849,10 @@ def check_identity(alg, identity, twist_exponent=1):
         if box is None:
             continue  # no tuple of the block is kept
         dom = dict(zip(names, box))
-        lhs, rhs = (_rekey(*tables.table(side, dom, names), names, dom) for side in (identity.lhs, identity.rhs))
+        lhs, rhs = (
+            _rekey(side, tables.table(step, tuple(map(dom.__getitem__, side)), scope), names, dom)
+            for (step, side), scope in zip(sides, scopes)
+        )
         if lhs != rhs:
             bad = [key for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key) and keep(key)]
             if bad:

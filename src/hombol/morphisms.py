@@ -67,6 +67,8 @@ class ConstraintSystem:
     equations: tuple  # Scalars, each asserting "= 0"
 
     def __post_init__(self):
+        if len(self.unknowns) != self.dim**2:  # a document states no dim: its parser counts the unknowns
+            raise ValueError(f"dim {self.dim} takes {self.dim**2} unknowns, not {len(self.unknowns)}")
         refuse_overlap(self.unknowns, self.params, "unknowns")
         symbols = frozenset().union(*(eq.variables() for eq in self.equations))
         refuse_undeclared(sorted(symbols), {*self.unknowns, *self.params})

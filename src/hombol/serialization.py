@@ -107,8 +107,6 @@ def _header(key, words, params, basis=()):
         raise ParseError("unknowns takes distinct names")
     else:
         _require_names(words, "unknown name")
-        if math.isqrt(len(words)) ** 2 != len(words):
-            raise ParseError("the number of unknowns must be a perfect square")
     _require_names(basis, "basis label")
     _require_names(params, "parameter name")
     refuse_overlap(basis, params, "basis labels")

@@ -1,13 +1,15 @@
 """Sides with shared operands and repeated shapes.
 
-The table evaluator memoizes each node's table by its shape, the node with
-its free variables renamed to their positions in order of appearance
-(``identities._shape``), with the variables' domains and the scope in that
-order.  So nodes that differ only in the names of their variables share
-one table: the rotations of a ``cyc``, the terms of a written-out
-Jacobian, the brackets of ``malcev_linearized``.  The checks here:
+Each identity is compiled once into a plan (``identities._compile``) that
+interns every node modulo the names of its variables, as a step over their
+positions, and the table evaluator memoizes each step's table with its
+positions' domains and the scope.  So nodes that differ only in the names
+of their variables share one table: the rotations of a ``cyc``, the terms
+of a written-out Jacobian, the brackets of ``malcev_linearized``.  The
+checks here:
 
-* shapes: a node and any renaming of its variables have one shape;
+* the plan: a node and any renaming of its variables compile to equal
+  steps, and a check builds no identity node;
 * products: a written-out Jacobian makes the products of one of its terms;
 * on algebras: the engine's checks, tables and values of such sides equal
   those of the per-tuple reference evaluator of ``test_tables``;
@@ -17,6 +19,7 @@ Jacobian, the brackets of ``malcev_linearized``.  The checks here:
 
 import itertools
 import random
+from dataclasses import fields, replace
 from fractions import Fraction as F
 
 import pytest
@@ -27,18 +30,21 @@ from test_tables import EXPONENTS, SAGLE_DOC, catalog, check_identity, evaluate,
 
 from hombol import identities as new
 from hombol.algebra import HomAlgebra, Vector, tensor
+from hombol.constructions import malcev_to_bol
 from hombol.identities import (
     SUITES,
     Binary,
     CyclicSum,
+    Node,
     ScalarMul,
     Sum,
     Var,
+    _compile,
     _expand,
-    _renamed,
-    _shape,
+    check_suite,
     format_node,
     parse_identity,
+    parse_suite,
 )
 from hombol.serialization import parse_algebra
 
@@ -50,12 +56,15 @@ SKEW_DOC = "dim 3\nbasis e1 e2 e3\ncomplete skew-binary\nbinary e1 e2 = e2\nbina
 
 # hand-written identities whose sums share operands: shared left and right
 # operands, scalar prefixes, ternary terms sharing two slots, groups of
-# different sizes, and terms and cyc rotations of one shape
+# different sizes, and terms and cyc rotations of one shape; the last has a
+# nested cyc, a cyc whose names come in another order than in its body, and
+# a body with a variable from outside its cyc
 FACTORING = [
     "2 x*(y*z) - 3 x*(z*y) + (y*z)*x - 1/2 (z*y)*x = x*(y*z) + x*(z*y)",
     "{x,y,z*w} - {x,y,w*z} + {z*w,x,y} = 2 {x,A(y),z}*w - {x,A(y),z}*w + {w,y,z}*x",
     "(x*y)*(z*w) + (y*x)*(z*w) + ((x*y)*z)*w + ((y*x)*z)*w = cyc(x,y,z; (x*y)*z)*w + (x*(y*z))*w",
     "{x,y,z} + {y,x,z} + {x,y,z} = 3 {A^2(x),y,z} - 1/3 {A^2(x),y,A(z)}",
+    "cyc(z,x,y; (x*z)*A(y))*w + cyc(x,y,z; cyc(y,z,w; (x*y)*(z*w))) = cyc(x,y,z; {y,w,x}*z)",
 ]
 
 JACOBIANS = ["(x*y)*z + (y*z)*x + (z*x)*y", "cyc(x,y,z; (x*y)*z)"]
@@ -106,17 +115,48 @@ def _binary_calls(monkeypatch, call):
     return len(calls), got
 
 
-# --- shapes -----------------------------------------------------------------------------
+# --- the plan ---------------------------------------------------------------------------
+
+
+def _renamed(node, rename):
+    """The node with each variable t, bound by a cyc or free, named rename[t]."""
+    if isinstance(node, Var):
+        return Var(rename[node.name])
+    if isinstance(node, Sum):
+        return Sum(tuple(_renamed(t, rename) for t in node.terms))
+    if isinstance(node, CyclicSum):
+        return CyclicSum(tuple(rename[n] for n in node.names), _renamed(node.body, rename))
+    kids = {f.name: getattr(node, f.name) for f in fields(node)}
+    return replace(node, **{name: _renamed(kid, rename) for name, kid in kids.items() if isinstance(kid, Node)})
+
+
+def _compiled(node):
+    steps = []
+    step, names = _compile(node, steps, {})
+    return steps, step, names
 
 
 @pytest.mark.parametrize("side, variables", SIDES, ids=[format_node(side)[:40] for side, _ in SIDES])
-def test_a_node_and_any_renaming_of_its_variables_have_one_shape(side, variables):
-    shape = _shape(side)
-    assert _shape(_renamed(side, {v: Var(f"{v}_") for v in variables})) == shape
-    for perm in itertools.permutations(variables):
-        assert _shape(_renamed(side, dict(zip(variables, map(Var, perm))))) == shape
-    # the shape names the variables by position, so a node is its shape's renaming
-    assert _renamed(shape, {p: Var(v) for p, v in enumerate(new._appearance_order(side))}) == side
+def test_a_node_and_any_renaming_of_its_variables_compile_to_equal_steps(side, variables):
+    steps, step, names = _compiled(side)
+    renamings = [{v: f"{v}_" for v in variables}] + [dict(zip(variables, p)) for p in itertools.permutations(variables)]
+    for rename in renamings:
+        # the steps name no variable; the names place the renamed ones
+        assert _compiled(_renamed(side, rename)) == (steps, step, tuple(rename[n] for n in names))
+
+
+def test_a_check_builds_no_identity_node(monkeypatch):
+    # after parsing, a check walks the plans: no cyc rotation or renamed node is built
+    bol = malcev_to_bol(octonions())
+    suites = list(SUITES.values()) + [parse_suite("\n".join(f"f{i} : {t}" for i, t in enumerate(FACTORING)))]
+    made = []
+    for cls in Node:
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, init=cls.__init__, **k: made.append(init(self, *a, **k)))
+    for suite in suites:
+        check_suite(bol, suite)
+    assert made == []
+    Var("x")
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize("text", JACOBIANS)

@@ -1,5 +1,5 @@
 import random
-from dataclasses import fields, replace
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -27,34 +27,6 @@ from hombol.identities import (
 # --- parsing ---------------------------------------------------------------
 
 
-class _CountingHash:
-    """A node field that counts how often it is hashed."""
-
-    def __init__(self):
-        self.calls = 0
-
-    def __hash__(self):
-        self.calls += 1
-        return 7
-
-
-@pytest.mark.parametrize("cls", Node, ids=lambda cls: cls.__name__)
-def test_node_hash_is_computed_once_when_the_node_is_made(cls):
-    probe = _CountingHash()
-    values = [(probe,) if f.type == "tuple" else probe for f in fields(cls)]
-    node = cls(*values)
-    made = probe.calls
-    assert made == len(values)
-    memo = {node: 1}
-    for _ in range(5):
-        assert memo[node] == 1 and hash(node) == hash(node)
-    assert probe.calls == made
-    # the field hash, and equality by fields, as dataclass gives them
-    assert hash(node) == hash(tuple(values))
-    assert node == cls(*values)
-    assert node != replace(node, **{fields(cls)[0].name: Var("other")})
-
-
 def _subtrees(node):
     yield node
     for f in fields(node):
@@ -73,7 +45,6 @@ def test_parsed_node_hashes_are_field_hashes():
                     assert hash(node) == hash(tuple(getattr(node, f.name) for f in fields(node)))
                     seen += 1
     assert seen > 100
-
 
 
 def test_parse_simple_identity_shape():

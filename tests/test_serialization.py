@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -225,19 +226,32 @@ def test_emit_map_refuses_a_basis_that_is_not_dim_distinct_labels():
     "unknowns, message",
     [
         ((), "unknowns takes distinct names"),
-        (("t", "t"), "unknowns takes distinct names"),
-        (("a", "b", "c"), "the number of unknowns must be a perfect square"),
+        (("t", "t", "u", "v"), "unknowns takes distinct names"),
         (("1x",), "bad unknown name '1x'"),
     ],
 )
 def test_emit_constraints_refuses_unknowns_that_parse_constraints_refuses(unknowns, message):
     # such systems were written as a document with no unknowns line, or one
     # that parse_constraints refuses with these messages
-    system = ConstraintSystem(dim=1, unknowns=unknowns, params=frozenset(), equations=())
+    system = ConstraintSystem(dim=math.isqrt(len(unknowns)), unknowns=unknowns, params=frozenset(), equations=())
     with pytest.raises(ParseError, match=f"^{message}$"):
         emit_constraints(system)
     with pytest.raises(ParseError, match=f"^{message}"):
         parse_constraints(f"unknowns {' '.join(unknowns)}\n")
+
+
+@pytest.mark.parametrize(
+    "dim, unknowns", [(1, ("a", "b", "c", "d")), (1, ("a", "b", "c")), (2, ("a", "b", "c")), (0, ("a",))]
+)
+def test_a_constraint_system_takes_dim_squared_unknowns(dim, unknowns):
+    # dim 1 with four unknowns was emitted as 'unknowns a b c d', which
+    # parse_constraints reads back with dim 2; a document states no dim, and
+    # its parser refuses a number of unknowns that is not a square
+    with pytest.raises(ValueError, match=f"^dim {dim} takes {dim * dim} unknowns, not {len(unknowns)}$"):
+        ConstraintSystem(dim=dim, unknowns=unknowns, params=frozenset(), equations=())
+    if math.isqrt(len(unknowns)) ** 2 != len(unknowns):
+        with pytest.raises(ParseError, match="^the number of unknowns must be a perfect square$"):
+            parse_constraints(f"unknowns {' '.join(unknowns)}\n")
 
 
 def test_map_document_rejects_products():

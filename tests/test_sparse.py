@@ -25,7 +25,7 @@ from test_round_trip import _algebra
 from hombol.algebra import HomAlgebra, LinearMap, Vector, _add, _scale, is_morphism, tensor
 from hombol.catalog import get
 from hombol.constructions import nth_derived
-from hombol.identities import SUITES, _Tables, check_identity, check_suite, evaluate, parse_identity
+from hombol.identities import SUITES, _Tables, _compile, check_identity, check_suite, evaluate, parse_identity
 from hombol.scalars import ONE, ZERO, Scalar, _value_of
 from hombol.serialization import emit_algebra
 
@@ -144,15 +144,16 @@ def test_a_sum_drops_the_coordinates_and_the_keys_that_cancel():
     binary = ((zero, (ONE, ONE)), ((-ONE, ZERO), zero))
     alg = HomAlgebra(2, binary=binary)
     node = parse_identity("x*y + y*x = 0").lhs
-    dom = dict.fromkeys("xy", range(2))
-    names, table = _Tables(alg, 1).table(node, dom)
+    steps = []
+    step, names = _compile(node, steps, {})
     assert names == ("x", "y")
-    assert table == {(0, 1): {1: ONE}, (1, 0): {1: ONE}}
+    dom = (range(2), range(2))
+    assert _Tables(alg, 1, steps).table(step, dom) == {(0, 1): {1: ONE}, (1, 0): {1: ONE}}
     e1, e2 = Vector.basis(0, 2), Vector.basis(1, 2)
     assert evaluate(node, alg, {"x": e1, "y": e2}) == e2
     # made skew, the sum cancels everywhere and no key is left
     skew = alg.replace(binary=((zero, (ONE, ONE)), ((-ONE, -ONE), zero)))
-    assert _Tables(skew, 1).table(node, dom)[1] == {}
+    assert _Tables(skew, 1, steps).table(step, dom) == {}
     assert evaluate(node, skew, {"x": e1, "y": e2}).is_zero()
     assert check_identity(skew, parse_identity("x*y + y*x = 0")) is None
 

@@ -18,6 +18,7 @@ the first failure lies deep in the lexicographic order.
 import itertools
 import operator
 import random
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -36,11 +37,11 @@ from hombol.identities import (
     CyclicSum,
     Counterexample,
     MapApp,
+    Node,
     ScalarMul,
     Sum,
     Ternary,
     Var,
-    _appearance_order,
     parse_identity,
 )
 from hombol.scalars import Scalar
@@ -50,6 +51,18 @@ EXPONENTS = (0, 1, 2)
 
 
 # --- the per-tuple evaluator, verbatim -----------------------------------------
+
+
+def _appearance_order(node):
+    """A node's free variables, each once, in order of first appearance: a
+    ``cyc``'s three names, then those of its body."""
+    names = [node.name] if isinstance(node, Var) else list(node.names) if isinstance(node, CyclicSum) else []
+    for f in fields(node):
+        value = getattr(node, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, Node):
+                names += _appearance_order(child)
+    return tuple(dict.fromkeys(names))
 
 
 class _Evaluator:
