@@ -34,7 +34,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from .errors import DimensionMismatch, ExponentLimitError
+from .errors import DimensionMismatch, ExponentLimitError, refuse_bad_basis, refuse_bad_params
 from .scalars import Scalar, ZERO, _as_scalar, _canon, _value_of
 
 __all__ = [
@@ -471,8 +471,7 @@ class HomAlgebra:
         if dim < 1:
             raise ValueError("dimension must be positive")
         basis = tuple(f"e{i + 1}" for i in range(dim)) if basis is None else tuple(basis)
-        if len(basis) != dim or len(set(basis)) != dim:
-            raise ValueError("basis labels must be distinct and match the dimension")
+        refuse_bad_basis(basis, dim)
         cells = {}
         for (kind, arity), raw in zip(PRODUCTS, (binary, ternary)):
             if raw is not None and not _has_shape(raw, dim, arity):
@@ -483,6 +482,7 @@ class HomAlgebra:
         if twist.dim != dim:
             raise DimensionMismatch("twist matrix shape does not match the dimension")
         self._store(dim, basis, frozenset(params), cells, twist)
+        refuse_bad_params(sorted(self.all_variables()), basis, "basis labels")
 
     @classmethod
     def _of(cls, dim, basis, params, cells, twist):
@@ -515,6 +515,8 @@ class HomAlgebra:
         if kept and alg.dim != self.dim:
             raise DimensionMismatch(f"{next(iter(kept))} tensor shape does not match the dimension")
         alg._products.update(kept)
+        # the constructor saw no kept product, whose symbols may be new basis labels
+        refuse_bad_params(sorted(alg.all_variables()), alg.basis, "basis labels")
         return alg
 
     def eval_binary(self, u, v):

@@ -11,7 +11,7 @@ DERIVED_ORDER_LIMIT because its twist powers grow like 2^(n+1).
 from __future__ import annotations
 
 from .algebra import POWER_LIMIT, PRODUCTS, HomAlgebra, LinearMap, Vector, _residuals, cell_at
-from .errors import ExponentLimitError, PreconditionError
+from .errors import ExponentLimitError, PreconditionError, refuse_bad_params
 from .identities import SUITES, check_suite, parse_identity, tabulate
 
 __all__ = [
@@ -50,6 +50,7 @@ def _recompose(algebra, base, p):
     maps = {"binary": power, "ternary": power.compose(power)}
     cells = {kind: {idx: f._apply(c) for k, idx, c in algebra._cells() if k == kind and c} for kind, f in maps.items()}
     params = algebra.params | base.variables()
+    refuse_bad_params(sorted(params), algebra.basis, "basis labels")
     return HomAlgebra._of(algebra.dim, algebra.basis, params, cells, power.compose(algebra.twist))
 
 

@@ -1,6 +1,14 @@
-"""Exception types shared across the toolkit, and the integer reader every parser uses."""
+"""Exception types shared across the toolkit, the integer reader every parser
+uses, and the rules on names and shapes that documents and objects share."""
 
+import re
 import sys
+
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+NAME = re.compile(IDENT + r"\Z")
+
+# a constraint document's keywords: an equation on such a name reads as a header line
+_KEYWORDS = ("unknowns", "params")
 
 
 class ParseError(ValueError):
@@ -50,10 +58,35 @@ def parse_int(token, *, line=None, column=None, source=None):
         ) from None
 
 
-def refuse_overlap(taken, params, taken_what, line=None):
-    """Refuse parameters that repeat a name of ``taken`` (basis labels or
-    unknowns).  The parsers pass the document ``line`` and raise a
-    ParseError; the objects the emitters read raise it with no place."""
+def refuse_bad_names(names, what, line=None, reserved=()):
+    """Refuse the first of ``names`` that is not an identifier, or is one of
+    ``reserved``, as a bad ``what``; the parsers pass the document ``line``."""
+    for name in names:
+        if not NAME.match(name) or name in reserved:
+            raise ParseError(f"bad {what} {name!r}", line=line)
+
+
+def refuse_bad_basis(labels, dim, line=None):
+    """A basis is ``dim`` labels, identifiers each given once."""
+    if len(labels) != dim or len(set(labels)) != dim:
+        raise ParseError(f"basis needs {dim} distinct labels", line=line)
+    refuse_bad_names(labels, "basis label", line)
+
+
+def refuse_bad_unknowns(unknowns, line=None):
+    """Unknowns are one or more distinct identifiers, none a constraint keyword."""
+    if not unknowns or len(set(unknowns)) != len(unknowns):
+        raise ParseError("unknowns takes distinct names", line=line)
+    refuse_bad_names(unknowns, "unknown name", line, _KEYWORDS)
+
+
+def refuse_bad_params(params, taken, taken_what, line=None):
+    """Parameters are distinct identifiers that repeat no name of ``taken``:
+    the basis labels of an algebra or map, or the unknowns of a constraint
+    system, whose parameters may not be its keywords either."""
+    refuse_bad_names(params, "parameter name", line, _KEYWORDS if taken_what == "unknowns" else ())
+    if len(set(params)) != len(params):
+        raise ParseError("duplicate parameter name", line=line)
     if set(taken) & set(params):
         raise ParseError(f"{taken_what} and parameters overlap", line=line)
 

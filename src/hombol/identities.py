@@ -74,8 +74,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import SYMMETRY_BUDGET, Vector, _add, _scale, tensor
-from .errors import DimensionMismatch, MultilinearityError, ParseError
-from .scalars import NAME, TokenReader, _number, content_lines, token_pattern
+from .errors import DimensionMismatch, MultilinearityError, ParseError, refuse_bad_names
+from .scalars import TokenReader, _number, content_lines, token_pattern
 
 __all__ = [
     "Var",
@@ -336,8 +336,7 @@ def parse_suite(text, name="custom"):
             raise ParseError("expected 'name : identity'", line=lineno)
         label, body = line.split(":", 1)
         label = label.strip()
-        if not NAME.match(label):
-            raise ParseError(f"bad identity name {label!r}", line=lineno)
+        refuse_bad_names((label,), "identity name", lineno)
         if label in seen:
             raise ParseError(f"duplicate identity name {label!r}", line=lineno)
         seen.add(label)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import LinearMap, morphism_residuals
-from .errors import PreconditionError, refuse_overlap, refuse_undeclared
+from .errors import PreconditionError, refuse_bad_params, refuse_bad_unknowns, refuse_undeclared
 from .scalars import Scalar, ZERO, ONE, _canon, _value_of
 
 __all__ = [
@@ -67,9 +67,10 @@ class ConstraintSystem:
     equations: tuple  # Scalars, each asserting "= 0"
 
     def __post_init__(self):
+        refuse_bad_unknowns(self.unknowns)
         if len(self.unknowns) != self.dim**2:  # a document states no dim: its parser counts the unknowns
             raise ValueError(f"dim {self.dim} takes {self.dim**2} unknowns, not {len(self.unknowns)}")
-        refuse_overlap(self.unknowns, self.params, "unknowns")
+        refuse_bad_params(sorted(self.params), self.unknowns, "unknowns")
         symbols = frozenset().union(*(eq.variables() for eq in self.equations))
         refuse_undeclared(sorted(symbols), {*self.unknowns, *self.params})
 
@@ -360,8 +361,6 @@ def grid_search(system, values, parameter_bindings=None):
     if compiled is None:
         return []
     order, filed = compiled
-    if not filed:  # no unknowns: the empty assignment solves the system
-        return [_theta([], system.dim)]
 
     solutions = []
     last = len(order) - 1

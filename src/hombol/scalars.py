@@ -35,15 +35,12 @@ import re
 from fractions import Fraction
 from operator import itemgetter
 
-from .errors import ParseError, int_digit_limit, parse_int, refuse_undeclared
+from .errors import IDENT, ParseError, int_digit_limit, parse_int, refuse_undeclared
 
 __all__ = ["Scalar", "parse_scalar", "ZERO", "ONE"]
 
 # A monomial is a tuple of (name, exponent) pairs, sorted by name, exponents >= 1.
 _EMPTY = ()
-
-_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-NAME = re.compile(_IDENT + r"\Z")
 
 
 def _canon(q):
@@ -549,7 +546,7 @@ def content_lines(text):
 def token_pattern(ops):
     """The tokens of a grammar: digit runs, identifiers and the one-character
     operators in ``ops``."""
-    return re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>" + _IDENT + r")|(?P<op>[" + re.escape(ops) + "]))")
+    return re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>" + IDENT + r")|(?P<op>[" + re.escape(ops) + "]))")
 
 
 class TokenReader:

@@ -32,9 +32,9 @@ from __future__ import annotations
 import math
 
 from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector
-from .errors import ParseError, parse_int, refuse_overlap, refuse_undeclared
+from .errors import ParseError, parse_int, refuse_bad_basis, refuse_bad_params, refuse_bad_unknowns, refuse_undeclared
 from .morphisms import ConstraintSystem
-from .scalars import NAME, Scalar, content_lines, format_terms, parse_scalar
+from .scalars import Scalar, content_lines, format_terms, parse_scalar
 
 __all__ = [
     "parse_algebra",
@@ -73,43 +73,13 @@ def format_suite_report(report, labels):
     return "\n".join(lines)
 
 
-def _require_names(names, what, lineno=None):
-    for name in names:
-        if not NAME.match(name):
-            raise ParseError(f"bad {what} {name!r}", line=lineno)
-
-
-def _read_params(words, lineno, declared, taken, taken_what):
-    """The names of a params line in every document format; a second line, a
-    name that is not an identifier, given twice or among ``taken`` is refused."""
-    if declared is not None:
-        raise ParseError("duplicate params line", line=lineno)
-    names = words[1:]
-    _require_names(names, "parameter name", lineno)
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate parameter name", line=lineno)
-    refuse_overlap(taken, names, taken_what, lineno)
-    return tuple(names)
-
-
 def _header(key, words, params, basis=()):
     """The header lines of every document format: '<key> <words>', then the
-    sorted params and the basis, each only when it has names.  What the
-    parsers refuse in a header, a dim over DIM_LIMIT, a bad basis or bad
-    unknowns, a name that is not an identifier and parameters that repeat a
-    basis label, is refused with their messages."""
-    if key == "dim":
-        if int(words[0]) > DIM_LIMIT:
-            raise ParseError(f"dim may not exceed {DIM_LIMIT}")
-        if len(basis) != int(words[0]) or len(set(basis)) != len(basis):
-            raise ParseError(f"basis needs {words[0]} distinct labels")
-    elif not words or len(set(words)) != len(words):
-        raise ParseError("unknowns takes distinct names")
-    else:
-        _require_names(words, "unknown name")
-    _require_names(basis, "basis label")
-    _require_names(params, "parameter name")
-    refuse_overlap(basis, params, "basis labels")
+    sorted params and the basis, each only when it has names.  The objects
+    hold the rules on names; a basis longer than DIM_LIMIT, which bounds
+    documents only, is refused with the parser's message for its dim."""
+    if len(basis) > DIM_LIMIT:
+        raise ParseError(f"dim may not exceed {DIM_LIMIT}")
     return [" ".join((k, *w)) for k, w in ((key, words), ("params", sorted(params)), ("basis", basis)) if w]
 
 
@@ -154,9 +124,11 @@ class _DocReader:
 
     def header(self, lineno, line, words):
         key = words[0]
+        if key not in ("dim", "params", "basis"):
+            return False
+        if getattr(self, key) is not None:
+            raise ParseError(f"duplicate {key} line", line=lineno)
         if key == "dim":
-            if self.dim is not None:
-                raise ParseError("duplicate dim line", line=lineno)
             if len(words) != 2 or not words[1].isdecimal():
                 raise ParseError("dim takes one positive integer", line=lineno)
             column = line.index(words[1], len(key)) + 1
@@ -165,23 +137,16 @@ class _DocReader:
                 raise ParseError("dim takes one positive integer", line=lineno)
             if self.dim > DIM_LIMIT:
                 raise ParseError(f"dim may not exceed {DIM_LIMIT}", line=lineno, column=column)
-            return True
-        if key == "params":
-            self.params = _read_params(words, lineno, self.params, self.basis or (), "basis labels")
-            return True
-        if key == "basis":
-            if self.basis is not None:
-                raise ParseError("duplicate basis line", line=lineno)
+        elif key == "params":
+            refuse_bad_params(words[1:], self.basis or (), "basis labels", lineno)
+            self.params = tuple(words[1:])
+        else:
             if self.dim is None:
                 raise ParseError("dim must come before basis", line=lineno)
-            labels = words[1:]
-            if len(labels) != self.dim or len(set(labels)) != self.dim:
-                raise ParseError(f"basis needs {self.dim} distinct labels", line=lineno)
-            _require_names(labels, "basis label", lineno)
-            refuse_overlap(labels, self.params or (), "basis labels", lineno)
-            self.basis = tuple(labels)
-            return True
-        return False
+            refuse_bad_basis(words[1:], self.dim, lineno)
+            refuse_bad_params(self.params or (), words[1:], "basis labels", lineno)
+            self.basis = tuple(words[1:])
+        return True
 
     def label_index(self, label, lineno):
         refuse_undeclared((label,), self.basis, line=lineno)
@@ -278,7 +243,10 @@ def parse_map(text):
 
 
 def emit_map(m, basis, params=None):
-    lines = _header("dim", [str(m.dim)], set(params or ()) | m.variables(), basis)
+    params = set(params or ()) | m.variables()
+    refuse_bad_basis(basis, m.dim)
+    refuse_bad_params(sorted(params), basis, "basis labels")
+    lines = _header("dim", [str(m.dim)], params, basis)
     return "\n".join(lines + _alpha_lines(m, basis)) + "\n"
 
 
@@ -290,15 +258,16 @@ def parse_constraints(text):
         if words[0] == "unknowns":
             if unknowns is not None:
                 raise ParseError("duplicate unknowns line", line=lineno)
-            if len(words) < 2 or len(set(words[1:])) != len(words) - 1:
-                raise ParseError("unknowns takes distinct names", line=lineno)
-            _require_names(words[1:], "unknown name", lineno)
+            refuse_bad_unknowns(words[1:], lineno)
             unknowns = tuple(words[1:])
             continue
         if unknowns is None:
             raise ParseError("unknowns must come first", line=lineno)
         if words[0] == "params":
-            params = _read_params(words, lineno, params, unknowns, "unknowns")
+            if params is not None:
+                raise ParseError("duplicate params line", line=lineno)
+            refuse_bad_params(words[1:], unknowns, "unknowns", lineno)
+            params = tuple(words[1:])
             continue
         try:
             equations.append(parse_scalar(line, set(unknowns) | set(params or ())))

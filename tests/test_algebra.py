@@ -14,7 +14,7 @@ from hombol.algebra import (
     zero_tensor,
 )
 from hombol.catalog import get
-from hombol.errors import DimensionMismatch, ExponentLimitError
+from hombol.errors import DimensionMismatch, ExponentLimitError, ParseError
 from hombol.scalars import ONE, Scalar, ZERO
 
 
@@ -241,8 +241,33 @@ def test_is_multiplicative_false_for_genuine_non_morphism():
     assert not a2.replace(twist=bad).is_multiplicative()
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: HomAlgebra(2, basis=("e 1", "e2")), "bad basis label 'e 1'"),
+        (lambda: HomAlgebra(2, basis=("e1", "e1")), "basis needs 2 distinct labels"),
+        (lambda: HomAlgebra(2, params={"1x"}), "bad parameter name '1x'"),
+        (lambda: HomAlgebra(2, params={"e2"}), "basis labels and parameters overlap"),
+        # a symbol of the twist is a parameter too
+        (lambda: HomAlgebra(2, twist=LinearMap(((Scalar.parameter("e1"), 0), (0, 1)))),
+         "basis labels and parameters overlap"),
+        # a product that replace keeps is checked against the new basis
+        (lambda: HomAlgebra(2, binary=(((Scalar.parameter("b"), 0), (0, 0)), ((0, 0), (0, 0)))).replace(
+            basis=("b", "e2")), "basis labels and parameters overlap"),
+    ],
+)
+def test_construction_refuses_the_names_a_document_refuses(make, message):
+    # with the parser's message, where the algebra is made
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        make()
+
+
+def test_dim_limit_bounds_documents_not_algebras():
+    assert HomAlgebra(40).dim == 40
+
+
 def test_construction_validation():
-    with pytest.raises(ValueError, match="basis labels"):
+    with pytest.raises(ValueError, match="^basis needs 2 distinct labels$"):
         HomAlgebra(
             dim=2,
             basis=("e1", "e2", "e3"),

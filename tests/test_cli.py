@@ -132,6 +132,17 @@ def test_twist_rejects_wrong_dimension_map(tmp_path, capsys, hb2_file):
     assert "dimension" in capsys.readouterr().err
 
 
+def test_twist_refuses_a_map_parameter_that_is_a_basis_label_of_the_algebra(tmp_path, capsys):
+    # the map's own basis is f1 f2, so its document is good; the twisted
+    # algebra would declare a parameter e1 beside its basis label e1
+    path = _write(tmp_path, "zero.alg", "dim 2\nbasis e1 e2\n")
+    map_path = _write(tmp_path, "m.map", "dim 2\nparams e1\nbasis f1 f2\nalpha f1 = f1\nalpha f2 = e1*f2\n")
+    assert main(["twist", path, "--map", map_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: basis labels and parameters overlap\n"
+
+
 def test_derive_command(tmp_path, capsys, hb2_file):
     path, alg = hb2_file
     assert main(["derive", str(path), "--n", "1"]) == 0

@@ -375,9 +375,9 @@ def test_a_depth_whose_equations_are_all_quadratic():
 def test_empty_grids_and_a_system_without_unknowns():
     for system in (generate_constraints(HomAlgebra(2)), generate_constraints(get("A1")), _system("a1 - 1")):
         assert _same(system, ()) == []
-    # with no unknowns, the empty assignment is the one point of any grid
-    empty = ConstraintSystem(dim=0, unknowns=(), params=frozenset(), equations=())
-    assert len(_same(empty, ())) == len(_same(empty, DEFAULT_GRID)) == 1
+    # a system without unknowns is refused where it is made, as its document is
+    with pytest.raises(ParseError, match="^unknowns takes distinct names$"):
+        ConstraintSystem(dim=0, unknowns=(), params=frozenset(), equations=())
 
 
 SO3_DOC = "dim 3\nbasis e1 e2 e3\ncomplete skew-binary\nbinary e1 e2 = e3\nbinary e2 e3 = e1\nbinary e3 e1 = e2\n"

@@ -193,9 +193,9 @@ def test_emitters_refuse_a_parameter_that_is_not_an_identifier():
         emit_algebra(HomAlgebra(2, params={"1x"}))
     with pytest.raises(ParseError, match="^bad parameter name '1x'$"):
         emit_map(LinearMap.identity(2), ("e1", "e2"), params={"1x"})
-    system = ConstraintSystem(dim=1, unknowns=("t",), params=frozenset({"1x"}), equations=())
+    # ConstraintSystem holds the rule itself, so no such system reaches its emitter
     with pytest.raises(ParseError, match="^bad parameter name '1x'$"):
-        emit_constraints(system)
+        ConstraintSystem(dim=1, unknowns=("t",), params=frozenset({"1x"}), equations=())
     with pytest.raises(ParseError, match=r"^bad parameter name '1x' \(line 2\)$"):
         parse_algebra("dim 2\nparams 1x\nbasis e1 e2\n")
 
@@ -232,10 +232,10 @@ def test_emit_map_refuses_a_basis_that_is_not_dim_distinct_labels():
 )
 def test_emit_constraints_refuses_unknowns_that_parse_constraints_refuses(unknowns, message):
     # such systems were written as a document with no unknowns line, or one
-    # that parse_constraints refuses with these messages
-    system = ConstraintSystem(dim=math.isqrt(len(unknowns)), unknowns=unknowns, params=frozenset(), equations=())
+    # that parse_constraints refuses with these messages; ConstraintSystem
+    # refuses them where they are made
     with pytest.raises(ParseError, match=f"^{message}$"):
-        emit_constraints(system)
+        ConstraintSystem(dim=math.isqrt(len(unknowns)), unknowns=unknowns, params=frozenset(), equations=())
     with pytest.raises(ParseError, match=f"^{message}"):
         parse_constraints(f"unknowns {' '.join(unknowns)}\n")
 
@@ -301,6 +301,31 @@ def test_constraint_system_refuses_an_undeclared_symbol():
         dim=2, unknowns=("a1", "a2", "b1", "b2"), params=frozenset({"q"}), equations=(parse_scalar("a1*q"),)
     )
     assert parse_constraints(emit_constraints(declared)) == declared
+
+
+@pytest.mark.parametrize(
+    "unknowns, params, equation, message",
+    [
+        # its document, 'unknowns params' then 'params', would read back with no equations
+        (("params",), (), "params", "bad unknown name 'params'"),
+        # its line 'params + 1' would read as a params line naming the parameter '+'
+        (("params",), (), "params + 1", "bad unknown name 'params'"),
+        # 'params params', then the line 'params + t', would be two params lines
+        (("t",), ("params",), "params + t", "bad parameter name 'params'"),
+        # 'unknowns unknowns', then the line 'unknowns', would be two unknowns lines
+        (("unknowns",), (), "unknowns", "bad unknown name 'unknowns'"),
+        (("t",), ("unknowns",), "unknowns + t", "bad parameter name 'unknowns'"),
+    ],
+)
+def test_a_constraint_system_refuses_the_keywords_of_its_document(unknowns, params, equation, message):
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        ConstraintSystem(
+            dim=1, unknowns=unknowns, params=frozenset(params), equations=(parse_scalar(equation, {*unknowns, *params}),)
+        )
+    head = f"unknowns {' '.join(unknowns)}\n" + (f"params {' '.join(params)}\n" if params else "")
+    line = 2 if params else 1
+    with pytest.raises(ParseError, match=rf"^{message} \(line {line}\)$"):
+        parse_constraints(f"{head}{equation}\n")
 
 
 def test_constraint_unknown_count_must_be_square():
