@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 from .errors import DimensionMismatch, ExponentLimitError, refuse_bad_basis, refuse_bad_params
 from .scalars import Scalar, ZERO, _as_scalar, _canon, _value_of
@@ -343,23 +344,20 @@ def _index_group(alg):
     that are automorphisms of both products and commute with the twist, as a
     sorted tuple with the identity first.
 
-    g is such a map iff every coordinate c of a cell or of the twist matrix,
-    at the index tuple t (a cell's indices, then its output coordinate; a
-    twist entry's row and column), is the product of s over t times the
-    coordinate at pi(t).  A search assigns pi(i), pi(i+1), ... in turn, each
-    to an index of the same invariants (how often an index takes each place
-    of a nonzero coordinate of each magnitude and index pattern), checks each
-    coordinate once its indices are assigned, and solves for the signs over
-    GF(2) on the way (McKay and Piperno, "Practical graph isomorphism, II",
-    J. Symbolic Comput. 60, 2014).  For i from the last index down, with
-    pi fixing every index below i, it looks for one map sending i to each j
-    not yet in the orbit of i under the maps found: these generate the group.
-    Every map found is a candidate only, which ``_generated`` verifies.  Past
-    SYMMETRY_BUDGET search nodes, or group elements, the group is taken to be
-    trivial."""
+    g is such a map iff every coordinate c at t of ``_coordinates`` is the
+    product of s over t times the coordinate at pi(t).  A search assigns
+    pi(i), pi(i+1), ... in turn, each to an index of the same invariants (how
+    often an index takes each place of a nonzero coordinate of each magnitude
+    and index pattern), checks each coordinate once its indices are assigned,
+    and solves for the signs over GF(2) on the way (McKay and Piperno,
+    "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).  For i
+    from the last index down, with pi fixing every index below i, it looks for
+    one map sending i to each j not yet in the orbit of i under the maps found:
+    these generate the group.  Every map found is a candidate only, which
+    ``_generated`` verifies on the coordinates.  Past SYMMETRY_BUDGET search
+    nodes, or group elements, the group is taken to be trivial."""
     dim = alg.dim
-    coords = {(kind, idx + (k,)): c for kind, idx, cell in alg._cells() for k, c in cell.items()}
-    coords.update((("twist", (i, j)), c) for j, col in enumerate(alg.twist._cols) for i, c in col.items())
+    coords = _coordinates(alg)
     invariants = [Counter() for _ in range(dim)]
     due = [[] for _ in range(dim)]  # the coordinates whose last index is i
     for (kind, t), c in coords.items():
@@ -411,7 +409,7 @@ def _index_group(alg):
         order *= len(orbit)  # the group's order is the product of these orbits' sizes
         if work > SYMMETRY_BUDGET or order > SYMMETRY_BUDGET:
             return (tuple(range(dim)),)
-    return _generated(alg, found[::-1])
+    return _generated(coords, dim, found[::-1])
 
 
 def _solve(eqs, mask, eps):
@@ -440,14 +438,17 @@ def _signs(eqs, dim):
     return tuple(-1 if bits >> i & 1 else 1 for i in range(dim))
 
 
-def _generated(alg, candidates):
+def _generated(coords, dim, candidates):
     """The index permutations of the group generated by the candidate
-    signed permutations (pi, s) that ``is_morphism`` verifies as
-    automorphisms commuting with the twist; a candidate whose pi is in the
-    group so far is passed over unverified."""
-    group, gens = {tuple(range(alg.dim))}, []
+    signed permutations (pi, s) that meet ``_index_group``'s condition on
+    coords, whose zeros pi then maps to zeros as it permutes the index
+    tuples; a candidate whose pi is in the group so far is passed over."""
+    group, gens = {tuple(range(dim))}, []
     for perm, signs in candidates:
-        if perm in group or not is_morphism(_signed(perm, signs), alg, alg):
+        if perm in group or any(
+            coords.get((kind, tuple(perm[x] for x in t))) != (c if prod(signs[x] for x in t) > 0 else -c)
+            for (kind, t), c in coords.items()
+        ):
             continue
         gens.append(perm)
         frontier = group
@@ -457,9 +458,13 @@ def _generated(alg, candidates):
     return tuple(sorted(group))
 
 
-def _signed(perm, signs):
-    """The signed permutation e_i -> signs[i] e_perm[i]."""
-    return LinearMap._of(tuple({p: s} for p, s in zip(perm, signs)))
+def _coordinates(alg):
+    """Every nonzero coordinate c of a cell or of the twist matrix, as
+    {(kind, t): c} at the index tuple t: a cell's indices, then its output
+    coordinate; a twist entry's row and column."""
+    coords = {(kind, idx + (k,)): c for kind, idx, cell in alg._cells() for k, c in cell.items()}
+    coords.update((("twist", (i, j)), c) for j, col in enumerate(alg.twist._cols) for i, c in col.items())
+    return coords
 
 
 class HomAlgebra:

@@ -28,6 +28,7 @@ DERIVED_ORDER_LIMIT = POWER_LIMIT.bit_length() - 2
 
 
 def _require_endomorphism(beta, alg, who):
+    refuse_bad_params(sorted(alg.params | beta.variables()), alg.basis, "basis labels")
     for kind, indices, residual in _residuals(beta, alg, alg):
         if not residual:
             continue

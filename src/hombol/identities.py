@@ -53,14 +53,14 @@ variables p < q that maps it to plus or minus itself modulo skew products of
 the kinds whose cells the algebra makes skew (``HomAlgebra._skew_kinds``),
 formally when there are none; it sorts the first two slots of every such
 product, with a sign.  The products are multilinear, so they are skew on all
-vectors.  And for an identity of four or more variables,
-the algebra's signed-permutation automorphisms that commute with the twist
-(``HomAlgebra._symmetry``) permute the basis indices of a tuple.  The
-outermost products of each side and the comparison of the sides take only
-the least tuple of each orbit, less the tuples that a swap of sign -1 fixes,
-and where the automorphisms make the orbits, each block of tuples builds its
-tables only on the indices that its kept tuples use; the verdict, the
-failing tuple and its residual stay those of a check of every tuple.
+vectors.  And the algebra's signed-permutation automorphisms that commute
+with the twist (``HomAlgebra._symmetry``) permute the basis indices of a
+tuple.  The outermost products of each side and the comparison of the sides
+take only the least tuple of each orbit, less the tuples that a swap of
+sign -1 fixes, and where the automorphisms make the orbits, each block of
+tuples builds its tables only on the indices that its kept tuples use; the
+verdict, the failing tuple and its residual stay those of a check of every
+tuple.
 ``evaluate`` and ``tabulate`` skip nothing.
 """
 
@@ -660,8 +660,9 @@ class _Orbits:
     the positions within each component.  When every pi is the identity, a
     tuple is least in its orbit iff its indices rise weakly along each
     component, so ``keep`` compares neighbours, and the two of a swap of
-    sign -1 strictly.  Otherwise ``_least`` lists the kept tuples; past
-    SYMMETRY_BUDGET steps the check keeps to the swaps alone."""
+    sign -1 strictly.  Otherwise ``_least`` lists the kept tuples, for any
+    number of variables; past SYMMETRY_BUDGET steps the check keeps to the
+    swaps alone."""
 
     def __init__(self, alg, identity):
         m = self.m = len(identity.variables)
@@ -676,9 +677,7 @@ class _Orbits:
         checks = {(a, b): False for c in components for a, b in zip(c, c[1:])}
         checks.update(((p, q), True) for p, q, strict in swaps if strict)
         self.checks = tuple((a, b, strict) for (a, b), strict in checks.items())
-        # at most dim^3 tuples cost less than verifying one symmetry, which
-        # reads the dim^2 + dim^3 cells
-        perms = alg._symmetry() if m > 3 else ()
+        perms = alg._symmetry()
         self.reps = _least(perms, m, self.dim, components, self.checks) if len(perms) > 1 else None
         self.keep = functools.cache(self._keep)
 

@@ -76,10 +76,10 @@ def format_suite_report(report, labels):
 def _header(key, words, params, basis=()):
     """The header lines of every document format: '<key> <words>', then the
     sorted params and the basis, each only when it has names.  The objects
-    hold the rules on names; a basis longer than DIM_LIMIT, which bounds
-    documents only, is refused with the parser's message for its dim."""
-    if len(basis) > DIM_LIMIT:
-        raise ParseError(f"dim may not exceed {DIM_LIMIT}")
+    hold the rules on names; a dim of 0 or over DIM_LIMIT, which bounds
+    documents only, is refused with the parser's message for it."""
+    if key == "dim" and not 0 < len(basis) <= DIM_LIMIT:
+        raise ParseError(f"dim may not exceed {DIM_LIMIT}" if basis else "dim takes one positive integer")
     return [" ".join((k, *w)) for k, w in ((key, words), ("params", sorted(params)), ("basis", basis)) if w]
 
 

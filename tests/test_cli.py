@@ -143,6 +143,17 @@ def test_twist_refuses_a_map_parameter_that_is_a_basis_label_of_the_algebra(tmp_
     assert captured.err == "error: basis labels and parameters overlap\n"
 
 
+def test_twist_refuses_a_clashing_map_parameter_before_the_endomorphism_check(tmp_path, capsys):
+    # the map is no endomorphism of this algebra: checked first, its residual
+    # read the parameter e1 as the basis label e1 and the command exited 3
+    path = _write(tmp_path, "a.alg", "dim 2\nbasis e1 e2\nbinary e1 e2 = e1\n")
+    map_path = _write(tmp_path, "m.map", "dim 2\nparams e1\nbasis f1 f2\nalpha f1 = f1\nalpha f2 = e1*f2\n")
+    assert main(["twist", path, "--map", map_path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: basis labels and parameters overlap\n"
+
+
 def test_derive_command(tmp_path, capsys, hb2_file):
     path, alg = hb2_file
     assert main(["derive", str(path), "--n", "1"]) == 0

@@ -13,7 +13,7 @@ from hombol.constructions import (
     self_twist,
     yau_twist,
 )
-from hombol.errors import ExponentLimitError, PreconditionError
+from hombol.errors import ExponentLimitError, ParseError, PreconditionError
 from hombol.identities import check_suite
 from hombol.scalars import Scalar, parse_scalar
 
@@ -269,6 +269,16 @@ def test_malcev_to_bol_refuses_a_non_endomorphism():
     assert str(info.value) == (
         "malcev_to_bol: map is not an endomorphism; binary product at (e1, e2) differs by (0, 0, -1)"
     )
+
+
+def test_a_map_parameter_that_is_a_basis_label_is_refused_before_the_endomorphism_check():
+    # beta is no endomorphism, and its residual would read the parameter e1
+    # as the basis label e1: the clash is refused first, with the parser's message
+    lie = _skew_lie(2, {(0, 1): (1, 0)})  # e1*e2 = e1
+    beta = LinearMap(((1, 0), (0, Scalar.parameter("e1"))))
+    for build in (lambda: yau_twist(lie, beta), lambda: self_twist(lie, beta, 1), lambda: malcev_to_bol(lie, beta)):
+        with pytest.raises(ParseError, match="^basis labels and parameters overlap$"):
+            build()
 
 
 # --- hom_jacobian ------------------------------------------------------------

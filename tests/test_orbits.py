@@ -154,22 +154,27 @@ def test_the_octonions_have_the_collineations_and_a_sign_twist_the_line_stabiliz
     assert len(malcev_to_bol(OCTONIONS)._symmetry()) == 168
 
 
+def signed(perm, signs):
+    """The signed permutation e_i -> signs[i] e_perm[i]."""
+    return LinearMap(tuple(tuple(s if p == i else 0 for p, s in zip(perm, signs)) for i in range(len(perm))))
+
+
 def test_each_generator_is_verified_and_a_fake_one_is_refused():
     oct_ = octonions()  # the lines (i, i+1, i+3) mod 7: the shift is a collineation
     shift, plus = tuple((i + 1) % 7 for i in range(7)), (1,) * 7
-    assert is_morphism(algebra._signed(shift, plus), oct_, oct_)
-    assert len(algebra._generated(oct_, [(shift, plus)])) == 7
+    assert is_morphism(signed(shift, plus), oct_, oct_)
+    assert len(algebra._generated(algebra._coordinates(oct_), 7, [(shift, plus)])) == 7
     flipped = (-1,) + plus[1:]  # one cell sign flipped: e1*e2 = e4 would map to -e2*e3 = -e5
-    assert not is_weak_morphism(algebra._signed(shift, flipped), oct_, oct_)
-    assert algebra._generated(oct_, [(shift, flipped)]) == (tuple(range(7)),)
+    assert not is_weak_morphism(signed(shift, flipped), oct_, oct_)
+    assert algebra._generated(algebra._coordinates(oct_), 7, [(shift, flipped)]) == (tuple(range(7)),)
     # an automorphism of the product that does not commute with a sign twist
     twisted = oct_.replace(twist=diagonal([1 if i in (0, 1, 3) else -1 for i in range(7)]))
-    g = algebra._signed(shift, plus)
+    g = signed(shift, plus)
     assert is_weak_morphism(g, twisted, twisted) and not is_morphism(g, twisted, twisted)
-    assert algebra._generated(twisted, [(shift, plus)]) == (tuple(range(7)),)
+    assert algebra._generated(algebra._coordinates(twisted), 7, [(shift, plus)]) == (tuple(range(7)),)
 
 
-def test_the_symmetry_is_found_once_per_algebra_and_only_for_four_or_more_variables(monkeypatch):
+def test_the_symmetry_is_found_once_per_algebra_whatever_the_number_of_variables(monkeypatch):
     found = []
     index_group = algebra._index_group
     monkeypatch.setattr(algebra, "_index_group", lambda alg: found.append(alg) or index_group(alg))
@@ -178,9 +183,11 @@ def test_the_symmetry_is_found_once_per_algebra_and_only_for_four_or_more_variab
     assert found == [oct_]
     assert check_suite(bol, "bol").passed and check_suite(bol, "hom_bol").passed
     assert found == [oct_, bol]
-    # at most three variables: dim^3 tuples cost less than one verification
-    assert not check_suite(OCTONIONS.replace(), "hom_lie").passed
-    assert len(found) == 2
+    # hom_lie's identities have at most three variables, and take the group too
+    fresh = OCTONIONS.replace()
+    assert all(len(i.variables) <= 3 for i in SUITES["hom_lie"].identities)
+    assert not check_suite(fresh, "hom_lie").passed and not check_suite(fresh, "hom_lie").passed
+    assert len(found) == 3 and found[-1] is fresh
 
 
 def test_an_algebra_without_symmetry_lists_no_tuples(monkeypatch):
@@ -194,7 +201,6 @@ def test_an_algebra_without_symmetry_lists_no_tuples(monkeypatch):
     alg = skewed(_algebra(3, 1, symbolic=False), ("binary", "ternary"))
     assert alg._symmetry() == (tuple(range(3)),)
     assert_like_every_tuple(alg)
-    assert_like_every_tuple(OCTONIONS, [i for i in IDENTITIES if len(i.variables) <= 3])
 
 
 def test_past_the_budget_the_group_is_trivial_and_the_checks_unchanged(monkeypatch):
@@ -227,6 +233,14 @@ def test_relabelled_octonions_with_each_sign_twist_check_like_every_tuple(s):
     assert_like_every_tuple(twisted, suites("malcev", "hom_lie", "hom_bol"))
     bol = malcev_to_bol(OCTONIONS, diagonal(s))
     assert_like_every_tuple(bol, suites("hom_bol", "bol"))
+
+
+def test_the_octonions_list_one_tuple_per_orbit_for_identities_of_at_most_three_variables():
+    small = [i for i in IDENTITIES if len(i.variables) <= 3]
+    for ident in small:
+        reps = identities._Orbits(OCTONIONS, ident).reps
+        assert reps is not None and len(reps) < 7 ** len(ident.variables), ident.name
+    assert_like_every_tuple(OCTONIONS, small)
 
 
 @pytest.mark.parametrize("s", [SIGNS[0], SIGNS[3]], ids=["identity", "sign"])
@@ -408,3 +422,44 @@ def test_every_kept_tuple_lies_in_the_domains_of_its_block_and_each_index_there_
             assert all(any(r[p] == i for r in block) for p in range(m) for i in box[p]), (ident.name, prefix)
         listed += orbits.reps is not None
     assert listed
+
+
+# --- the verifier -----------------------------------------------------------------------
+
+SO3 = parse_algebra(CROSS_LIE_DOC)
+VERIFIED = {**BOX_ALGEBRAS, **dict(catalog()), "so3+so3": direct_sum(SO3, SO3)}
+
+
+def signed_group(alg, monkeypatch):
+    """alg's group with one sign vector for each index permutation: the
+    products of the search's candidates that is_morphism verifies."""
+    found, generated, dim = [], algebra._generated, alg.dim
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_generated", lambda coords, n, cands: found.extend(cands) or generated(coords, n, cands))
+        group = algebra._index_group(alg)
+    gens = [(p, s) for p, s in found if is_morphism(signed(p, s), alg, alg)]
+    elements = frontier = {tuple(range(dim)): (1,) * dim}
+    while frontier:  # e_i -> t_i e_q(i) -> t_i s_q(i) e_p(q(i))
+        step = ((tuple(p[i] for i in q), tuple(t[i] * s[q[i]] for i in range(dim))) for q, t in frontier.items() for p, s in gens)
+        frontier = {r: u for r, u in step if r not in elements}
+        elements = {**elements, **frontier}
+    assert sorted(elements) == list(group)
+    return elements
+
+
+@pytest.mark.parametrize("name, alg", VERIFIED.items(), ids=VERIFIED)
+def test_the_coordinate_test_of_a_generator_agrees_with_is_morphism(name, alg, monkeypatch):
+    """``_generated`` takes a candidate (pi, s) whose pi is not the identity
+    iff g e_i = s_i e_pi(i) is an automorphism commuting with the twist: on
+    seeded random signed permutations, on each group element and on each
+    group element with one sign flipped."""
+    dim, coords = alg.dim, algebra._coordinates(alg)
+    rng = random.Random(f"verifier/{name}")
+    maps = [(tuple(rng.sample(range(dim), dim)), tuple(rng.choice((1, -1)) for _ in range(dim))) for _ in range(20)]
+    for perm, signs in signed_group(alg, monkeypatch).items():
+        assert is_morphism(signed(perm, signs), alg, alg)
+        maps += [(perm, signs)] + [(perm, signs[:i] + (-signs[i],) + signs[i + 1 :]) for i in range(dim)]
+    for perm, signs in maps:
+        if perm != tuple(range(dim)):  # passed over: the identity is in every group
+            taken = len(algebra._generated(coords, dim, [(perm, signs)])) > 1
+            assert taken == is_morphism(signed(perm, signs), alg, alg), (perm, signs)

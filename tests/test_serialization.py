@@ -212,6 +212,14 @@ def test_emitters_refuse_a_dim_over_the_document_limit():
     assert parse_algebra(emit_algebra(largest)) == largest
 
 
+def test_emit_map_refuses_a_map_of_dim_0():
+    # parse_map refuses 'dim 0', so emit_map must not write it
+    with pytest.raises(ParseError, match="^dim takes one positive integer$"):
+        emit_map(LinearMap(()), ())
+    with pytest.raises(ParseError, match=r"^dim takes one positive integer \(line 1\)$"):
+        parse_map("dim 0\n")
+
+
 def test_emit_map_refuses_a_basis_that_is_not_dim_distinct_labels():
     # parse_map refuses 'basis e1 e1' and three labels for dim 2; one label
     # for dim 2 raised a bare IndexError
