@@ -236,12 +236,14 @@ class LinearMap:
         return Vector._of(self._apply(v._d), self.dim)
 
     def _apply(self, v):
-        """The kernel of apply, on a sparse vector."""
+        """The kernel of apply, on a sparse vector.  A coordinate 1 takes its
+        column's entries as they are, so no product makes a copy of them."""
         out = {}
         cols = self._cols
         for j, vj in v.items():
+            unit = vj == 1
             for i, entry in cols[j].items():
-                term = entry * vj
+                term = entry if unit else entry * vj
                 if i in out:
                     term = out.pop(i) + term
                     if not term:
@@ -259,18 +261,19 @@ class LinearMap:
         return LinearMap._of(tuple(self._apply(col) for col in other._cols))
 
     def power(self, k):
+        """self^k, left to right: square per bit after the leading one, and on
+        each set bit compose with self on the right, reading its short columns."""
         if not isinstance(k, int) or k < 0:
             raise ValueError("map powers take a nonnegative integer exponent")
         if k > POWER_LIMIT:
             raise ExponentLimitError(f"a map power exceeds the exponent limit {POWER_LIMIT}")
-        result = LinearMap.identity(self.dim)
-        base = self
-        while k:
-            if k & 1:
-                result = result.compose(base)
-            k >>= 1
-            if k:
-                base = base.compose(base)
+        if not k:
+            return LinearMap.identity(self.dim)
+        result = self
+        for bit in bin(k)[3:]:
+            result = result.compose(result)
+            if bit == "1":
+                result = result.compose(self)
         return result
 
     def is_identity(self):

@@ -43,12 +43,14 @@ def _require_endomorphism(beta, alg, who):
 
 def _recompose(algebra, base, p):
     """The algebra with its binary product composed with P = base^p, its
-    ternary product with P^2, the twist P . alpha, and base's parameters
-    added to its own."""
+    ternary product with P^2, made only on the columns some ternary cell
+    reads, the twist P . alpha, and base's parameters added to its own."""
     if 2 * p > POWER_LIMIT:
         raise ExponentLimitError(f"a map power exceeds the exponent limit {POWER_LIMIT}")
     power = base.power(p)
-    maps = {"binary": power, "ternary": power.compose(power)}
+    read = set().union(*(c for k, _, c in algebra._cells() if k == "ternary"))
+    square = tuple(power._apply(col) if j in read else {} for j, col in enumerate(power._cols))
+    maps = {"binary": power, "ternary": LinearMap._of(square)}
     cells = {kind: {idx: f._apply(c) for k, idx, c in algebra._cells() if k == kind and c} for kind, f in maps.items()}
     params = algebra.params | base.variables()
     refuse_bad_params(sorted(params), algebra.basis, "basis labels")

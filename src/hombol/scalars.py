@@ -142,11 +142,11 @@ _LONG = 3
 def _scaled_values(terms, q):
     """The coefficients of a term map times the nonzero native number q,
     canonical and in the map's order.  A factor 1 or -1 makes no product;
-    any other makes one per distinct coefficient: a long polynomial repeats
-    a few coefficients, so most terms take a lookup instead of a product.
-    The lookup is keyed on an int itself and on a Fraction's (numerator,
-    denominator), as hashing a Fraction costs about as much as one Fraction
-    operation."""
+    any other makes one per distinct coefficient but 1, which takes q itself:
+    a long polynomial repeats a few coefficients, so most terms take a lookup
+    instead of a product.  The lookup is keyed on an int itself and on a
+    Fraction's (numerator, denominator), as hashing a Fraction costs about as
+    much as one Fraction operation."""
     values = terms.values()
     if q == 1:
         return values
@@ -159,7 +159,7 @@ def _scaled_values(terms, q):
         key = c if c.__class__ is int else c.as_integer_ratio()
         v = products.get(key)
         if v is None:
-            v = products[key] = _canon(c * q)
+            v = products[key] = q if c == 1 else _canon(c * q)
         append(v)
     return out
 
@@ -272,6 +272,8 @@ class Scalar:
             return self._value()
         if not a:
             return other._value()
+        if a.keys().isdisjoint(b.keys()):
+            return _from_terms(a | b)
         acc = dict(a)
         for mono, coeff in b.items():
             c = acc.get(mono)
@@ -292,7 +294,7 @@ class Scalar:
         if not q:
             return self._value()
         acc = dict(self._terms)
-        c = _canon(acc.get(_EMPTY, 0) + q)
+        c = _canon(acc[_EMPTY] + q) if _EMPTY in acc else q
         if c:
             acc[_EMPTY] = c
         else:
@@ -370,7 +372,7 @@ class Scalar:
         elif c == -1:
             terms = {_mono_mul(k, m): -v for k, v in t.items()}
         else:
-            terms = {_mono_mul(k, m): _canon(v * c) for k, v in t.items()}
+            terms = {_mono_mul(k, m): c if v == 1 else _canon(v * c) for k, v in t.items()}
         return _from_terms(terms)
 
     def _scaled(self, q):
@@ -388,7 +390,7 @@ class Scalar:
         t = self._terms
         if len(t) >= _LONG:
             return _from_terms(dict(zip(t, _scaled_values(t, q))))
-        return _from_terms({mono: _canon(c * q) for mono, c in t.items()})
+        return _from_terms({mono: q if c == 1 else _canon(c * q) for mono, c in t.items()})
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
@@ -396,6 +398,10 @@ class Scalar:
         base = self._value()
         if base.__class__ is not Scalar:
             return _canon(base**k)
+        if k and len(base._terms) == 1:
+            # a single term c*m: c^k times m with each exponent times k
+            ((m, c),) = base._terms.items()
+            return _from_terms({tuple((name, e * k) for name, e in m): _canon(c**k)})
         result = None
         while k:
             if k & 1:
@@ -637,11 +643,18 @@ class _ScalarReader(TokenReader):
         self.names = None if names is None else set(names)
 
     def sum(self):
-        total = ZERO
+        """The signed terms merged into one term map in place, so a long sum
+        takes time linear in its length."""
+        acc = {}
         while True:
-            total = total + Scalar.rational(self.sign()) * self.term()
+            sign = self.sign()
+            term = self.term()
+            for mono, c in term._terms.items() if term.__class__ is Scalar else ((_EMPTY, term),):
+                c = _canon(acc.pop(mono, 0) + sign * c)
+                if c:
+                    acc[mono] = c
             if not self.at_op("+", "-"):
-                return total
+                return _from_terms(acc)
 
     def term(self):
         value = self.factor()

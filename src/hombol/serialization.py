@@ -34,7 +34,7 @@ import math
 from .algebra import PRODUCTS, HomAlgebra, LinearMap, Vector
 from .errors import ParseError, parse_int, refuse_bad_basis, refuse_bad_params, refuse_bad_unknowns, refuse_undeclared
 from .morphisms import ConstraintSystem
-from .scalars import Scalar, content_lines, format_terms, parse_scalar
+from .scalars import _from_terms, content_lines, format_terms, parse_scalar
 
 __all__ = [
     "parse_algebra",
@@ -161,16 +161,16 @@ class _DocReader:
             poly = parse_scalar(rhs, set(self.params or ()) | set(self.basis))
         except ParseError as exc:
             raise exc.located(lineno, len(head) + 1) from None
+        # a basis factor taken out of distinct monomials leaves distinct
+        # monomials, so each coordinate's terms go into its map unmerged
         coords = {}
         for mono, coeff in poly.terms():
             hits = [(name, e) for name, e in mono if name in self.basis]
             if len(hits) != 1 or hits[0][1] != 1:
                 raise ParseError("right-hand side must be a linear combination of basis vectors", line=lineno)
-            i = self.basis.index(hits[0][0])
             rest = tuple(f for f in mono if f[0] not in self.basis)
-            term = Scalar({rest: coeff}) if rest else coeff
-            coords[i] = coords[i] + term if i in coords else term
-        return Vector._of({i: c for i, c in sorted(coords.items()) if c}, self.dim)
+            coords.setdefault(self.basis.index(hits[0][0]), {})[rest] = coeff
+        return Vector._of({i: _from_terms(terms) for i, terms in sorted(coords.items())}, self.dim)
 
     def twist(self, required):
         """The map of the alpha lines; with none, the identity unless required."""

@@ -253,3 +253,16 @@ def test_cross_check_binds_numeric_parameters():
     labels = {row.label: row for row in report.rows}
     assert not labels["binary e1 e2"].match  # -2 vs -4
     assert labels["alpha e2"].match
+
+
+def test_quoted_and_constructed_twist_rows_share_the_bound_coefficient():
+    # every factor 1 reuses its operand, so both sides of the alpha e1 row
+    # hold the bound a itself, and comparing them compares no Fractions
+    a = F(3, 7)
+    report = cross_check("HB_A2", 13, a=a)
+    row = next(row for row in report.rows if row.label == "alpha e1")
+    assert row.match
+    for side in (row.quoted, row.constructed):
+        coefficients = side._d[1]._terms.values()
+        assert len(coefficients) == 2**13
+        assert {id(c) for c in coefficients} == {id(a)}

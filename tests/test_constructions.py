@@ -174,6 +174,33 @@ def test_derived_powers_stay_under_the_map_power_limit(monkeypatch):
         assert exponents == [p]
 
 
+def _full_square_recompose(algebra, base, p):
+    """_recompose with P = base^p made by repeated composition and the
+    ternary product composed with the whole of P . P."""
+    power = LinearMap.identity(algebra.dim)
+    for _ in range(p):
+        power = power.compose(base)
+    maps = {"binary": power, "ternary": power.compose(power)}
+    cells = {kind: {idx: f._apply(c) for k, idx, c in algebra._cells() if k == kind and c} for kind, f in maps.items()}
+    params = algebra.params | base.variables()
+    return HomAlgebra._of(algebra.dim, algebra.basis, params, cells, power.compose(algebra.twist))
+
+
+@pytest.mark.parametrize("name", ["HB_A2", "HB_A3", "A1", "A2", "A3"])
+def test_recompose_equals_the_full_square(name):
+    # the ternary product is composed with P^2 made only on the columns some
+    # ternary cell reads; HB_A2's cells read e2 alone
+    alg = get(name, sign="+")
+    base = alg.twist if name.startswith("HB") else get("HB_A2").twist
+    read = set().union(*(c for kind, _, c in alg._cells() if kind == "ternary"))
+    assert (read == {1}) == (name in ("HB_A2", "A2"))
+    for k in range(6):
+        built = _recompose(alg, base, 2**k - 1)
+        expected = _full_square_recompose(alg, base, 2**k - 1)
+        assert built == expected, k
+        assert built.params == expected.params
+
+
 # --- the twisting sequence: self_twist along the algebra's own twist ----------
 
 

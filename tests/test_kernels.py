@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 
 from hombol.algebra import PRODUCTS, HomAlgebra, LinearMap, Vector, cell_at, tensor, zero_tensor
+from hombol.catalog import get
 from hombol.errors import DimensionMismatch
 from hombol.scalars import ONE, ZERO, Scalar
 
@@ -365,3 +366,36 @@ def test_kernels_drop_coordinates_that_cancel():
     assert m.apply(plus).is_zero()
     assert m.apply(plus)._d == {}
     assert m.compose(LinearMap(((1, 0, 0), (1, 0, 0), (0, 0, 0))))._cols == ({}, {}, {})
+
+
+def _generic_twist():
+    """alpha e1 = a*e1 + c*e2, alpha e2 = b*e1 + d*e2: every entry symbolic."""
+    a, b, c, d = (Scalar.parameter(name) for name in "abcd")
+    return LinearMap(((a, b), (c, d)))
+
+
+def _power_cases():
+    rng = random.Random(5)
+    dense = tuple(tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)) for _ in range(5))
+    twists = {f"{name} twist": get(name, sign="+").twist for name in ("HB_A2", "HB_A3")}
+    twists["HB_A2 twist at a=3/7, b=-2"] = get("HB_A2", a=F(3, 7), b=F(-2)).twist
+    twists["seeded dense rational 5x5"] = LinearMap(dense)
+    twists["generic symbolic twist"] = _generic_twist()
+    return twists
+
+
+POWER_CASES = _power_cases()
+
+
+@pytest.mark.parametrize("name", list(POWER_CASES))
+def test_map_powers_equal_repeated_composition(name):
+    # the left-to-right powers against self composed k times, for every k up
+    # to 40, which covers 2^n - 1 and 2^n for n up to 5
+    m = POWER_CASES[name]
+    assert m.power(1) == m
+    repeated = LinearMap.identity(m.dim)
+    for k in range(41):
+        power = m.power(k)
+        assert power == repeated, k
+        assert all(stored(c) for col in power._cols for c in col.values())
+        repeated = repeated.compose(m)

@@ -127,6 +127,42 @@ def test_results_are_native_exactly_when_constant(x, y, k):
         assert native_exactly_when_constant(result)
 
 
+def _scalar(v):
+    return v if isinstance(v, Scalar) else Scalar.rational(v)
+
+
+@given(scalars, scalars)
+def test_sums_of_disjoint_supports(x, y):
+    # y without the monomials of x: a sum of two polynomials with no
+    # monomial in common is the union of their terms
+    y = Scalar({m: c for m, c in y.terms() if m not in dict(x.terms())})
+    for total in (x + y, y + x):
+        assert same(total, to_sympy(x) + to_sympy(y))
+        assert native_exactly_when_constant(total)
+
+
+@given(scalars, scalars, numbers)
+def test_sums_of_overlapping_supports(x, y, q):
+    # x + (y - x) is y, x + (q - x) the constant q and x + (-x) zero: the
+    # terms of x meet their negatives and cancel
+    for other, expected in ((y - x, y), (q - x, q), (-x, 0)):
+        other = _scalar(other)
+        for total in (x + other, other + x):
+            assert same(total, to_sympy(expected))
+            assert native_exactly_when_constant(total)
+    assert x + -x == 0 and type(x + -x) is int
+
+
+@given(monomials, coefficients.filter(bool), st.integers(0, 40))
+def test_single_term_powers(mono, coeff, k):
+    # a single term's power is its coefficient's power times the monomial
+    # with each exponent multiplied by k
+    x = Scalar({mono: coeff})
+    result = x**k
+    assert same(result, to_sympy(x) ** k)
+    assert native_exactly_when_constant(result)
+
+
 # -- products with a single-term side ------------------------------------
 
 unit_coefficients = st.sampled_from((1, -1))

@@ -339,3 +339,35 @@ def test_a_constraint_system_refuses_the_keywords_of_its_document(unknowns, para
 def test_constraint_unknown_count_must_be_square():
     with pytest.raises(ParseError, match="perfect square"):
         parse_constraints("unknowns a1 a2 b1\na1\n")
+
+
+def _calls(monkeypatch, *names):
+    """The calls of the named Scalar operators from here on, by name."""
+    calls = []
+    for name in names:
+        op = getattr(Scalar, name)
+        monkeypatch.setattr(Scalar, name, lambda s, o, op=op, name=name: calls.append(name) or op(s, o))
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 1000])
+def test_long_right_hand_sides_parse_without_a_sum_per_term(monkeypatch, n):
+    # the terms of a sum merge into one term map in place, and each basis
+    # coordinate's terms go into a map of their own: no Scalar sum copies
+    # the terms read so far, so a right-hand side parses in linear time
+    rhs = " + ".join(f"{k}*b^{k}*e1 - b^{k}*e2" for k in range(1, n + 1))
+    doc = f"dim 2\nparams b\nbasis e1 e2\nbinary e1 e1 = {rhs}\n"
+    calls = _calls(monkeypatch, "__add__", "__radd__", "__sub__", "__rsub__")
+    alg = parse_algebra(doc)
+    assert calls == []
+    e1 = Scalar({(("b", k),): k for k in range(1, n + 1)})
+    e2 = Scalar({(("b", k),): -1 for k in range(1, n + 1)})
+    assert alg.binary[0][0] == (e1, e2)
+    assert parse_scalar(rhs.replace("*e1", "").replace("*e2", "")) == e1 + e2
+
+
+def test_a_power_of_a_single_term_makes_no_product(monkeypatch):
+    calls = _calls(monkeypatch, "__mul__", "__rmul__")
+    assert parse_scalar("b^1023") == Scalar({(("b", 1023),): 1})
+    assert Scalar({(("a", 2), ("b", 1)): F(-2, 3)}) ** 5 == Scalar({(("a", 10), ("b", 5)): F(-32, 243)})
+    assert calls == []
