@@ -46,21 +46,22 @@ So terms that differ only in the names of their variables, such as (x*y)*z,
 placements, and the evaluator memoizes a step's table with its positions'
 domains: each is evaluated once.
 
-``check_identity`` evaluates one basis tuple per symmetry orbit
-(``_Orbits``).  Two kinds of symmetry make the orbits.  ``_symmetries``
-expands lhs - rhs algebra-free (``_expand``) and finds each swap of two
-variables p < q that maps it to plus or minus itself modulo skew products of
-the kinds whose cells the algebra makes skew (``HomAlgebra._skew_kinds``),
-formally when there are none; it sorts the first two slots of every such
-product, with a sign.  The products are multilinear, so they are skew on all
-vectors.  And the algebra's signed-permutation automorphisms that commute
-with the twist (``HomAlgebra._symmetry``) permute the basis indices of a
-tuple.  The outermost products of each side and the comparison of the sides
-take only the least tuple of each orbit, less the tuples that a swap of
-sign -1 fixes, and where the automorphisms make the orbits, each block of
-tuples builds its tables only on the indices that its kept tuples use; the
-verdict, the failing tuple and its residual stay those of a check of every
-tuple.
+``check_identity`` evaluates few basis tuples per symmetry orbit, the least
+among them (``_Orbits``).  Two kinds of symmetry make the orbits.
+``_symmetries`` expands lhs - rhs algebra-free (``_expand``) and finds each
+swap of two variables p < q that maps it to plus or minus itself modulo skew
+products of the kinds whose cells the algebra makes skew
+(``HomAlgebra._skew_kinds``), formally when there are none; it sorts the
+first two slots of every such product, with a sign.  The products are
+multilinear, so they are skew on all vectors.  And the algebra's
+signed-permutation automorphisms that commute with the twist
+(``HomAlgebra._symmetry``) permute the basis indices of a tuple.  The
+outermost products of each side and the comparison of the sides take only
+the tuples least under the automorphisms whose indices rise along the swaps,
+less those that a swap of sign -1 fixes: a superset of the orbits' least
+tuples.  Where the automorphisms make the orbits, each block of tuples builds
+its tables only on the indices that its kept tuples use; the verdict, the
+failing tuple and its residual stay those of a check of every tuple.
 ``evaluate`` and ``tabulate`` skip nothing.
 """
 
@@ -640,9 +641,10 @@ class _Tables:
 
 class _Orbits:
     """The basis tuples at which a check tabulates the outermost products
-    and compares the sides: the least tuple of each orbit of the group G
-    that the algebra's symmetries and the identity's swaps generate, less
-    those that a swap of sign -1 fixes.
+    and compares the sides: those least under the algebra's symmetries whose
+    indices rise along the identity's swaps, less those that a swap of sign
+    -1 fixes.  They hold the least tuple of each orbit of the group G that
+    the symmetries and the swaps generate, and may hold more of an orbit.
 
     Let g e_i = s_i e_pi(i) be a signed permutation that is an automorphism
     commuting with the twist (``HomAlgebra._symmetry``).  The sides are
@@ -652,9 +654,9 @@ class _Orbits:
     that this algebra's cells make skew (``_symmetries``), maps the residual
     at t to sign times the one at the swapped tuple, and a tuple that a swap
     of sign -1 fixes has a zero residual.  So failing tuples are unions of
-    orbits; the least failing tuple is the least of its orbit, and it is the
-    first failing tuple kept.  This is isomorph-free generation (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    orbits; the least failing tuple is the least of its orbit, so it is kept,
+    and it is the first failing tuple kept.  This is isomorph-free generation
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
 
     The swaps join the variable positions into components, and G permutes
     the positions within each component.  When every pi is the identity, a
@@ -678,7 +680,7 @@ class _Orbits:
         checks.update(((p, q), True) for p, q, strict in swaps if strict)
         self.checks = tuple((a, b, strict) for (a, b), strict in checks.items())
         perms = alg._symmetry()
-        self.reps = _least(perms, m, self.dim, components, self.checks) if len(perms) > 1 else None
+        self.reps = _least(perms, m, self.dim, self.checks) if len(perms) > 1 else None
         self.keep = functools.cache(self._keep)
 
     def _keep(self, order):
@@ -714,18 +716,15 @@ class _Orbits:
         return [range(i, i + 1) for i in prefix] + [range(self.dim)] * (self.m - len(prefix))
 
 
-def _least(perms, m, dim, components, checks):
+def _least(perms, m, dim, checks):
     """The m-tuples over range(dim) that pass the checks of ``_Orbits`` and
-    are least in their orbits under the index permutations perms and the
-    position permutations within components; None past SYMMETRY_BUDGET
-    steps.
+    are least in their orbits under the index permutations perms; None past
+    SYMMETRY_BUDGET steps.  They hold the least tuple of every orbit under
+    perms and the position permutations, less those that a swap of sign -1
+    fixes, and may hold other tuples of an orbit too.
 
-    The tuples least under perms alone are built level by level: a prefix
-    extended by i stays least iff no perm that fixes the prefix sends i
-    lower.  Such a tuple t is least under G iff no position permutation
-    sends it to a tuple u whose least image under perms is below t; that
-    image is found among the perms that send u's first index to the least
-    of its orbit."""
+    They are built level by level: a prefix extended by i stays least iff
+    no perm that fixes the prefix sends i lower."""
     floors = [[] for _ in range(m)]  # the checks that bound each position from below
     for a, b, strict in checks:
         floors[b].append((a, strict))
@@ -741,31 +740,7 @@ def _least(perms, m, dim, components, checks):
             for i in range(max((prefix[a] + strict for a, strict in floors[k]), default=0), dim)
             if all(g[i] >= i for g in fixing)
         ]
-    shuffles = []
-    for parts in itertools.product(*map(itertools.permutations, components)):
-        sigma = list(range(m))
-        for c, part in zip(components, parts):
-            for p, q in zip(c, part):
-                sigma[p] = q
-        shuffles.append(tuple(sigma))
-    if len(level) * len(shuffles) > SYMMETRY_BUDGET:
-        return None
-    floor = [min(g[i] for g in perms) for i in range(dim)]
-    to_floor = [[g for g in perms if g[i] == floor[i]] for i in range(dim)]
-    return frozenset(
-        t for t, _ in level if not any(_below(tuple(t[p] for p in sigma), t, to_floor) for sigma in shuffles[1:])
-    )
-
-
-def _below(u, t, to_floor):
-    """Whether the least image of u under the perms is below t."""
-    cands = to_floor[u[0]]
-    for k, i in enumerate(u):
-        v = min(g[i] for g in cands)
-        if v != t[k]:
-            return v < t[k]
-        cands = [g for g in cands if g[i] == v]
-    return False
+    return frozenset(t for t, _ in level)
 
 
 def _rekey(src, table, dst, dom):
@@ -825,8 +800,9 @@ def check_identity(alg, identity, twist_exponent=1):
     smallest failing index tuple.  With symbolic structure constants Pass
     means the residual is the zero polynomial at every tuple.
 
-    Only the least tuple of each symmetry orbit is evaluated (``_Orbits``):
-    the outermost products and the comparison of the sides skip every other
+    Only tuples least under the algebra's automorphisms, a superset of the
+    least tuples of the symmetry orbits, are evaluated (``_Orbits``): the
+    outermost products and the comparison of the sides skip every other
     key, and where the orbits list their kept tuples, each block builds its
     tables, inner ones included, only on the indices that its kept tuples
     use (``_Orbits.domains``).  Failing tuples are unions of orbits, so the

@@ -108,11 +108,7 @@ def generate_constraints(algebra):
     """
     n = algebra.dim
     names = unknown_names(n)
-    taken = algebra.all_variables()
-    clash = set(names) & taken
-    if clash:
-        raise ValueError(f"unknown name collides with an algebra parameter: {sorted(clash)[0]!r}")
-
+    refuse_bad_params(sorted(algebra.all_variables()), names, "unknowns")
     theta = _theta([Scalar.parameter(name) for name in names], n)
 
     equations = {}

@@ -270,6 +270,12 @@ def test_morphisms_bad_binding(tmp_path, capsys):
     assert "NAME=RATIONAL" in capsys.readouterr().err
 
 
+def test_morphisms_refuses_a_parameter_named_like_a_constraint_keyword(tmp_path, capsys):
+    path = _write(tmp_path, "kw.alg", "dim 2\nparams params\nbasis e1 e2\nbinary e1 e2 = params*e2\n")
+    assert main(["morphisms", path]) == 2
+    assert capsys.readouterr().err == "error: bad parameter name 'params'\n"
+
+
 def test_morphisms_grid_in_dimension_three(tmp_path, capsys):
     path = _write(tmp_path, "cross.alg", CROSS_LIE_DOC)
     assert main(["morphisms", path, "--grid=-1,0,1"]) == 0

@@ -2,9 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from hombol import morphisms
 from hombol.algebra import LinearMap, Vector
 from hombol.catalog import get
-from hombol.errors import PreconditionError
+from hombol.errors import ParseError, PreconditionError
 from hombol.morphisms import (
     DEFAULT_GRID,
     FAMILY_CANDIDATES,
@@ -57,8 +58,21 @@ def test_constraints_carry_algebra_parameters():
 
 def test_parameter_name_clash_is_rejected():
     doc = "dim 2\nparams b1\nbasis e1 e2\nbinary e1 e2 = b1*e2\n"
-    with pytest.raises(ValueError, match="collides"):
+    with pytest.raises(ParseError, match="^unknowns and parameters overlap$"):
         generate_constraints(parse_algebra(doc))
+
+
+@pytest.mark.parametrize("name", ["params", "unknowns"])
+@pytest.mark.parametrize("rhs", ["e2", "NAME*e2"], ids=["declared", "used"])
+def test_a_parameter_named_like_a_constraint_keyword_is_refused_before_any_equation(name, rhs, monkeypatch):
+    """The rule on the system's unknowns and parameters is stated once, in
+    ``errors.refuse_bad_params``, on every parameter of the algebra, before
+    the morphism residuals are built."""
+    doc = f"dim 2\nparams {name}\nbasis e1 e2\nbinary e1 e2 = {rhs.replace('NAME', name)}\n"
+    alg = parse_algebra(doc)
+    monkeypatch.setattr(morphisms, "morphism_residuals", lambda *args: pytest.fail("an equation was built"))
+    with pytest.raises(ParseError, match=f"^bad parameter name '{name}'$"):
+        generate_constraints(alg)
 
 
 def test_twisted_algebra_adds_intertwining_equations():

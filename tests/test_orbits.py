@@ -1,10 +1,13 @@
-"""One basis tuple per orbit of the algebra's symmetries and the identity's swaps.
+"""Few basis tuples per orbit of the algebra's symmetries and the identity's swaps.
 
 ``check_identity`` tabulates the outermost products, and compares the two
-sides, only at the least tuple of each orbit (``identities._Orbits``).  The
-orbits are those of the group that the identity's variable swaps and the
-algebra's signed-permutation automorphisms commuting with the twist
-generate (``HomAlgebra._symmetry``).  The oracle here checks every tuple
+sides, only at the tuples least under the algebra's automorphisms whose
+indices rise along the swaps, which hold the least tuple of each orbit
+(``identities._Orbits``).  The orbits are those of the group that the
+identity's variable swaps and the algebra's signed-permutation
+automorphisms commuting with the twist generate
+(``HomAlgebra._symmetry``).  A brute-force test checks the kept tuples
+against both.  The oracle here checks every tuple
 with no symmetry: it tabulates each side over all basis tuples and takes
 the first tuple, in lexicographic order, where they differ.  The verdict,
 the tuple and the residual must be the same on the catalog, the
@@ -219,9 +222,9 @@ def test_past_the_budget_the_group_is_trivial_and_the_checks_unchanged(monkeypat
 def test_the_orbits_of_the_octonion_bol_derivations():
     bol = malcev_to_bol(OCTONIONS)
     counts = {i.name: len(identities._Orbits(bol, i).reps) for i in suites("bol") if len(i.variables) > 3}
-    assert counts == {"binary_derivation": 6, "ternary_derivation": 28}
+    assert counts == {"binary_derivation": 9, "ternary_derivation": 54}
     malcev = SUITES["malcev"].identities[1]
-    assert len(identities._Orbits(OCTONIONS, malcev).reps) == 18
+    assert len(identities._Orbits(OCTONIONS, malcev).reps) == 25
 
 
 # --- the oracle -------------------------------------------------------------------------
@@ -377,9 +380,9 @@ def kernel_calls(monkeypatch, alg, ident):
 
 def test_a_block_builds_its_tables_only_on_the_indices_of_its_kept_tuples(monkeypatch):
     malcev, derivation = SUITES["malcev"].identities[1], SUITES["bol"].identities[4]
-    assert kernel_calls(monkeypatch, OCTONIONS, malcev) == (None, {"_binary": 606})
-    assert kernel_calls(monkeypatch, octonions(), malcev) == (None, {"_binary": 549})
-    assert kernel_calls(monkeypatch, malcev_to_bol(OCTONIONS), derivation) == (None, {"_ternary": 119})
+    assert kernel_calls(monkeypatch, OCTONIONS, malcev) == (None, {"_binary": 651})
+    assert kernel_calls(monkeypatch, octonions(), malcev) == (None, {"_binary": 651})
+    assert kernel_calls(monkeypatch, malcev_to_bol(OCTONIONS), derivation) == (None, {"_ternary": 208})
 
 
 def test_the_blocks_pinned_to_zero_find_a_failure_there_first(monkeypatch):
@@ -422,6 +425,48 @@ def test_every_kept_tuple_lies_in_the_domains_of_its_block_and_each_index_there_
             assert all(any(r[p] == i for r in block) for p in range(m) for i in box[p]), (ident.name, prefix)
         listed += orbits.reps is not None
     assert listed
+
+
+def position_group(m, swaps):
+    """The permutations of range(m) that the transpositions (p, q) of swaps
+    generate."""
+    group = frontier = {tuple(range(m))}
+    while frontier:  # p < q in each swap
+        frontier = {s[:p] + (s[q],) + s[p + 1 : q] + (s[p],) + s[q + 1 :] for s in frontier for p, q, _ in swaps} - group
+        group = group | frontier
+    return group
+
+
+# a cheap subset of BOX_ALGEBRAS: both octonion groups, a failing Bol algebra and every seeded group
+LEAST = ["octonions/0", "octonion-bol/3", "octonion-bol-lie-triple"] + [k for k in BOX_ALGEBRAS if k.startswith("seeded")]
+
+
+@pytest.mark.parametrize("name", LEAST)
+def test_the_kept_tuples_are_least_under_the_automorphisms_and_hold_every_orbits_least_tuple(name):
+    """Brute force, on the identities of four or more variables: every kept
+    tuple is least under ``alg._symmetry()`` alone and passes the in-order
+    checks, and the least tuple of every orbit of the index group times the
+    position permutations that the swaps generate is kept, unless a swap of
+    sign -1 fixes it (its residual is zero)."""
+    alg = BOX_ALGEBRAS[name]
+    group, dim = alg._symmetry(), alg.dim
+    assert len(group) > 1
+    for ident in [i for i in IDENTITIES + EXTRA if len(i.variables) >= 4]:
+        orbits = identities._Orbits(alg, ident)
+        reps, m = orbits.reps, orbits.m
+        assert reps is not None, ident.name
+        for r in reps:
+            assert all(tuple(g[i] for i in r) >= r for g in group), (ident.name, r)
+            assert all(r[a] < r[b] if strict else r[a] <= r[b] for a, b, strict in orbits.checks), (ident.name, r)
+        swaps = identities._symmetries(ident, alg._skew_kinds())
+        shuffles, seen, least = position_group(m, swaps), set(), []
+        for t in itertools.product(range(dim), repeat=m):  # lexicographic: an orbit's first tuple is its least
+            if t not in seen:
+                least.append(t)
+                seen.update(tuple(g[t[s[p]]] for p in range(m)) for g in group for s in shuffles)
+        for t in least:
+            fixed = any(sign < 0 and t[p] == t[q] for p, q, sign in swaps)
+            assert fixed or t in reps, (ident.name, t)
 
 
 # --- the verifier -----------------------------------------------------------------------
