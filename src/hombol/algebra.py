@@ -33,7 +33,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import prod
 
 from .errors import DimensionMismatch, ExponentLimitError, refuse_bad_basis, refuse_bad_params
 from .scalars import Scalar, ZERO, _as_scalar, _canon, _value_of
@@ -353,12 +352,15 @@ def _index_group(alg):
     often an index takes each place of a nonzero coordinate of each magnitude
     and index pattern), checks each coordinate once its indices are assigned,
     and solves for the signs over GF(2) on the way (McKay and Piperno,
-    "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).  For i
-    from the last index down, with pi fixing every index below i, it looks for
-    one map sending i to each j not yet in the orbit of i under the maps found:
-    these generate the group.  Every map found is a candidate only, which
-    ``_generated`` verifies on the coordinates.  Past SYMMETRY_BUDGET search
-    nodes, or group elements, the group is taken to be trivial."""
+    "Practical graph isomorphism, II", J. Symbolic Comput. 60, 2014).  Each
+    coordinate is checked at its largest index, so a map the search returns
+    has passed every one.  For i from the last index down, it finds one map
+    fixing every index below i and sending i to each point of its orbit.
+    Every element fixing the indices below i is one of these maps after an
+    element fixing i as well, one listed at the level before, so the group is
+    listed as these products (Butler, "Fundamental Algorithms for Permutation
+    Groups", LNCS 559, 1991).  Past SYMMETRY_BUDGET search nodes, or group
+    elements, the group is taken to be trivial."""
     dim = alg.dim
     coords = _coordinates(alg)
     invariants = [Counter() for _ in range(dim)]
@@ -380,7 +382,7 @@ def _index_group(alg):
     image, work = list(range(dim)), 0
 
     def extend(i, system, targets):
-        """The first (pi, s) that keeps image[:i] and sends i into targets."""
+        """The first pi that keeps image[:i] and sends i into targets."""
         nonlocal work
         for j in targets:
             if kind_of[j] != kind_of[i] or j in image[:i]:
@@ -394,25 +396,19 @@ def _index_group(alg):
                 if moved is None or not _solve(eqs, mask, 0 if moved == c else 1 if moved == -c else None):
                     break
             else:
-                found = (tuple(image), _signs(eqs, dim)) if i + 1 == dim else extend(i + 1, eqs, range(dim))
+                found = tuple(image) if i + 1 == dim else extend(i + 1, eqs, range(dim))
                 if found:
                     return found
         return None
 
-    found, order = [], 1
+    identity = tuple(range(dim))
+    group = [identity]
     for i in reversed(range(dim)):
-        orbit = {i}
-        for j in range(i + 1, dim):
-            if j not in orbit and (hit := extend(i, fixing[i], (j,))):
-                found.append(hit)
-                size = 0
-                while size < len(orbit):
-                    size = len(orbit)
-                    orbit |= {p[x] for p, _ in found for x in orbit}
-        order *= len(orbit)  # the group's order is the product of these orbits' sizes
-        if work > SYMMETRY_BUDGET or order > SYMMETRY_BUDGET:
-            return (tuple(range(dim)),)
-    return _generated(coords, dim, found[::-1])
+        transversal = [identity] + [u for j in range(i + 1, dim) if (u := extend(i, fixing[i], (j,)))]
+        if work > SYMMETRY_BUDGET or len(transversal) * len(group) > SYMMETRY_BUDGET:
+            return (identity,)
+        group = [tuple(u[x] for x in h) for u in transversal for h in group]
+    return tuple(sorted(group))
 
 
 def _solve(eqs, mask, eps):
@@ -429,36 +425,6 @@ def _solve(eqs, mask, eps):
         m, e = eqs[top]
         mask, eps = mask ^ m, eps ^ e
     return not eps
-
-
-def _signs(eqs, dim):
-    """A solution s of a system of ``_solve``, each free sign +1."""
-    bits = 0
-    for top in sorted(eqs):
-        mask, eps = eqs[top]
-        if eps ^ (mask & bits).bit_count() & 1:
-            bits |= top
-    return tuple(-1 if bits >> i & 1 else 1 for i in range(dim))
-
-
-def _generated(coords, dim, candidates):
-    """The index permutations of the group generated by the candidate
-    signed permutations (pi, s) that meet ``_index_group``'s condition on
-    coords, whose zeros pi then maps to zeros as it permutes the index
-    tuples; a candidate whose pi is in the group so far is passed over."""
-    group, gens = {tuple(range(dim))}, []
-    for perm, signs in candidates:
-        if perm in group or any(
-            coords.get((kind, tuple(perm[x] for x in t))) != (c if prod(signs[x] for x in t) > 0 else -c)
-            for (kind, t), c in coords.items()
-        ):
-            continue
-        gens.append(perm)
-        frontier = group
-        while frontier:
-            frontier = {tuple(map(g.__getitem__, p)) for p in frontier for g in gens} - group
-            group = group | frontier
-    return tuple(sorted(group))
 
 
 def _coordinates(alg):

@@ -280,8 +280,6 @@ def cross_check(name, n, lam=None, a=None, b=None, sign="+"):
     """
     entry, params = _read(name, lam, a, b, sign)
     alg = entry.build(*params)
-    if n < 0:
-        raise ValueError("derived order must be nonnegative")
     derived = nth_derived(alg, n)
 
     def rows(source, order, built):

@@ -162,6 +162,15 @@ def test_derive_command(tmp_path, capsys, hb2_file):
     assert "exceeds the exponent limit 16" in capsys.readouterr().err
 
 
+def test_derive_and_crosscheck_refuse_a_negative_order_alike(capsys, hb2_file):
+    path, _ = hb2_file
+    for argv in (["derive", str(path), "--n", "-1"], ["crosscheck", "HB_A2", "--n", "-1"]):
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: nth_derived: the order n must be a nonnegative integer\n"
+
+
 def test_derive_result_too_long_to_print(tmp_path, capsys):
     # at n = 14 the twist entry (3/2)^(2^14) has a 7,818-digit numerator
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -162,21 +162,6 @@ def signed(perm, signs):
     return LinearMap(tuple(tuple(s if p == i else 0 for p, s in zip(perm, signs)) for i in range(len(perm))))
 
 
-def test_each_generator_is_verified_and_a_fake_one_is_refused():
-    oct_ = octonions()  # the lines (i, i+1, i+3) mod 7: the shift is a collineation
-    shift, plus = tuple((i + 1) % 7 for i in range(7)), (1,) * 7
-    assert is_morphism(signed(shift, plus), oct_, oct_)
-    assert len(algebra._generated(algebra._coordinates(oct_), 7, [(shift, plus)])) == 7
-    flipped = (-1,) + plus[1:]  # one cell sign flipped: e1*e2 = e4 would map to -e2*e3 = -e5
-    assert not is_weak_morphism(signed(shift, flipped), oct_, oct_)
-    assert algebra._generated(algebra._coordinates(oct_), 7, [(shift, flipped)]) == (tuple(range(7)),)
-    # an automorphism of the product that does not commute with a sign twist
-    twisted = oct_.replace(twist=diagonal([1 if i in (0, 1, 3) else -1 for i in range(7)]))
-    g = signed(shift, plus)
-    assert is_weak_morphism(g, twisted, twisted) and not is_morphism(g, twisted, twisted)
-    assert algebra._generated(algebra._coordinates(twisted), 7, [(shift, plus)]) == (tuple(range(7)),)
-
-
 def test_the_symmetry_is_found_once_per_algebra_whatever_the_number_of_variables(monkeypatch):
     found = []
     index_group = algebra._index_group
@@ -210,9 +195,6 @@ def test_past_the_budget_the_group_is_trivial_and_the_checks_unchanged(monkeypat
     monkeypatch.setattr(algebra, "SYMMETRY_BUDGET", 40)
     assert OCTONIONS.replace()._symmetry() == (tuple(range(7)),)
     monkeypatch.undo()
-    # the zero algebra of dimension 8 has 8! index permutations
-    assert HomAlgebra(8)._symmetry() == (tuple(range(8)),)
-    assert len(HomAlgebra(6)._symmetry()) == 720
     monkeypatch.setattr(identities, "SYMMETRY_BUDGET", 40)
     bol = with_lie_triple(malcev_to_bol(OCTONIONS))
     assert identities._Orbits(bol, SUITES["bol"].identities[4]).reps is None
@@ -469,42 +451,75 @@ def test_the_kept_tuples_are_least_under_the_automorphisms_and_hold_every_orbits
             assert fixed or t in reps, (ident.name, t)
 
 
-# --- the verifier -----------------------------------------------------------------------
+# --- the listing, against is_morphism ---------------------------------------------------
 
 SO3 = parse_algebra(CROSS_LIE_DOC)
 VERIFIED = {**BOX_ALGEBRAS, **dict(catalog()), "so3+so3": direct_sum(SO3, SO3)}
 
 
-def signed_group(alg, monkeypatch):
-    """alg's group with one sign vector for each index permutation: the
-    products of the search's candidates that is_morphism verifies."""
-    found, generated, dim = [], algebra._generated, alg.dim
-    with monkeypatch.context() as m:
-        m.setattr(algebra, "_generated", lambda coords, n, cands: found.extend(cands) or generated(coords, n, cands))
-        group = algebra._index_group(alg)
-    gens = [(p, s) for p, s in found if is_morphism(signed(p, s), alg, alg)]
-    elements = frontier = {tuple(range(dim)): (1,) * dim}
-    while frontier:  # e_i -> t_i e_q(i) -> t_i s_q(i) e_p(q(i))
-        step = ((tuple(p[i] for i in q), tuple(t[i] * s[q[i]] for i in range(dim))) for q, t in frontier.items() for p, s in gens)
-        frontier = {r: u for r, u in step if r not in elements}
-        elements = {**elements, **frontier}
-    assert sorted(elements) == list(group)
-    return elements
+def solved_signs(alg, perm):
+    """A sign vector s such that g e_i = s_i e_perm(i) carries every
+    coordinate of ``algebra._coordinates`` to its image with the sign of the
+    product of s over its indices, solved over GF(2) with ``algebra._solve``
+    and each free sign +1; None when there is none."""
+    coords, eqs = algebra._coordinates(alg), {}
+    for (kind, t), c in coords.items():
+        moved, mask = coords.get((kind, tuple(perm[x] for x in t))), 0
+        for x in t:
+            mask ^= 1 << x
+        if not algebra._solve(eqs, mask, 0 if moved == c else 1 if moved == -c else None):
+            return None
+    bits = 0
+    for top in sorted(eqs):  # each equation's other bits are below its leading one
+        mask, eps = eqs[top]
+        if eps ^ (mask & bits).bit_count() & 1:
+            bits |= top
+    return tuple(-1 if bits >> i & 1 else 1 for i in range(alg.dim))
 
 
 @pytest.mark.parametrize("name, alg", VERIFIED.items(), ids=VERIFIED)
-def test_the_coordinate_test_of_a_generator_agrees_with_is_morphism(name, alg, monkeypatch):
-    """``_generated`` takes a candidate (pi, s) whose pi is not the identity
-    iff g e_i = s_i e_pi(i) is an automorphism commuting with the twist: on
-    seeded random signed permutations, on each group element and on each
-    group element with one sign flipped."""
-    dim, coords = alg.dim, algebra._coordinates(alg)
-    rng = random.Random(f"verifier/{name}")
-    maps = [(tuple(rng.sample(range(dim), dim)), tuple(rng.choice((1, -1)) for _ in range(dim))) for _ in range(20)]
-    for perm, signs in signed_group(alg, monkeypatch).items():
-        assert is_morphism(signed(perm, signs), alg, alg)
-        maps += [(perm, signs)] + [(perm, signs[:i] + (-signs[i],) + signs[i + 1 :]) for i in range(dim)]
-    for perm, signs in maps:
-        if perm != tuple(range(dim)):  # passed over: the identity is in every group
-            taken = len(algebra._generated(coords, dim, [(perm, signs)])) > 1
-            assert taken == is_morphism(signed(perm, signs), alg, alg), (perm, signs)
+def test_the_listed_group_is_closed_and_each_element_solves_to_an_automorphism(name, alg):
+    """``_symmetry()`` is sorted with the identity first and closed under
+    composition; each listed pi, with signs solved on the coordinates, is a
+    map that is_morphism accepts; and up to dimension 4 the listed pis are
+    those of every signed permutation that is_morphism accepts."""
+    group, dim = alg._symmetry(), alg.dim
+    assert group[0] == tuple(range(dim)) and list(group) == sorted(group)
+    assert {tuple(q[i] for i in p) for p in group for q in group} == set(group)
+    for perm in group:
+        assert is_morphism(signed(perm, solved_signs(alg, perm)), alg, alg), perm
+    if dim <= 4:
+        found = {
+            perm
+            for perm in itertools.permutations(range(dim))
+            if any(is_morphism(signed(perm, signs), alg, alg) for signs in itertools.product((1, -1), repeat=dim))
+        }
+        assert found == set(group)
+
+
+def test_the_shift_is_in_the_octonions_group_and_not_in_a_sign_twisted_ones():
+    oct_ = octonions()  # the lines (i, i+1, i+3) mod 7: the shift is a collineation
+    shift, plus = tuple((i + 1) % 7 for i in range(7)), (1,) * 7
+    assert is_morphism(signed(shift, plus), oct_, oct_) and solved_signs(oct_, shift) == plus
+    assert shift in oct_._symmetry()
+    # an automorphism of the product that does not commute with a sign twist
+    twisted = oct_.replace(twist=diagonal([1 if i in (0, 1, 3) else -1 for i in range(7)]))
+    g = signed(shift, plus)
+    assert is_weak_morphism(g, twisted, twisted) and not is_morphism(g, twisted, twisted)
+    assert solved_signs(twisted, shift) is None and shift not in twisted._symmetry()
+
+
+@pytest.mark.parametrize("n, order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120), (6, 720), (7, 1), (8, 1)])
+def test_the_zero_algebra_lists_every_index_permutation_up_to_the_budget(n, order):
+    # n! index permutations: 7! = 5,040 is past SYMMETRY_BUDGET
+    assert len(HomAlgebra(n)._symmetry()) == order
+
+
+def test_sums_of_so3_list_their_group_level_by_level_up_to_the_budget():
+    # the index group of so(3)^k is the 3! permutations of each summand's
+    # basis times the k! permutations of the summands: 72, 1,296, then 31,104
+    two = direct_sum(SO3, SO3)
+    three = direct_sum(two, SO3)
+    four = direct_sum(three, SO3)
+    assert [len(alg._symmetry()) for alg in (two, three)] == [72, 1296]
+    assert four._symmetry() == (tuple(range(12)),)
